@@ -1,8 +1,10 @@
 """Dense complex linear algebra primitives.
 
-All operators are plain complex numpy arrays.  The composite index
-convention is i = i_plus * d_minus + i_minus throughout the package,
-which matches ``numpy.kron(A_plus, A_minus)``.
+Operators are plain complex numpy arrays; ``kernel_basis`` alone keeps a
+real input real, so the real twin constraint system is solved in real
+arithmetic.  The composite index convention is
+i = i_plus * d_minus + i_minus throughout the package, which matches
+``numpy.kron(A_plus, A_minus)``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailureError,
@@ -42,12 +43,12 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a complex 2-d array and reject non-finite entries."""
-    a = np.asarray(m, dtype=complex)
+def as_matrix(m, dtype=complex) -> np.ndarray:
+    """Coerce to a 2-d array (complex by default) and reject non-finite entries."""
+    a = np.asarray(m, dtype=dtype)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains NaN or Inf entries")
     return a
 
@@ -98,12 +99,14 @@ def eigh(H, herm_tol: float = DEFAULT_TOL.herm_tol):
 def kernel_basis(M, tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical null space of M.
 
-    A singular value s is treated as zero when s <= tol * s_max.
+    A singular value s is treated as zero when s <= tol * s_max.  A real
+    M gives a real basis.  The economy SVD already holds every right
+    singular vector unless M is wide.
     """
-    M = as_matrix(M)
+    M = as_matrix(M, complex if np.iscomplexobj(M) else float)
     if M.size == 0:
-        return np.eye(M.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(M)
+        return np.eye(M.shape[1], dtype=M.dtype)
+    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
     return vh[rank:].conj().T
@@ -167,9 +170,10 @@ def null_basis(H, tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
     return vecs[:, vals <= cut]
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
+def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal basis of the real space of Hermitian d x d matrices
-    under the Hilbert-Schmidt inner product.
+    under the Hilbert-Schmidt inner product, stacked as a (d*d, d, d)
+    complex array.
 
     Ordering: diagonal units first, then for each i<j (row-major) the
     symmetric pair (E_ij + E_ji)/sqrt(2) followed by the antisymmetric
@@ -177,43 +181,34 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    basis = []
-    for i in range(d):
-        E = np.zeros((d, d), dtype=complex)
-        E[i, i] = 1.0
-        basis.append(E)
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    diag = np.arange(d)
+    basis[diag, diag, diag] = 1.0
+    i, j = np.triu_indices(d, 1)
+    sym = np.arange(d, d * d, 2)
     s = 1 / np.sqrt(2)
-    for i in range(d):
-        for j in range(i + 1, d):
-            S = np.zeros((d, d), dtype=complex)
-            S[i, j] = s
-            S[j, i] = s
-            basis.append(S)
-            A = np.zeros((d, d), dtype=complex)
-            A[i, j] = -1j * s
-            A[j, i] = 1j * s
-            basis.append(A)
+    basis[sym, i, j] = basis[sym, j, i] = s
+    basis[sym + 1, i, j] = -1j * s
+    basis[sym + 1, j, i] = 1j * s
     return basis
 
 
 def pair_to_coords(a_plus: np.ndarray, a_minus: np.ndarray) -> np.ndarray:
     """Real coordinates of (A_plus, A_minus) over hermitian_basis(d_plus)
     followed by hermitian_basis(d_minus)."""
-    coords = []
-    for A in (a_plus, a_minus):
-        for G in hermitian_basis(A.shape[0]):
-            coords.append(np.real(np.trace(G.conj().T @ A)))
-    return np.array(coords)
+    return np.concatenate([
+        np.einsum("gij,ij->g", hermitian_basis(A.shape[0]).conj(), A).real
+        for A in (a_plus, a_minus)
+    ])
 
 
 def coords_to_pair(x: np.ndarray, d_plus: int, d_minus: int):
-    """Inverse of pair_to_coords."""
+    """Inverse of pair_to_coords.  Coordinates stacked as the columns of
+    x give the pairs stacked along the first axis of both results."""
     x = np.asarray(x, dtype=float)
     np_, nm = d_plus**2, d_minus**2
-    if x.shape != (np_ + nm,):
+    if x.ndim not in (1, 2) or x.shape[0] != np_ + nm:
         raise DimensionMismatchError("coordinate vector has wrong length")
-    bp = hermitian_basis(d_plus)
-    bm = hermitian_basis(d_minus)
-    a_plus = sum(c * G for c, G in zip(x[:np_], bp))
-    a_minus = sum(c * G for c, G in zip(x[np_:], bm))
-    return np.asarray(a_plus, dtype=complex), np.asarray(a_minus, dtype=complex)
+    a_plus = np.einsum("g...,gij->...ij", x[:np_], hermitian_basis(d_plus))
+    a_minus = np.einsum("g...,gij->...ij", x[np_:], hermitian_basis(d_minus))
+    return a_plus, a_minus

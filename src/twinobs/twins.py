@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linops
 from .errors import DimensionMismatchError
@@ -93,17 +92,17 @@ def is_twin_pair(state: BipartiteState, pair: ObservablePair):
 
 def _constraint_matrix(state: BipartiteState, columns: np.ndarray) -> np.ndarray:
     """Real matrix of the map (x_plus, x_minus) -> (A_plus ⊗ 1 - 1 ⊗ A_minus) C
-    stacked as real and imaginary parts, over hermitian_basis coordinates."""
+    stacked as real and imaginary parts, over hermitian_basis coordinates.
+
+    Column k of C reshaped to d_plus x d_minus is Psi_k, and
+    (A_plus ⊗ 1 - 1 ⊗ A_minus) C is A_plus Psi_k - Psi_k A_minus^T."""
     dp, dm = state.d_plus, state.d_minus
-    Ip, Im = np.eye(dp), np.eye(dm)
-    cols = []
-    for G in linops.hermitian_basis(dp):
-        img = linops.kron(G, Im) @ columns
-        cols.append(np.concatenate([img.real.ravel(), img.imag.ravel()]))
-    for G in linops.hermitian_basis(dm):
-        img = -linops.kron(Ip, G) @ columns
-        cols.append(np.concatenate([img.real.ravel(), img.imag.ravel()]))
-    return np.column_stack(cols)
+    psi = columns.reshape(dp, dm, -1)
+    images = np.concatenate([
+        np.einsum("gab,bmk->gamk", linops.hermitian_basis(dp), psi),
+        -np.einsum("gmn,ank->gamk", linops.hermitian_basis(dm), psi),
+    ]).reshape(dp * dp + dm * dm, -1)
+    return np.concatenate([images.real, images.imag], axis=1).T
 
 
 def solve_twin_space(state: BipartiteState) -> TwinSpace:
@@ -113,58 +112,52 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     which is equivalent to imposing it on rho itself and keeps the
     linear system small.
     """
-    C = state.range_basis()
-    M = _constraint_matrix(state, C)
-    K = linops.kernel_basis(M, tol=1e-10).real
-    pairs = []
-    for k in range(K.shape[1]):
-        ap, am = linops.coords_to_pair(K[:, k], state.d_plus, state.d_minus)
-        pairs.append(ObservablePair(ap, am))
+    dp, dm = state.d_plus, state.d_minus
+    M = _constraint_matrix(state, state.range_basis())
+    K = linops.kernel_basis(M, tol=1e-10)
+    a_plus, a_minus = linops.coords_to_pair(K, dp, dm)
+    pairs = tuple(ObservablePair(ap, am) for ap, am in zip(a_plus, a_minus))
 
     sub = state.reduce()
-    n_plus = state.d_plus - linops.range_basis(sub.rho_plus, state.tol.rank_tol).shape[1]
-    n_minus = state.d_minus - linops.range_basis(sub.rho_minus, state.tol.rank_tol).shape[1]
-
-    dim_detectable = _detectable_rank(state, pairs)
+    Bp = linops.range_basis(sub.rho_plus, state.tol.rank_tol)
+    Bm = linops.range_basis(sub.rho_minus, state.tol.rank_tol)
+    n_plus, n_minus = dp - Bp.shape[1], dm - Bm.shape[1]
     return TwinSpace(
-        basis=tuple(pairs),
+        basis=pairs,
         dim_total=len(pairs),
-        dim_detectable=dim_detectable,
+        dim_detectable=_detectable_rank(a_plus, a_minus, Bp, Bm),
         dim_undetectable_plus=n_plus**2,
         dim_undetectable_minus=n_minus**2,
     )
 
 
-def _detectable_rank(state: BipartiteState, pairs) -> int:
-    """Rank of the twin basis projected onto the detectable blocks
-    (conjugation by the subsystem range bases)."""
-    if not pairs:
+def _detectable_rank(a_plus, a_minus, Bp, Bm) -> int:
+    """Rank of the stacked twin basis pairs (a_plus[k], a_minus[k])
+    projected onto the detectable blocks (conjugation by the subsystem
+    range bases Bp, Bm)."""
+    if not len(a_plus):
         return 0
-    sub = state.reduce()
-    Bp = linops.range_basis(sub.rho_plus, state.tol.rank_tol)
-    Bm = linops.range_basis(sub.rho_minus, state.tol.rank_tol)
-    rows = []
-    for p in pairs:
-        app = Bp.conj().T @ p.a_plus @ Bp
-        amm = Bm.conj().T @ p.a_minus @ Bm
-        rows.append(
-            np.concatenate([app.real.ravel(), app.imag.ravel(),
-                            amm.real.ravel(), amm.imag.ravel()])
-        )
-    A = np.vstack(rows)
+    app = (Bp.conj().T @ a_plus @ Bp).reshape(len(a_plus), -1)
+    amm = (Bm.conj().T @ a_minus @ Bm).reshape(len(a_minus), -1)
+    A = np.concatenate([app.real, app.imag, amm.real, amm.imag], axis=1)
     s = np.linalg.svd(A, compute_uv=False)
     return int(np.sum(s > 1e-8 * max(s[0], 1.0)))
 
 
 def subspace_distance(coords_a: np.ndarray, coords_b: np.ndarray) -> float:
     """Largest principal-angle sine between two coordinate subspaces
-    (columns spanning each)."""
+    (columns spanning each): sin theta_max = ||Q_b - Q_a Q_a^T Q_b||_2.
+
+    The sine is read off the component of Q_b outside span(Q_a), not as
+    sqrt(1 - sigma_min^2) of Q_a^T Q_b, which loses all digits below
+    about 1e-8."""
     if coords_a.shape[1] != coords_b.shape[1]:
         return 1.0
     if coords_a.shape[1] == 0:
         return 0.0
-    angles = scipy.linalg.subspace_angles(coords_a, coords_b)
-    return float(np.max(np.sin(angles))) if angles.size else 0.0
+    qa = np.linalg.qr(coords_a)[0]
+    qb = np.linalg.qr(coords_b)[0]
+    return float(np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2))
 
 
 def additive_twins(state: BipartiteState, b_plus, b_minus):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +203,14 @@ class TestCli:
         assert main(["--format", "text", "solve", state_file]) == EXIT_OK
         out = capsys.readouterr().out
         assert "dim_total: 2" in out
+
+
+def test_import_does_not_load_scipy():
+    """NumPy is the only runtime dependency; SciPy is for the tests."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, twinobs; assert 'scipy' not in sys.modules, 'scipy imported'"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from twinobs import linops
 from twinobs.errors import DimensionMismatchError, NonHermitianError, NotPositiveError
+from twinobs.twins import _constraint_matrix, subspace_distance
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_state
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -73,6 +74,27 @@ class TestKernelBasis:
         row_basis = np.linalg.svd(M)[2][: n - K.shape[1]].conj().T
         full = np.column_stack([row_basis, K])
         assert linops.max_norm(full.conj().T @ full - np.eye(n)) <= 1e-9
+
+    def test_wide_real_matrix_keeps_all_null_directions(self):
+        M = np.random.default_rng(3).standard_normal((2, 5))
+        K = linops.kernel_basis(M)
+        assert K.shape == (5, 3) and not np.iscomplexobj(K)
+        assert linops.max_norm(M @ K) <= 1e-12
+
+    def test_tall_real_constraint_system_matches_full_complex_svd(self):
+        # the 2592 x 72 twin constraint system of a generic full-rank 6x6 state
+        st = random_state(np.random.default_rng(36), 6, 6, rank=36)
+        M = _constraint_matrix(st, st.range_basis())
+        assert M.shape == (2 * 36 * 36, 72) and not np.iscomplexobj(M)
+        K = linops.kernel_basis(M, tol=1e-10)
+        assert not np.iscomplexobj(K)
+        _, s, vh = np.linalg.svd(M.astype(complex), full_matrices=True)
+        ref = vh[int(np.sum(s > 1e-10 * s[0])):].conj().T
+        assert K.shape == ref.shape == (72, 1)
+        # the reference kernel of a real matrix is real up to a phase
+        ref = ref * (abs(ref[0, 0]) / ref[0, 0])
+        assert linops.max_norm(ref.imag) <= 1e-10
+        assert subspace_distance(K, ref.real) <= 1e-10
 
 
 class TestKron:
@@ -179,6 +201,19 @@ class TestHermitianBasis:
         assert len(basis) == 1
         np.testing.assert_allclose(basis[0], [[1.0]])
 
+    def test_stacked_order(self):
+        s = 1 / np.sqrt(2)
+        basis = linops.hermitian_basis(3)
+        assert basis.shape == (9, 3, 3)
+        expected = [((0, 0), 1), ((1, 1), 1), ((2, 2), 1),
+                    ((0, 1), s), ((0, 1), -1j * s), ((0, 2), s), ((0, 2), -1j * s),
+                    ((1, 2), s), ((1, 2), -1j * s)]
+        for G, ((i, j), v) in zip(basis, expected):
+            E = np.zeros((3, 3), dtype=complex)
+            E[i, j] = v
+            E[j, i] = np.conj(v)
+            np.testing.assert_array_equal(G, E)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_count_and_orthonormality(self, d):
         basis = linops.hermitian_basis(d)
@@ -204,3 +239,12 @@ class TestHermitianBasis:
         bp, bm = linops.coords_to_pair(x, 2, 3)
         np.testing.assert_allclose(bp, ap, atol=1e-12)
         np.testing.assert_allclose(bm, am, atol=1e-12)
+
+    def test_stacked_coords_round_trip(self):
+        rng = np.random.default_rng(12)
+        pairs = [(random_hermitian(rng, 2), random_hermitian(rng, 3)) for _ in range(4)]
+        X = np.column_stack([linops.pair_to_coords(ap, am) for ap, am in pairs])
+        bp, bm = linops.coords_to_pair(X, 2, 3)
+        assert bp.shape == (4, 2, 2) and bm.shape == (4, 3, 3)
+        np.testing.assert_allclose(bp, [ap for ap, _ in pairs], atol=1e-12)
+        np.testing.assert_allclose(bm, [am for _, am in pairs], atol=1e-12)

@@ -13,9 +13,9 @@ from twinobs import (
     twins_restrict_to_range_vectors,
 )
 from twinobs.errors import DimensionMismatchError
-from twinobs.linops import pair_to_coords
+from twinobs.linops import hermitian_basis, kron, pair_to_coords
 from twinobs.spin import coupled_basis, spin_z
-from twinobs.twins import subspace_distance
+from twinobs.twins import _constraint_matrix, subspace_distance
 
 from conftest import oracle_twin_coords, random_state
 
@@ -136,6 +136,45 @@ class TestSolveTwinSpace:
             alpha = float(rng.uniform(-3, 3))
             ok, _ = is_twin_pair(example1, pair.scaled(alpha))
             assert ok
+
+
+def kron_loop_constraint_matrix(state, C):
+    """One column per basis element: (G ⊗ 1) C, then -(1 ⊗ G) C."""
+    dp, dm = state.d_plus, state.d_minus
+    images = [kron(G, np.eye(dm)) @ C for G in hermitian_basis(dp)]
+    images += [-kron(np.eye(dp), G) @ C for G in hermitian_basis(dm)]
+    return np.column_stack(
+        [np.concatenate([img.real.ravel(), img.imag.ravel()]) for img in images]
+    )
+
+
+class TestConstraintMatrix:
+    @pytest.mark.parametrize("dims", [(1, 3), (2, 3), (3, 2), (4, 4)])
+    @pytest.mark.parametrize("full_rank", [False, True])
+    def test_matches_kron_loop(self, dims, full_rank):
+        dp, dm = dims
+        st = random_state(np.random.default_rng(dp * 10 + dm), dp, dm,
+                          rank=dp * dm if full_rank else 1)
+        C = st.range_basis()
+        got = _constraint_matrix(st, C)
+        ref = kron_loop_constraint_matrix(st, C)
+        assert got.shape == ref.shape == (2 * dp * dm * C.shape[1], dp * dp + dm * dm)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+
+
+class TestSubspaceDistance:
+    def test_tiny_rotation_is_resolved(self):
+        Q = np.linalg.qr(np.random.default_rng(4).standard_normal((8, 3)))[0]
+        e = np.linalg.qr(np.column_stack([Q, np.eye(8)[:, :1]]))[0][:, 3]
+        theta = 1e-10
+        rotated = Q.copy()
+        rotated[:, 0] = np.cos(theta) * Q[:, 0] + np.sin(theta) * e
+        dist = subspace_distance(Q, rotated)
+        assert dist == pytest.approx(np.sin(theta), rel=1e-3)
+
+    def test_unequal_dimensions(self):
+        I = np.eye(4)
+        assert subspace_distance(I[:, :2], I[:, :3]) == 1.0
 
 
 class TestOracleEquivalence:
