@@ -71,14 +71,16 @@ def hermitize(M, herm_tol: float = DEFAULT_TOL.herm_tol) -> np.ndarray:
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
-    """Make the first nonzero component of each column real positive."""
+    """Make the first nonzero component of each column real positive;
+    columns with no component above 1e-12 are left as they are."""
+    mask = np.abs(V) > 1e-12
+    pivot = V[np.argmax(mask, axis=0), np.arange(V.shape[1])]
+    found = mask.any(axis=0)
+    pivot = pivot[found]
+    # hypot and one row per column round exactly as a per-column loop would
+    phase = np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
     V = V.copy()
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            pivot = col[nz[0]]
-            V[:, k] = col * (np.conj(pivot) / abs(pivot))
+    V[:, found] = (V.T[found] * phase[:, None]).T
     return V
 
 
@@ -117,6 +119,28 @@ def kron(A, B) -> np.ndarray:
     return np.kron(as_matrix(A), as_matrix(B))
 
 
+def apply_local(A, Z, d_plus: int, d_minus: int, side: str) -> np.ndarray:
+    """(A ⊗ 1) Z for side='+' or (1 ⊗ A) Z for side='-' on a Z with
+    d_plus*d_minus rows, by reshapes instead of a Kronecker product."""
+    Z = np.asarray(Z)
+    if side == "+":
+        return (A @ Z.reshape(d_plus, -1)).reshape(Z.shape)
+    if side == "-":
+        return (A @ Z.reshape(d_plus, d_minus, -1)).reshape(Z.shape)
+    raise ValueError(f"side must be '+' or '-', got {side!r}")
+
+
+def apply_local_right(Z, A, d_plus: int, d_minus: int, side: str) -> np.ndarray:
+    """Z (A ⊗ 1) for side='+' or Z (1 ⊗ A) for side='-' on a Z with
+    d_plus*d_minus columns; a C-ordered Z is never transposed."""
+    Z = np.asarray(Z)
+    if side == "+":
+        return (A.T @ Z.reshape(-1, d_plus, d_minus)).reshape(Z.shape)
+    if side == "-":
+        return (Z.reshape(-1, d_minus) @ A).reshape(Z.shape)
+    raise ValueError(f"side must be '+' or '-', got {side!r}")
+
+
 def partial_trace(M, d_plus: int, d_minus: int, side: str) -> np.ndarray:
     """Trace out one tensor factor of an operator on H_plus ⊗ H_minus.
 
@@ -137,18 +161,23 @@ def partial_trace(M, d_plus: int, d_minus: int, side: str) -> np.ndarray:
     raise ValueError(f"side must be '+' or '-', got {side!r}")
 
 
-def range_null_projectors(H, tol: float = DEFAULT_TOL.rank_tol):
-    """Projectors (R, N) onto the range and null space of a PSD operator.
-
-    Eigenvalues above tol * lambda_max count as the range.
-    """
+def range_null_bases(H, tol: float = DEFAULT_TOL.rank_tol):
+    """(eigenvalues ascending, range basis, null basis) of a PSD operator
+    from one eigh: eigenvalues above tol * lambda_max (above tol when
+    lambda_max <= 0) span the range, so the kept ones come last."""
     vals, vecs = eigh(H)
     lam_max = max(vals[-1], 0.0) if vals.size else 0.0
-    cut = tol * lam_max if lam_max > 0 else tol
-    if vals.size and vals[0] < -max(cut, tol):
-        raise NotPositiveError(f"eigenvalue {vals[0]:.3e} below -{cut:.3e}")
-    pos = vals > cut
-    V = vecs[:, pos]
+    keep = vals > (tol * lam_max if lam_max > 0 else tol)
+    return vals, vecs[:, keep], vecs[:, ~keep]
+
+
+def range_null_projectors(H, tol: float = DEFAULT_TOL.rank_tol):
+    """Projectors (R, N) onto the range and null space of a PSD operator,
+    cut as in range_null_bases; raises NotPositive below -tol * max(lambda_max, 1)."""
+    vals, V, _ = range_null_bases(H, tol)
+    floor = tol * max(vals[-1], 1.0) if vals.size else tol
+    if vals.size and vals[0] < -floor:
+        raise NotPositiveError(f"eigenvalue {vals[0]:.3e} below -{floor:.3e}")
     R = V @ V.conj().T
     N = np.eye(H.shape[0], dtype=complex) - R
     return R, N
@@ -157,17 +186,11 @@ def range_null_projectors(H, tol: float = DEFAULT_TOL.rank_tol):
 def range_basis(H, tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
     """Orthonormal columns spanning the range of a PSD operator,
     ordered by ascending eigenvalue."""
-    vals, vecs = eigh(H)
-    lam_max = max(vals[-1], 0.0) if vals.size else 0.0
-    cut = tol * lam_max if lam_max > 0 else tol
-    return vecs[:, vals > cut]
+    return range_null_bases(H, tol)[1]
 
 
 def null_basis(H, tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
-    vals, vecs = eigh(H)
-    lam_max = max(vals[-1], 0.0) if vals.size else 0.0
-    cut = tol * lam_max if lam_max > 0 else tol
-    return vecs[:, vals <= cut]
+    return range_null_bases(H, tol)[2]
 
 
 def hermitian_basis(d: int) -> np.ndarray:

@@ -166,7 +166,13 @@ def distant_measurement_report(state: BipartiteState,
                                pair: ObservablePair) -> DistantMeasurementReport:
     """Indistinguishability of the two sides of a twin pair in ideal
     measurement: per detectable value, equal probabilities and equal
-    Lüders-collapsed states, plus equal expectation values."""
+    Lüders-collapsed states, plus equal expectation values.
+
+    Local projectors act through reshaped products (linops.apply_local
+    and apply_local_right), never as dense composite operators.  The
+    conditional states are partial traces of (P ⊗ 1) rho, which equal
+    those of rho (P ⊗ 1) because P acts on the traced factor; the
+    expectations are read off the reduced states."""
     ok, residual = is_twin_pair(state, pair)
     if not ok:
         raise ValueError(f"not a twin pair for this state (residual {residual:.3e})")
@@ -174,24 +180,32 @@ def distant_measurement_report(state: BipartiteState,
     sigma, _, _ = detectable_spectra(split, state.tol.cluster_tol)
     data_plus = spectral_data(pair.a_plus, state.tol.cluster_tol)
     data_minus = spectral_data(pair.a_minus, state.tol.cluster_tol)
-    Ip, Im = np.eye(state.d_plus), np.eye(state.d_minus)
     dp, dm = state.d_plus, state.d_minus
-    tol = 1e-9
+
+    def collapse(P, side):
+        """(probability, Lüders state, other side's conditional state) of
+        the local event P on `side`; None at zero probability."""
+        P = _check_projector(P)
+        P_rho = linops.apply_local(P, state.rho, dp, dm, side)
+        prob = float(np.real(np.trace(P_rho)))
+        if prob <= state.tol.rank_tol:
+            return None
+        post = linops.apply_local_right(P_rho, P, dp, dm, side)
+        post *= 1.0 / prob  # dividing a complex array by a real runs complex division
+        # tracing out the factor P acts on, rho P_loc and P_loc rho agree
+        return prob, post, linops.partial_trace(P_rho, dp, dm, side) / prob
 
     outcomes = []
     max_p_gap = 0.0
     max_c_gap = 0.0
     for a in sigma:
-        Pp = linops.kron(data_plus.projector_at(a, state.tol.cluster_tol), Im)
-        Pm = linops.kron(Ip, data_minus.projector_at(a, state.tol.cluster_tol))
-        prob_p, post_p = luders_collapse(state.rho, Pp, state.tol.rank_tol)
-        prob_m, post_m = luders_collapse(state.rho, Pm, state.tol.rank_tol)
-        if post_p is None or post_m is None:
+        plus = collapse(data_plus.projector_at(a, state.tol.cluster_tol), "+")
+        minus = collapse(data_minus.projector_at(a, state.tol.cluster_tol), "-")
+        if plus is None or minus is None:
             continue
+        (prob_p, post_p, cond_minus), (prob_m, post_m, cond_plus) = plus, minus
         max_p_gap = max(max_p_gap, abs(prob_p - prob_m))
         max_c_gap = max(max_c_gap, max_norm(post_p - post_m))
-        cond_minus = linops.partial_trace(state.rho @ Pp, dp, dm, "+") / prob_p
-        cond_plus = linops.partial_trace(state.rho @ Pm, dp, dm, "-") / prob_m
         outcomes.append(
             MeasurementOutcome(
                 value=float(a),
@@ -203,15 +217,12 @@ def distant_measurement_report(state: BipartiteState,
                 conditional_plus=cond_plus,
             )
         )
-    exp_plus = float(np.real(np.trace(
-        linops.kron(pair.a_plus, Im) @ state.rho)))
-    exp_minus = float(np.real(np.trace(
-        linops.kron(Ip, pair.a_minus) @ state.rho)))
+    sub = state.subsystems
     return DistantMeasurementReport(
         outcomes=tuple(outcomes),
-        expectation_plus=exp_plus,
-        expectation_minus=exp_minus,
+        expectation_plus=float(np.real(np.trace(pair.a_plus @ sub.rho_plus))),
+        expectation_minus=float(np.real(np.trace(pair.a_minus @ sub.rho_minus))),
         max_probability_gap=max_p_gap,
         max_collapse_gap=max_c_gap,
-        tolerance=tol,
+        tolerance=1e-9,
     )

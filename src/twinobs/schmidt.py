@@ -9,6 +9,7 @@ simultaneous generalized Schmidt expansions with complex coefficients.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,32 +32,24 @@ class SparsityReport:
         return self.max_forbidden <= self.tolerance
 
 
-def _product_vector(mb: MatchedBases, a: int, b: int) -> np.ndarray:
-    return np.kron(mb.basis_plus[:, a], mb.basis_minus[:, b])
-
-
 def simplified_matrix(state: BipartiteState, mb: MatchedBases):
     """Compress rho to the matrix M[a,b] = <a,a|rho|b,b> over the matched
     bases of a complete twin pair.
 
-    Raises SparsityViolation when a forbidden element <a,c|rho|b,d> with
-    a != c or b != d exceeds residual_tol, which signals that the input
-    bases do not come from complete twins of this state.
+    One product X = B† rho B with B = basis_plus ⊗ basis_minus holds every
+    element <a,c|rho|b,d> at X[a*r + c, b*r + d]; M is its (a,a),(b,b)
+    block and every other element is forbidden.  Raises
+    SparsityViolation when a forbidden element exceeds residual_tol,
+    which signals that the input bases do not come from complete twins
+    of this state.
     """
     r = len(mb.sigma_prime)
-    vecs = [[_product_vector(mb, a, b) for b in range(r)] for a in range(r)]
-    max_forbidden = 0.0
-    M = np.zeros((r, r), dtype=complex)
-    for a in range(r):
-        for c in range(r):
-            lhs = vecs[a][c].conj() @ state.rho
-            for b in range(r):
-                for d in range(r):
-                    val = lhs @ vecs[b][d]
-                    if a == c and b == d:
-                        M[a, b] = val
-                    else:
-                        max_forbidden = max(max_forbidden, abs(val))
+    B = linops.kron(mb.basis_plus, mb.basis_minus)
+    X = B.conj().T @ state.rho @ B
+    diag = np.ix_(np.arange(r) * (r + 1), np.arange(r) * (r + 1))
+    M = X[diag]
+    X[diag] = 0.0
+    max_forbidden = max_norm(X)
     if max_forbidden > state.tol.residual_tol:
         raise SparsityViolationError(
             f"forbidden matrix element {max_forbidden:.3e} exceeds "
@@ -66,29 +59,17 @@ def simplified_matrix(state: BipartiteState, mb: MatchedBases):
 
 
 def _pure_vector(state: BipartiteState) -> np.ndarray:
-    vals, vecs = linops.eigh(state.rho)
+    vals, range_basis, _ = state.spectrum
     if vals[-1] < 1.0 - 1e-8 or (len(vals) > 1 and vals[-2] > 1e-8):
         raise NotPureError(f"state is not pure: top eigenvalues {vals[-2:]}")
-    return vecs[:, -1]
+    return range_basis[:, -1]
 
 
-def _pinv_sqrt(H: np.ndarray, rank_tol: float) -> np.ndarray:
+def _pinv_sqrt(vals: np.ndarray, range_basis: np.ndarray) -> np.ndarray:
     """Inverse square root on the range of a PSD operator, zero on its
-    null space."""
-    vals, vecs = linops.eigh(H)
-    cut = rank_tol * max(vals[-1], 0.0)
-    out = np.zeros_like(np.asarray(H, dtype=complex))
-    for i in range(len(vals)):
-        if vals[i] > cut:
-            v = vecs[:, i]
-            out += vals[i] ** -0.5 * np.outer(v, v.conj())
-    return out
-
-
-def partial_inner(u_plus: np.ndarray, phi: np.ndarray, d_plus: int, d_minus: int) -> np.ndarray:
-    """Partial scalar product <u|_+ |phi>: the minus-side vector with
-    components sum_i conj(u_plus[i]) phi[i*d_minus + j]."""
-    return phi.reshape(d_plus, d_minus).T @ u_plus.conj()
+    null space, from its ascending eigenvalues and range basis."""
+    kept = vals[len(vals) - range_basis.shape[1]:]
+    return (range_basis * kept ** -0.5) @ range_basis.conj().T
 
 
 def pure_schmidt(state: BipartiteState, complete_pair: ObservablePair):
@@ -101,22 +82,17 @@ def pure_schmidt(state: BipartiteState, complete_pair: ObservablePair):
     """
     phi = _pure_vector(state)
     mb = matched_bases_from_pair(complete_pair, state)
-    rho_minus = state.reduce().rho_minus
-    inv_sqrt = _pinv_sqrt(rho_minus, state.tol.rank_tol)
-    r = len(mb.sigma_prime)
-    basis_minus = np.zeros_like(mb.basis_minus)
-    coeffs = np.zeros(r)
-    for a in range(r):
-        w = inv_sqrt @ partial_inner(mb.basis_plus[:, a], phi, state.d_plus, state.d_minus)
-        n = np.linalg.norm(w)
-        if n < 1e-12:  # pragma: no cover - excluded by completeness on the range
-            raise NotPureError("matched basis vector has no overlap with the state")
-        basis_minus[:, a] = w / n
-        c = np.kron(mb.basis_plus[:, a], basis_minus[:, a]).conj() @ phi
-        coeffs[a] = max(float(c.real), 0.0)
-    recon = sum(
-        coeffs[a] * np.kron(mb.basis_plus[:, a], basis_minus[:, a]) for a in range(r)
-    )
+    sub = state.subsystems
+    Phi = phi.reshape(state.d_plus, state.d_minus)
+    # column a is rho_-^{-1/2} <a|_+ |phi>
+    W = _pinv_sqrt(sub.values_minus, sub.range_minus) @ Phi.T @ mb.basis_plus.conj()
+    n = np.linalg.norm(W, axis=0)
+    if np.any(n < 1e-12):  # pragma: no cover - excluded by completeness on the range
+        raise NotPureError("matched basis vector has no overlap with the state")
+    basis_minus = W / n
+    c = np.sum(mb.basis_plus.conj() * (Phi @ basis_minus.conj()), axis=0)
+    coeffs = np.maximum(c.real, 0.0)
+    recon = ((mb.basis_plus * coeffs) @ basis_minus.T).ravel()
     if np.linalg.norm(recon - phi) > 1e-9:
         raise SparsityViolationError(
             "Schmidt reconstruction failed: pair is not complete for this state"
@@ -142,16 +118,14 @@ def simultaneous_expansion(dec: PureDecomposition, mb: MatchedBases,
     diagonal span, which contradicts the common-twins property of the
     admixed states."""
     r = len(mb.sigma_prime)
-    diag = np.column_stack([_product_vector(mb, a, a) for a in range(r)])
-    alphas = np.zeros((len(dec.vectors), r), dtype=complex)
-    for i, phi in enumerate(dec.vectors):
-        alpha = diag.conj().T @ phi
-        leak = np.linalg.norm(phi - diag @ alpha)
-        if leak > state.tol.residual_tol:
-            raise OffDiagonalLeakError(
-                f"component {i} leaks {leak:.3e} outside the diagonal span"
-            )
-        alphas[i] = alpha
+    diag = (mb.basis_plus[:, None, :] * mb.basis_minus[None, :, :]).reshape(-1, r)
+    phis = np.column_stack(dec.vectors)
+    alphas = (diag.conj().T @ phis).T
+    leaks = np.linalg.norm(phis - diag @ alphas.T, axis=0)
+    leaking = np.flatnonzero(leaks > state.tol.residual_tol)
+    if leaking.size:
+        i = leaking[0]
+        raise OffDiagonalLeakError(f"component {i} leaks {leaks[i]:.3e} outside the diagonal span")
     return GeneralizedSchmidtExpansion(
         alphas=alphas, subsystem_eigenvalues=np.abs(alphas) ** 2
     )
@@ -164,27 +138,14 @@ def compatibility_report(dec: PureDecomposition, mb: MatchedBases,
     A_s is reconstructed as sum_a sigma'_a |a>_s <a|_s; all operators are
     simultaneously diagonal in the matched basis for a valid input."""
     dp, dm = state.d_plus, state.d_minus
-    A = {
-        "+": mb.basis_plus @ np.diag(mb.sigma_prime) @ mb.basis_plus.conj().T,
-        "-": mb.basis_minus @ np.diag(mb.sigma_prime) @ mb.basis_minus.conj().T,
-    }
-    comps = {"+": [], "-": []}
-    for phi in dec.vectors:
-        rho_i = np.outer(phi, phi.conj())
-        comps["+"].append(linops.partial_trace(rho_i, dp, dm, "-"))
-        comps["-"].append(linops.partial_trace(rho_i, dp, dm, "+"))
-    sub = state.reduce()
-    totals = {"+": sub.rho_plus, "-": sub.rho_minus}
-
-    def comm(X, Y):
-        return max_norm(X @ Y - Y @ X)
-
+    outers = [np.outer(phi, phi.conj()) for phi in dec.vectors]
+    sub = state.subsystems
+    sides = {"+": (mb.basis_plus, "-", sub.rho_plus), "-": (mb.basis_minus, "+", sub.rho_minus)}
     report = {}
-    for s in ("+", "-"):
-        ops = [("A", A[s])] + [
-            (f"rho^({i})", r) for i, r in enumerate(comps[s])
-        ] + [("rho", totals[s])]
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                report[f"[{ops[i][0]}, {ops[j][0]}]_{s}"] = comm(ops[i][1], ops[j][1])
+    for s, (B, traced, total) in sides.items():
+        ops = [("A", B @ np.diag(mb.sigma_prime) @ B.conj().T)] + [
+            (f"rho^({i})", linops.partial_trace(r, dp, dm, traced)) for i, r in enumerate(outers)
+        ] + [("rho", total)]
+        for (name_x, X), (name_y, Y) in itertools.combinations(ops, 2):
+            report[f"[{name_x}, {name_y}]_{s}"] = max_norm(X @ Y - Y @ X)
     return report

@@ -9,6 +9,7 @@ is the identity to full double precision.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,24 +24,23 @@ def matrix_to_json(M: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in M]
 
 
-def matrix_from_json(data, locus: str = "matrix") -> np.ndarray:
+def _complex_from_json(data, locus: str, ndim: int, layout: str) -> np.ndarray:
+    """Array of [re, im] pairs with `ndim` complex axes -> complex array."""
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{locus}: not a numeric array: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise InputError(f"{locus}: expected rows of [re, im] pairs, got shape {arr.shape}")
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise InputError(f"{locus}: expected {layout} of [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def matrix_from_json(data, locus: str = "matrix") -> np.ndarray:
+    return _complex_from_json(data, locus, 2, "rows")
+
+
 def vector_from_json(data, locus: str = "vector") -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{locus}: not a numeric array: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InputError(f"{locus}: expected a list of [re, im] pairs, got shape {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return _complex_from_json(data, locus, 1, "a list")
 
 
 def vector_to_json(v: np.ndarray) -> list:
@@ -62,12 +62,7 @@ def state_to_document(state: BipartiteState) -> dict:
     return {
         "dims": [state.d_plus, state.d_minus],
         "rho": matrix_to_json(state.rho),
-        "tolerances": {
-            "rank_tol": state.tol.rank_tol,
-            "residual_tol": state.tol.residual_tol,
-            "cluster_tol": state.tol.cluster_tol,
-            "herm_tol": state.tol.herm_tol,
-        },
+        "tolerances": asdict(state.tol),
     }
 
 

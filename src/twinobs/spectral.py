@@ -23,7 +23,7 @@ from .errors import (
 )
 from .linops import max_norm
 from .states import BipartiteState, restrict_to_relevant
-from .twins import ObservablePair, TwinSpace, is_twin_pair
+from .twins import ObservablePair, TwinSpace
 
 
 @dataclass(frozen=True)
@@ -46,31 +46,21 @@ def spectral_data(H, cluster_tol: float = linops.DEFAULT_TOL.cluster_tol) -> Spe
     """Eigendecompose H and group eigenvalues that lie within cluster_tol
     of each other into one characteristic value (cluster mean)."""
     vals, vecs = linops.eigh(H)
-    clusters = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > cluster_tol:
-            clusters.append((start, i))
-            start = i
-    values, mults, projs = [], [], []
-    for lo, hi in clusters:
-        V = vecs[:, lo:hi]
-        values.append(float(np.mean(vals[lo:hi])))
-        mults.append(hi - lo)
-        projs.append(V @ V.conj().T)
+    cuts = [0, *(np.flatnonzero(np.diff(vals) > cluster_tol) + 1), len(vals)]
+    blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     return SpectralData(
-        values=np.array(values),
-        multiplicities=np.array(mults, dtype=int),
-        projectors=tuple(projs),
+        values=np.array([float(np.mean(vals[b])) for b in blocks]),
+        multiplicities=np.array([b.stop - b.start for b in blocks], dtype=int),
+        projectors=tuple(vecs[:, b] @ vecs[:, b].conj().T for b in blocks),
     )
 
 
 def commutation_check(pair: ObservablePair, state: BipartiteState) -> dict:
     """Max-norm residuals of [A_s, rho_s] and [A_s, R_s]; all vanish for
     a genuine twin pair (necessary, not sufficient)."""
-    sub = state.reduce()
-    Rp, _ = linops.range_null_projectors(sub.rho_plus, state.tol.rank_tol)
-    Rm, _ = linops.range_null_projectors(sub.rho_minus, state.tol.rank_tol)
+    sub = state.subsystems
+    Rp = sub.range_plus @ sub.range_plus.conj().T
+    Rm = sub.range_minus @ sub.range_minus.conj().T
 
     def comm(A, B):
         return max_norm(A @ B - B @ A)
@@ -100,27 +90,24 @@ class DetectableSplit:
 
     def reassemble(self):
         """Embed the blocks back: must reproduce the original pair."""
-        a_plus = (
-            self.range_basis_plus @ self.a_prime_plus @ self.range_basis_plus.conj().T
-            + self.null_basis_plus @ self.a_dprime_plus @ self.null_basis_plus.conj().T
-        )
-        a_minus = (
-            self.range_basis_minus @ self.a_prime_minus @ self.range_basis_minus.conj().T
-            + self.null_basis_minus @ self.a_dprime_minus @ self.null_basis_minus.conj().T
-        )
-        return a_plus, a_minus
+        return (_lift(self.range_basis_plus, self.a_prime_plus)
+                + _lift(self.null_basis_plus, self.a_dprime_plus),
+                _lift(self.range_basis_minus, self.a_prime_minus)
+                + _lift(self.null_basis_minus, self.a_dprime_minus))
 
     def detectable_lifted(self) -> ObservablePair:
         """The pair A'_s ⊕ 0''_s on the full subsystem spaces."""
-        ap = self.range_basis_plus @ self.a_prime_plus @ self.range_basis_plus.conj().T
-        am = self.range_basis_minus @ self.a_prime_minus @ self.range_basis_minus.conj().T
-        return ObservablePair(ap, am)
+        return ObservablePair(_lift(self.range_basis_plus, self.a_prime_plus),
+                              _lift(self.range_basis_minus, self.a_prime_minus))
 
     def undetectable_lifted(self) -> ObservablePair:
         """The pair 0'_s ⊕ A''_s on the full subsystem spaces."""
-        ap = self.null_basis_plus @ self.a_dprime_plus @ self.null_basis_plus.conj().T
-        am = self.null_basis_minus @ self.a_dprime_minus @ self.null_basis_minus.conj().T
-        return ObservablePair(ap, am)
+        return ObservablePair(_lift(self.null_basis_plus, self.a_dprime_plus),
+                              _lift(self.null_basis_minus, self.a_dprime_minus))
+
+
+def _lift(B: np.ndarray, A: np.ndarray) -> np.ndarray:
+    return B @ A @ B.conj().T
 
 
 def split_detectable(pair: ObservablePair, state: BipartiteState) -> DetectableSplit:
@@ -129,11 +116,8 @@ def split_detectable(pair: ObservablePair, state: BipartiteState) -> DetectableS
     Raises NotReducible when the off-block norms exceed residual_tol,
     i.e. when [A_s, R_s] != 0.
     """
-    sub = state.reduce()
-    Bp = linops.range_basis(sub.rho_plus, state.tol.rank_tol)
-    Bm = linops.range_basis(sub.rho_minus, state.tol.rank_tol)
-    Np = linops.null_basis(sub.rho_plus, state.tol.rank_tol)
-    Nm = linops.null_basis(sub.rho_minus, state.tol.rank_tol)
+    sub = state.subsystems
+    Bp, Np, Bm, Nm = sub.range_plus, sub.null_plus, sub.range_minus, sub.null_minus
     off_p = max_norm(Np.conj().T @ pair.a_plus @ Bp) if Np.size and Bp.size else 0.0
     off_m = max_norm(Nm.conj().T @ pair.a_minus @ Bm) if Nm.size and Bm.size else 0.0
     if max(off_p, off_m) > state.tol.residual_tol:
@@ -182,14 +166,14 @@ def characteristic_projector_twins(split: DetectableSplit, state: BipartiteState
     Returns a list of (value, P'_plus, P'_minus, twin_residual).
     """
     sigma, _, _ = detectable_spectra(split, state.tol.cluster_tol)
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if abs(sigma[i] - sigma[j]) <= state.tol.cluster_tol:
-                raise DegenerateSpectrumCollisionError(
-                    f"characteristic values {sigma[i]} and {sigma[j]} collide"
-                )
-    restriction = restrict_to_relevant(state)
-    rho_prime = restriction.rho_prime
+    # sigma ascends, so the closest pair of values is adjacent
+    close = np.flatnonzero(np.diff(sigma) <= state.tol.cluster_tol)
+    if close.size:
+        i = close[0]
+        raise DegenerateSpectrumCollisionError(
+            f"characteristic values {sigma[i]} and {sigma[i + 1]} collide"
+        )
+    rho_prime = restrict_to_relevant(state).rho_prime
     rp = split.a_prime_plus.shape[0]
     rm = split.a_prime_minus.shape[0]
     out = []
@@ -201,8 +185,8 @@ def characteristic_projector_twins(split: DetectableSplit, state: BipartiteState
                 continue
             Pp = Pp @ (split.a_prime_plus - b * np.eye(rp)) / (a - b)
             Pm = Pm @ (split.a_prime_minus - b * np.eye(rm)) / (a - b)
-        diff = linops.kron(Pp, np.eye(rm)) - linops.kron(np.eye(rp), Pm)
-        residual = max_norm(diff @ rho_prime)
+        residual = max_norm(linops.apply_local(Pp, rho_prime, rp, rm, "+")
+                            - linops.apply_local(Pm, rho_prime, rp, rm, "-"))
         out.append((float(a), Pp, Pm, residual))
     return out
 
@@ -216,10 +200,7 @@ def apply_function(pair: ObservablePair, f,
     """
     def apply_side(A):
         data = spectral_data(A, cluster_tol)
-        out = np.zeros_like(np.asarray(A, dtype=complex))
-        for a, P in zip(data.values, data.projectors):
-            out += float(f(a)) * P
-        return out
+        return sum(float(f(a)) * P for a, P in zip(data.values, data.projectors))
 
     return ObservablePair(apply_side(pair.a_plus), apply_side(pair.a_minus))
 
@@ -309,25 +290,24 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState,
     proof).  Returns (pair, MatchedBases) on success, the pair being the
     detectable part lifted with zero undetectable blocks.
     """
-    sub = state.reduce()
-    r_plus = linops.range_basis(sub.rho_plus, state.tol.rank_tol).shape[1]
-    r_minus = linops.range_basis(sub.rho_minus, state.tol.rank_tol).shape[1]
-    if r_plus != r_minus:
+    sub = state.subsystems
+    if sub.range_plus.shape[1] != sub.range_minus.shape[1]:
         return None
 
     rng = np.random.default_rng(seed)
-    n = len(twin_space.basis)
+    stacked_plus = np.array([p.a_plus for p in twin_space.basis])
+    stacked_minus = np.array([p.a_minus for p in twin_space.basis])
     for _ in range(attempts):
-        c = rng.standard_normal(n)
-        ap = sum(ci * p.a_plus for ci, p in zip(c, twin_space.basis))
-        am = sum(ci * p.a_minus for ci, p in zip(c, twin_space.basis))
-        candidate = split_detectable(ObservablePair(ap, am), state).detectable_lifted()
-        split = split_detectable(candidate, state)
+        c = rng.standard_normal(len(twin_space.basis))
+        pair = ObservablePair(np.tensordot(c, stacked_plus, 1),
+                              np.tensordot(c, stacked_minus, 1))
+        split = split_detectable(pair, state)
         vals_p = np.linalg.eigvalsh(split.a_prime_plus)
         vals_m = np.linalg.eigvalsh(split.a_prime_minus)
         if len(vals_p) > 1 and np.min(np.diff(vals_p)) <= state.tol.cluster_tol:
             continue
         if len(vals_m) > 1 and np.min(np.diff(vals_m)) <= state.tol.cluster_tol:
             continue
+        candidate = split.detectable_lifted()
         return candidate, matched_bases_from_pair(candidate, state)
     return None

@@ -30,12 +30,8 @@ def spin_z(j: float) -> np.ndarray:
 
 def spin_lowering(j: float) -> np.ndarray:
     """S_- in the m-descending basis: S_-|j,m> = sqrt(j(j+1)-m(m-1))|j,m-1>."""
-    d = spin_dim(j)
     m = np.arange(j, -j, -1.0)  # states that can be lowered
-    S = np.zeros((d, d), dtype=complex)
-    for k, mk in enumerate(m):
-        S[k + 1, k] = np.sqrt(j * (j + 1) - mk * (mk - 1))
-    return S
+    return np.diag(np.sqrt(j * (j + 1) - m * (m - 1)), -1).astype(complex)
 
 
 def coupled_basis(j1: float, j2: float):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,11 @@ class BipartiteState:
     rho is symmetrized on ingestion; the trace must be 1 within 1e-6
     (it is renormalized to exactly 1) and the spectrum nonnegative
     within rank_tol.
+
+    ``spectrum`` (the rank cut of rho) and ``subsystems`` (the reductions
+    and their rank cuts) are computed once, on first use, with one eigh
+    per operator; rho is read-only and tol frozen, so the cached arrays
+    never go stale, and they are read-only too.
     """
 
     d_plus: int
@@ -49,28 +55,57 @@ class BipartiteState:
     def dim(self) -> int:
         return self.d_plus * self.d_minus
 
-    def reduce(self) -> "SubsystemPair":
-        """Partial traces rho_plus = Tr_- rho and rho_minus = Tr_+ rho."""
+    @cached_property
+    def spectrum(self) -> tuple:
+        """(eigenvalues ascending, range basis, null basis) of rho at rank_tol."""
+        return _read_only(*linops.range_null_bases(self.rho, self.tol.rank_tol))
+
+    @cached_property
+    def subsystems(self) -> "SubsystemPair":
+        """rho_plus = Tr_- rho and rho_minus = Tr_+ rho with their rank cuts."""
         rp = linops.partial_trace(self.rho, self.d_plus, self.d_minus, "-")
         rm = linops.partial_trace(self.rho, self.d_plus, self.d_minus, "+")
-        return SubsystemPair(rho_plus=rp, rho_minus=rm)
+        return SubsystemPair(*_read_only(
+            rp, rm,
+            *linops.range_null_bases(rp, self.tol.rank_tol),
+            *linops.range_null_bases(rm, self.tol.rank_tol),
+        ))
+
+    def reduce(self) -> "SubsystemPair":
+        """The cached ``subsystems``."""
+        return self.subsystems
 
     def projectors(self) -> "SubspaceProjectors":
         """Range/null projectors of rho and of both reductions."""
-        sub = self.reduce()
+        sub = self.subsystems
         R, N = linops.range_null_projectors(self.rho, self.tol.rank_tol)
         Rp, Np = linops.range_null_projectors(sub.rho_plus, self.tol.rank_tol)
         Rm, Nm = linops.range_null_projectors(sub.rho_minus, self.tol.rank_tol)
         return SubspaceProjectors(R=R, N=N, R_plus=Rp, N_plus=Np, R_minus=Rm, N_minus=Nm)
 
     def range_basis(self) -> np.ndarray:
-        return linops.range_basis(self.rho, self.tol.rank_tol)
+        return self.spectrum[1]
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
 class SubsystemPair:
+    """Reduced states with the eigenvalues (ascending) and orthonormal
+    range/null bases of each, cut at rank_tol."""
+
     rho_plus: np.ndarray
     rho_minus: np.ndarray
+    values_plus: np.ndarray
+    range_plus: np.ndarray
+    null_plus: np.ndarray
+    values_minus: np.ndarray
+    range_minus: np.ndarray
+    null_minus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,13 +133,10 @@ class PureDecomposition:
             raise WeightError("weights must be positive")
         if abs(w.sum() - 1.0) > 1e-10:
             raise WeightError(f"weights sum to {w.sum()}, not 1")
-        vecs = []
-        for v in self.vectors:
-            v = np.asarray(v, dtype=complex).ravel()
-            n = np.linalg.norm(v)
+        vecs = [np.asarray(v, dtype=complex).ravel() for v in self.vectors]
+        for n in map(np.linalg.norm, vecs):
             if abs(n - 1.0) > 1e-10:
                 raise NotNormalizedError(f"component norm {n}, not 1 within 1e-10")
-            vecs.append(v)
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         object.__setattr__(self, "vectors", tuple(vecs))
 
@@ -201,9 +233,8 @@ class RelevantRestriction:
 def restrict_to_relevant(state: BipartiteState) -> RelevantRestriction:
     """Compress rho to R_plus ⊗ R_minus; lossless because the range of
     rho lies inside that product subspace."""
-    sub = state.reduce()
-    Bp = linops.range_basis(sub.rho_plus, state.tol.rank_tol)
-    Bm = linops.range_basis(sub.rho_minus, state.tol.rank_tol)
+    sub = state.subsystems
+    Bp, Bm = sub.range_plus, sub.range_minus
     B = linops.kron(Bp, Bm)
     rho_prime = B.conj().T @ state.rho @ B
     return RelevantRestriction(rho_prime=rho_prime, basis_plus=Bp, basis_minus=Bm)

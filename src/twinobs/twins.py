@@ -86,7 +86,9 @@ def is_twin_pair(state: BipartiteState, pair: ObservablePair):
             f"pair dims ({pair.d_plus},{pair.d_minus}) do not match state "
             f"({state.d_plus},{state.d_minus})"
         )
-    residual = max_norm(pair.difference_operator() @ state.rho)
+    dims = state.d_plus, state.d_minus
+    residual = max_norm(linops.apply_local(pair.a_plus, state.rho, *dims, "+")
+                        - linops.apply_local(pair.a_minus, state.rho, *dims, "-"))
     return residual <= state.tol.residual_tol, residual
 
 
@@ -118,16 +120,13 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     a_plus, a_minus = linops.coords_to_pair(K, dp, dm)
     pairs = tuple(ObservablePair(ap, am) for ap, am in zip(a_plus, a_minus))
 
-    sub = state.reduce()
-    Bp = linops.range_basis(sub.rho_plus, state.tol.rank_tol)
-    Bm = linops.range_basis(sub.rho_minus, state.tol.rank_tol)
-    n_plus, n_minus = dp - Bp.shape[1], dm - Bm.shape[1]
+    sub = state.subsystems
     return TwinSpace(
         basis=pairs,
         dim_total=len(pairs),
-        dim_detectable=_detectable_rank(a_plus, a_minus, Bp, Bm),
-        dim_undetectable_plus=n_plus**2,
-        dim_undetectable_minus=n_minus**2,
+        dim_detectable=_detectable_rank(a_plus, a_minus, sub.range_plus, sub.range_minus),
+        dim_undetectable_plus=sub.null_plus.shape[1] ** 2,
+        dim_undetectable_minus=sub.null_minus.shape[1] ** 2,
     )
 
 
@@ -207,16 +206,11 @@ class ConsequenceReport:
 def twins_restrict_to_range_vectors(
     state: BipartiteState, twin_space: TwinSpace, seed: int = 0
 ) -> ConsequenceReport:
-    vals, vecs = linops.eigh(state.rho)
-    cut = state.tol.rank_tol * max(vals[-1], 0.0)
-    eigvecs = [vecs[:, i] for i in range(len(vals)) if vals[i] > cut]
+    eigvecs = list(state.range_basis().T)
 
-    c1 = 0.0
-    for v in eigvecs:
-        pure = from_pure(v, state.d_plus, state.d_minus, state.tol)
-        for pair in twin_space.basis:
-            _, residual = is_twin_pair(pure, pair)
-            c1 = max(c1, residual)
+    pures = [from_pure(v, state.d_plus, state.d_minus, state.tol) for v in eigvecs]
+    c1 = max((is_twin_pair(pure, pair)[1] for pure in pures for pair in twin_space.basis),
+             default=0.0)
 
     # Second state on the same range: fresh random positive weights.
     rng = np.random.default_rng(seed)

@@ -1,0 +1,441 @@
+"""The product-structured kernels against the dense or looped code they
+replaced, and the per-state cache of spectral geometry.
+
+Each reference below is the earlier implementation, written out here so
+that a drift of the fast path shows up as a mismatch."""
+
+import numpy as np
+import pytest
+
+from twinobs import (
+    BipartiteState,
+    ObservablePair,
+    distant_measurement_report,
+    find_complete_twins,
+    from_pure,
+    luders_collapse,
+    matched_bases_from_pair,
+    pure_schmidt,
+    simplified_matrix,
+    solve_twin_space,
+)
+from twinobs import linops
+from twinobs.errors import NotPositiveError, SparsityViolationError
+from twinobs.linops import Tolerances
+from twinobs.spectral import (
+    MatchedBases,
+    detectable_spectra,
+    spectral_data,
+    split_detectable,
+)
+
+
+def isometry(rng, n, m):
+    Z = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    return np.linalg.qr(Z)[0]
+
+
+def diagonal_support_state(rng, d_plus, d_minus, r, rank):
+    """A rank-`rank` state on span{|u_a, v_a>, a < r} with random
+    isometries u, v: complete twins exist and r_plus = r_minus = r."""
+    U, V = isometry(rng, d_plus, r), isometry(rng, d_minus, r)
+    D = np.einsum("ia,ja->ija", U, V).reshape(d_plus * d_minus, r)
+    X = rng.standard_normal((r, rank)) + 1j * rng.standard_normal((r, rank))
+    rho = D @ (X @ X.conj().T) @ D.conj().T
+    return BipartiteState(d_plus, d_minus, rho / np.trace(rho).real)
+
+
+def pure_schmidt_state(rng, d_plus, d_minus):
+    """Pure state with distinct Schmidt coefficients."""
+    r = min(d_plus, d_minus)
+    lam = np.arange(1, r + 1) + 0.4 * rng.uniform(size=r)
+    lam /= np.linalg.norm(lam)
+    U, V = isometry(rng, d_plus, r), isometry(rng, d_minus, r)
+    return from_pure(np.einsum("ia,ja,a->ij", U, V, lam).ravel(), d_plus, d_minus)
+
+
+def complete(state):
+    found = find_complete_twins(solve_twin_space(state), state)
+    assert found is not None
+    return found
+
+
+# ------------------------------------------------------------ references
+
+def ref_fix_phases(V):
+    V = V.copy()
+    for k in range(V.shape[1]):
+        col = V[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size:
+            pivot = col[nz[0]]
+            V[:, k] = col * (np.conj(pivot) / abs(pivot))
+    return V
+
+
+def ref_cut(H, tol):
+    vals, vecs = linops.eigh(H)
+    lam_max = max(vals[-1], 0.0) if vals.size else 0.0
+    cut = tol * lam_max if lam_max > 0 else tol
+    return vals, vecs, cut
+
+
+def ref_simplified_matrix(state, mb):
+    r = len(mb.sigma_prime)
+    vecs = [[np.kron(mb.basis_plus[:, a], mb.basis_minus[:, b]) for b in range(r)]
+            for a in range(r)]
+    max_forbidden = 0.0
+    M = np.zeros((r, r), dtype=complex)
+    for a in range(r):
+        for c in range(r):
+            lhs = vecs[a][c].conj() @ state.rho
+            for b in range(r):
+                for d in range(r):
+                    val = lhs @ vecs[b][d]
+                    if a == c and b == d:
+                        M[a, b] = val
+                    else:
+                        max_forbidden = max(max_forbidden, abs(val))
+    return M, max_forbidden
+
+
+def ref_distant_measurement(state, pair):
+    """Dense composite-space outcomes: (value, prob+, prob-, post+, post-,
+    cond-, cond+) per detectable value, and the two expectations."""
+    dp, dm = state.d_plus, state.d_minus
+    Ip, Im = np.eye(dp), np.eye(dm)
+    ctol = state.tol.cluster_tol
+    sigma, _, _ = detectable_spectra(split_detectable(pair, state), ctol)
+    data_plus = spectral_data(pair.a_plus, ctol)
+    data_minus = spectral_data(pair.a_minus, ctol)
+    outcomes = []
+    for a in sigma:
+        Pp = np.kron(data_plus.projector_at(a, ctol), Im)
+        Pm = np.kron(Ip, data_minus.projector_at(a, ctol))
+        prob_p, post_p = luders_collapse(state.rho, Pp, state.tol.rank_tol)
+        prob_m, post_m = luders_collapse(state.rho, Pm, state.tol.rank_tol)
+        if post_p is None or post_m is None:
+            continue
+        cond_minus = linops.partial_trace(state.rho @ Pp, dp, dm, "+") / prob_p
+        cond_plus = linops.partial_trace(state.rho @ Pm, dp, dm, "-") / prob_m
+        outcomes.append((float(a), prob_p, prob_m, post_p, post_m, cond_minus, cond_plus))
+    exp_plus = np.trace(np.kron(pair.a_plus, Im) @ state.rho).real
+    exp_minus = np.trace(np.kron(Ip, pair.a_minus) @ state.rho).real
+    return outcomes, exp_plus, exp_minus
+
+
+def ref_pure_schmidt(state, pair):
+    vals, vecs = linops.eigh(state.rho)
+    phi = vecs[:, -1]
+    mb = matched_bases_from_pair(pair, state)
+    vals_m, vecs_m = linops.eigh(state.reduce().rho_minus)
+    cut = state.tol.rank_tol * max(vals_m[-1], 0.0)
+    inv_sqrt = np.zeros((state.d_minus, state.d_minus), dtype=complex)
+    for i in range(len(vals_m)):
+        if vals_m[i] > cut:
+            inv_sqrt += vals_m[i] ** -0.5 * np.outer(vecs_m[:, i], vecs_m[:, i].conj())
+    r = len(mb.sigma_prime)
+    basis_minus = np.zeros_like(mb.basis_minus)
+    coeffs = np.zeros(r)
+    for a in range(r):
+        w = inv_sqrt @ (phi.reshape(state.d_plus, state.d_minus).T @ mb.basis_plus[:, a].conj())
+        basis_minus[:, a] = w / np.linalg.norm(w)
+        c = np.kron(mb.basis_plus[:, a], basis_minus[:, a]).conj() @ phi
+        coeffs[a] = max(float(c.real), 0.0)
+    return coeffs, mb.basis_plus, basis_minus
+
+
+def ref_find_complete_twins(space, state, seed=0, attempts=64):
+    """Search with a Python sum and a second split of the lifted candidate."""
+    rng = np.random.default_rng(seed)
+    for _ in range(attempts):
+        c = rng.standard_normal(len(space.basis))
+        ap = sum(ci * p.a_plus for ci, p in zip(c, space.basis))
+        am = sum(ci * p.a_minus for ci, p in zip(c, space.basis))
+        candidate = split_detectable(ObservablePair(ap, am), state).detectable_lifted()
+        split = split_detectable(candidate, state)
+        vals_p = np.linalg.eigvalsh(split.a_prime_plus)
+        vals_m = np.linalg.eigvalsh(split.a_prime_minus)
+        if len(vals_p) > 1 and np.min(np.diff(vals_p)) <= state.tol.cluster_tol:
+            continue
+        if len(vals_m) > 1 and np.min(np.diff(vals_m)) <= state.tol.cluster_tol:
+            continue
+        return candidate
+    return None
+
+
+# ---------------------------------------------------------------- states
+
+def kernel_states():
+    rng = np.random.default_rng(2024)
+    return [
+        ("pure 3x3", pure_schmidt_state(rng, 3, 3)),
+        ("pure 2x3", pure_schmidt_state(rng, 2, 3)),
+        ("pure 4x3", pure_schmidt_state(rng, 4, 3)),
+        ("rank-2 3x3", diagonal_support_state(rng, 3, 3, 3, 2)),
+        ("rank-2 3x4", diagonal_support_state(rng, 3, 4, 3, 2)),
+        ("rank-3 4x4 on r=3", diagonal_support_state(rng, 4, 4, 3, 3)),
+    ]
+
+
+SPIN = ["example1", "example2_ms0", "example2_ms1"]
+
+
+class TestFixPhases:
+    def test_bitwise_equal_to_column_loop(self):
+        rng = np.random.default_rng(11)
+        for trial in range(400):
+            n, m = int(rng.integers(1, 13)), int(rng.integers(0, 13))
+            V = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            V[rng.random((n, m)) < 0.3] = 0
+            if m and trial % 3 == 0:
+                V[:, rng.integers(m)] = 0
+            if m and trial % 5 == 0:
+                V[:, rng.integers(m)] = 1e-13 * (1 + 1j)
+            if trial % 4 == 0:
+                H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                V = np.linalg.eigh(H + H.conj().T)[1]
+            expected = ref_fix_phases(V)
+            got = linops._fix_phases(V)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_zero_columns_untouched(self):
+        V = np.array([[0, 1j], [0, 0]], dtype=complex)
+        got = linops._fix_phases(V)
+        assert got.tobytes() == np.array([[0, 1], [0, 0]], dtype=complex).tobytes()
+
+
+class TestRankCut:
+    @pytest.mark.parametrize("case", range(6))
+    def test_bases_and_projectors_identical_to_separate_cuts(self, case):
+        rng = np.random.default_rng(case)
+        d = 5
+        r = [0, 1, 2, 5, 3, 4][case]
+        V = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+        H = V @ V.conj().T
+        vals, vecs, cut = ref_cut(H, 1e-10)
+        got_vals, B, N = linops.range_null_bases(H, 1e-10)
+        assert np.array_equal(got_vals, vals)
+        assert np.array_equal(B, vecs[:, vals > cut])
+        assert np.array_equal(N, vecs[:, vals <= cut])
+        assert np.array_equal(linops.range_basis(H), B)
+        assert np.array_equal(linops.null_basis(H), N)
+        R, Nproj = linops.range_null_projectors(H)
+        assert np.array_equal(R, B @ B.conj().T)
+        assert np.array_equal(Nproj, np.eye(d) - R)
+
+    def test_projectors_reject_below_the_old_floor(self):
+        # floor is tol * max(lambda_max, 1): -2e-10 fails, -5e-11 passes
+        with pytest.raises(NotPositiveError):
+            linops.range_null_projectors(np.diag([0.5, -2e-10]))
+        linops.range_null_projectors(np.diag([0.5, -5e-11]))
+
+
+class TestLocalProducts:
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 4), (1, 3)])
+    def test_match_dense_kronecker_products(self, dims):
+        dp, dm = dims
+        D = dp * dm
+        rng = np.random.default_rng(dp * 10 + dm)
+        Z = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        Ap = rng.standard_normal((dp, dp)) + 1j * rng.standard_normal((dp, dp))
+        Am = rng.standard_normal((dm, dm)) + 1j * rng.standard_normal((dm, dm))
+        Ip, Im = np.eye(dp), np.eye(dm)
+        cases = [
+            (linops.apply_local(Ap, Z, dp, dm, "+"), np.kron(Ap, Im) @ Z),
+            (linops.apply_local(Am, Z, dp, dm, "-"), np.kron(Ip, Am) @ Z),
+            (linops.apply_local_right(Z, Ap, dp, dm, "+"), Z @ np.kron(Ap, Im)),
+            (linops.apply_local_right(Z, Am, dp, dm, "-"), Z @ np.kron(Ip, Am)),
+            (linops.apply_local(Am, Z[:, :2], dp, dm, "-"), np.kron(Ip, Am) @ Z[:, :2]),
+        ]
+        for got, expected in cases:
+            np.testing.assert_allclose(got, expected, atol=1e-13)
+
+
+class TestSimplifiedMatrixKernel:
+    @pytest.mark.parametrize("name", SPIN)
+    def test_spin_states_match_loop(self, name, request):
+        state = request.getfixturevalue(name)
+        _, mb = complete(state)
+        M, report = simplified_matrix(state, mb)
+        M_ref, forbidden_ref = ref_simplified_matrix(state, mb)
+        np.testing.assert_allclose(M, M_ref, rtol=0, atol=1e-14)
+        assert abs(report.max_forbidden - forbidden_ref) <= 1e-14
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_pure_and_low_rank_states_match_loop(self, index):
+        _, state = kernel_states()[index]
+        _, mb = complete(state)
+        M, report = simplified_matrix(state, mb)
+        M_ref, forbidden_ref = ref_simplified_matrix(state, mb)
+        np.testing.assert_allclose(M, M_ref, rtol=0, atol=1e-14)
+        assert abs(report.max_forbidden - forbidden_ref) <= 1e-14
+
+    @pytest.mark.parametrize("index", [0, 3, 4])
+    def test_rotated_basis_forbidden_norm_and_violation(self, index):
+        _, state = kernel_states()[index]
+        _, mb = complete(state)
+        rng = np.random.default_rng(index)
+        r = len(mb.sigma_prime)
+        rotated = MatchedBases(
+            sigma_prime=mb.sigma_prime,
+            basis_plus=mb.basis_plus,
+            basis_minus=mb.basis_minus @ isometry(rng, r, r),
+        )
+        M_ref, forbidden_ref = ref_simplified_matrix(state, rotated)
+        assert forbidden_ref > state.tol.residual_tol
+        with pytest.raises(SparsityViolationError):
+            simplified_matrix(state, rotated)
+        lenient = BipartiteState(state.d_plus, state.d_minus, state.rho,
+                                 Tolerances(residual_tol=10.0))
+        M, report = simplified_matrix(lenient, rotated)
+        np.testing.assert_allclose(M, M_ref, rtol=0, atol=1e-14)
+        assert abs(report.max_forbidden - forbidden_ref) <= 1e-14
+
+
+    def test_every_forbidden_position_is_covered(self):
+        # a product vector |a>|c> with a != c puts its whole weight on a
+        # forbidden diagonal element; mixing in |0>|0> adds the forbidden
+        # pair <0,0|rho|a,c>, <a,c|rho|0,0>
+        rng = np.random.default_rng(9)
+        r, t = 3, 0.01
+        mb = MatchedBases(sigma_prime=np.arange(r, dtype=float),
+                          basis_plus=isometry(rng, 3, r), basis_minus=isometry(rng, 4, r))
+        lenient = Tolerances(residual_tol=10.0)
+        for a in range(r):
+            for c in range(r):
+                if a == c:
+                    continue
+                ac = np.kron(mb.basis_plus[:, a], mb.basis_minus[:, c])
+                oo = np.kron(mb.basis_plus[:, 0], mb.basis_minus[:, 0])
+                for phi, expected in ((ac, 1.0), (np.sqrt(1 - t) * oo + np.sqrt(t) * ac,
+                                                  np.sqrt(t * (1 - t)))):
+                    state = from_pure(phi, 3, 4, lenient)
+                    _, report = simplified_matrix(state, mb)
+                    assert report.max_forbidden == pytest.approx(expected, abs=1e-14)
+                    with pytest.raises(SparsityViolationError):
+                        simplified_matrix(from_pure(phi, 3, 4), mb)
+
+
+class TestDistantMeasurementKernel:
+    def check_against_dense(self, state, pair):
+        rep = distant_measurement_report(state, pair)
+        outcomes, exp_plus, exp_minus = ref_distant_measurement(state, pair)
+        assert len(rep.outcomes) == len(outcomes)
+        for o, ref in zip(rep.outcomes, outcomes):
+            got = (o.value, o.probability_plus, o.probability_minus, o.post_state_plus,
+                   o.post_state_minus, o.conditional_minus, o.conditional_plus)
+            for g, e in zip(got, ref):
+                assert np.shape(g) == np.shape(e)
+                np.testing.assert_allclose(g, e, rtol=0, atol=1e-13)
+        assert rep.expectation_plus == pytest.approx(exp_plus, abs=1e-13)
+        assert rep.expectation_minus == pytest.approx(exp_minus, abs=1e-13)
+        return rep
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 4)])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_unequal_dimensions_match_dense_collapse(self, dims, rank):
+        dp, dm = dims
+        rng = np.random.default_rng(dp * 100 + dm * 10 + rank)
+        r = min(dims)
+        state = diagonal_support_state(rng, dp, dm, r, rank)
+        pair, _ = complete(state)
+        rep = self.check_against_dense(state, pair)
+        assert rep.passed
+        assert len(rep.outcomes) >= 1
+
+    def test_undetectable_block_and_degenerate_projector(self):
+        # the minus side carries an extra eigenvalue on the null space of
+        # rho_minus, and the plus side a rank-2 characteristic projector
+        rng = np.random.default_rng(5)
+        U, V = isometry(rng, 3, 3), isometry(rng, 4, 4)
+        D = np.einsum("ia,ja->ija", U[:, :2], V[:, :2]).reshape(12, 2)
+        rho = D @ np.diag([0.3, 0.7]) @ D.conj().T
+        state = BipartiteState(3, 4, rho)
+        a_plus = U @ np.diag([1.0, -1.0, 1.0]) @ U.conj().T
+        a_minus = V @ np.diag([1.0, -1.0, 7.0, 7.0]) @ V.conj().T
+        rep = self.check_against_dense(state, ObservablePair(a_plus, a_minus))
+        assert rep.passed
+        assert sorted(round(o.value) for o in rep.outcomes) == [-1, 1]
+
+    @pytest.mark.parametrize("name", SPIN)
+    def test_spin_states_match_dense_collapse(self, name, request):
+        state = request.getfixturevalue(name)
+        pair, _ = complete(state)
+        assert self.check_against_dense(state, pair).passed
+
+
+class TestPureSchmidtKernel:
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_matches_looped_form(self, index):
+        _, state = kernel_states()[index]
+        pair, _ = complete(state)
+        coeffs, bp, bm = pure_schmidt(state, pair)
+        ref_coeffs, ref_bp, ref_bm = ref_pure_schmidt(state, pair)
+        np.testing.assert_allclose(coeffs, ref_coeffs, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(bp, ref_bp, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(bm, ref_bm, rtol=0, atol=1e-12)
+
+
+class TestCompleteTwinSearch:
+    @pytest.mark.parametrize("index", range(6))
+    def test_same_pair_as_two_split_search(self, index):
+        _, state = kernel_states()[index]
+        space = solve_twin_space(state)
+        pair, _ = find_complete_twins(space, state)
+        ref = ref_find_complete_twins(space, state)
+        np.testing.assert_allclose(pair.a_plus, ref.a_plus, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair.a_minus, ref.a_minus, rtol=0, atol=1e-12)
+
+
+class TestGeometryCache:
+    def test_one_eigh_per_operator_through_the_pipeline(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        state = diagonal_support_state(rng, 2, 3, 2, 2)
+        T = state.rho.reshape(2, 3, 2, 3)
+        operators = {
+            "rho": state.rho,
+            "rho_plus": np.trace(T, axis1=1, axis2=3),
+            "rho_minus": np.trace(T, axis1=0, axis2=2),
+        }
+        counts = dict.fromkeys(operators, 0)
+        eigh = linops.eigh
+
+        def counting_eigh(H, *args, **kwargs):
+            for name, op in operators.items():
+                if np.shape(H) == op.shape and np.array_equal(H, op):
+                    counts[name] += 1
+            return eigh(H, *args, **kwargs)
+
+        monkeypatch.setattr(linops, "eigh", counting_eigh)
+        space = solve_twin_space(state)
+        pair, mb = find_complete_twins(space, state)
+        simplified_matrix(state, mb)
+        distant_measurement_report(state, pair)
+        solve_twin_space(state)
+        assert counts == {"rho": 1, "rho_plus": 1, "rho_minus": 1}
+
+    def test_cached_arrays_are_read_only(self):
+        state = diagonal_support_state(np.random.default_rng(4), 3, 2, 2, 1)
+        sub = state.reduce()
+        assert sub is state.subsystems
+        arrays = [getattr(sub, f) for f in sub.__dataclass_fields__] + list(state.spectrum)
+        for a in arrays:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            sub.range_plus[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            state.range_basis()[0, 0] = 1.0
+
+    def test_cache_matches_fresh_cuts(self):
+        state = diagonal_support_state(np.random.default_rng(6), 3, 4, 2, 2)
+        sub = state.subsystems
+        for rho_s, vals, B, N in ((sub.rho_plus, sub.values_plus, sub.range_plus, sub.null_plus),
+                                  (sub.rho_minus, sub.values_minus, sub.range_minus,
+                                   sub.null_minus)):
+            fresh = linops.range_null_bases(rho_s, state.tol.rank_tol)
+            for cached, f in zip((vals, B, N), fresh):
+                assert np.array_equal(cached, f)
+        assert (sub.range_plus.shape[1], sub.range_minus.shape[1]) == (2, 2)
+        assert (sub.null_plus.shape[1], sub.null_minus.shape[1]) == (1, 2)
