@@ -29,11 +29,13 @@ from .twins import ObservablePair, TwinSpace
 @dataclass(frozen=True)
 class SpectralData:
     """Clustered eigenvalues of a Hermitian operator with multiplicities
-    and characteristic projectors."""
+    and characteristic projectors, and the eigenvector matrix (columns in
+    ascending eigenvalue order, phases as in linops.eigh) they came from."""
 
     values: np.ndarray
     multiplicities: np.ndarray
     projectors: tuple
+    vectors: np.ndarray
 
     def projector_at(self, a: float, cluster_tol: float) -> np.ndarray:
         for v, P in zip(self.values, self.projectors):
@@ -52,6 +54,7 @@ def spectral_data(H, cluster_tol: float = linops.DEFAULT_TOL.cluster_tol) -> Spe
         values=np.array([float(np.mean(vals[b])) for b in blocks]),
         multiplicities=np.array([b.stop - b.start for b in blocks], dtype=int),
         projectors=tuple(vecs[:, b] @ vecs[:, b].conj().T for b in blocks),
+        vectors=vecs,
     )
 
 
@@ -145,6 +148,13 @@ def detectable_spectra(split: DetectableSplit,
     the value lists must agree (twins have equal detectable spectra)
     while the multiplicities may differ.
     """
+    sp, sm = _detectable_data(split, cluster_tol)
+    return (sp.values + sm.values) / 2, sp.multiplicities, sm.multiplicities
+
+
+def _detectable_data(split: DetectableSplit, cluster_tol: float):
+    """SpectralData of both detectable parts; raises SpectraMismatch
+    unless their characteristic values agree."""
     sp = spectral_data(split.a_prime_plus, cluster_tol)
     sm = spectral_data(split.a_prime_minus, cluster_tol)
     if len(sp.values) != len(sm.values) or (
@@ -154,8 +164,7 @@ def detectable_spectra(split: DetectableSplit,
             f"detectable spectra differ: {sp.values} vs {sm.values} "
             "(the input pair is not a twin pair)"
         )
-    sigma = (sp.values + sm.values) / 2
-    return sigma, sp.multiplicities, sm.multiplicities
+    return sp, sm
 
 
 def characteristic_projector_twins(split: DetectableSplit, state: BipartiteState):
@@ -266,17 +275,16 @@ def matched_bases_from_pair(pair: ObservablePair, state: BipartiteState) -> Matc
     """Matched characteristic bases of a complete twin pair, sorted by
     ascending characteristic value on both sides."""
     split = split_detectable(pair, state)
-    sigma, mp, mm = detectable_spectra(split, state.tol.cluster_tol)
-    if np.any(mp != 1) or np.any(mm != 1):
+    sp, sm = _detectable_data(split, state.tol.cluster_tol)
+    if np.any(sp.multiplicities != 1) or np.any(sm.multiplicities != 1):
         raise DegenerateSpectrumCollisionError(
             "pair is not complete: detectable spectrum is degenerate"
         )
-    vals_p, vecs_p = linops.eigh(split.a_prime_plus)
-    vals_m, vecs_m = linops.eigh(split.a_prime_minus)
+    # the eigenvector columns already ascend with the characteristic values
     return MatchedBases(
-        sigma_prime=np.sort(sigma),
-        basis_plus=split.range_basis_plus @ vecs_p,
-        basis_minus=split.range_basis_minus @ vecs_m,
+        sigma_prime=np.sort((sp.values + sm.values) / 2),
+        basis_plus=split.range_basis_plus @ sp.vectors,
+        basis_minus=split.range_basis_minus @ sm.vectors,
     )
 
 

@@ -23,7 +23,8 @@ class BipartiteState:
     ``spectrum`` (the rank cut of rho) and ``subsystems`` (the reductions
     and their rank cuts) are computed once, on first use, with one eigh
     per operator; rho is read-only and tol frozen, so the cached arrays
-    never go stale, and they are read-only too.
+    never go stale, and they are read-only too.  The positivity check is
+    a Cholesky factorization, so a valid rho is never diagonalized twice.
     """
 
     d_plus: int
@@ -45,9 +46,16 @@ class BipartiteState:
         # is left untouched so re-ingesting a state is bitwise stable
         if abs(tr - 1.0) > 1e-13:
             rho = rho / tr
-        vals = np.linalg.eigvalsh(rho)
-        if vals[0] < -self.tol.rank_tol * max(vals[-1], 1.0):
-            raise NotPositiveError(f"rho has negative eigenvalue {vals[0]:.3e}")
+        # A Cholesky factor of rho + rank_tol * 1 shows lambda_min >= -rank_tol
+        # up to rounding, which passes the test below, so rho is
+        # eigendecomposed once, for the cached spectrum; the eigenvalues
+        # are computed here only when the factorization fails.
+        try:
+            np.linalg.cholesky(rho + self.tol.rank_tol * np.eye(dim))
+        except np.linalg.LinAlgError:
+            vals = np.linalg.eigvalsh(rho)
+            if vals[0] < -self.tol.rank_tol * max(vals[-1], 1.0):
+                raise NotPositiveError(f"rho has negative eigenvalue {vals[0]:.3e}") from None
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
 

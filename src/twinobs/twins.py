@@ -92,35 +92,102 @@ def is_twin_pair(state: BipartiteState, pair: ObservablePair):
     return residual <= state.tol.residual_tol, residual
 
 
-def _constraint_matrix(state: BipartiteState, columns: np.ndarray) -> np.ndarray:
+def _constraint_matrix(state: BipartiteState, columns: np.ndarray,
+                       basis_plus: np.ndarray | None = None,
+                       basis_minus: np.ndarray | None = None) -> np.ndarray:
     """Real matrix of the map (x_plus, x_minus) -> (A_plus ⊗ 1 - 1 ⊗ A_minus) C
-    stacked as real and imaginary parts, over hermitian_basis coordinates.
+    stacked as real and imaginary parts, over the coordinates of A_s in
+    basis_s, a stacked (n_s, d_s, d_s) Hermitian basis (hermitian_basis
+    by default).
 
     Column k of C reshaped to d_plus x d_minus is Psi_k, and
     (A_plus ⊗ 1 - 1 ⊗ A_minus) C is A_plus Psi_k - Psi_k A_minus^T."""
     dp, dm = state.d_plus, state.d_minus
+    if basis_plus is None:
+        basis_plus = linops.hermitian_basis(dp)
+    if basis_minus is None:
+        basis_minus = linops.hermitian_basis(dm)
     psi = columns.reshape(dp, dm, -1)
     images = np.concatenate([
-        np.einsum("gab,bmk->gamk", linops.hermitian_basis(dp), psi),
-        -np.einsum("gmn,ank->gamk", linops.hermitian_basis(dm), psi),
-    ]).reshape(dp * dp + dm * dm, -1)
+        np.einsum("gab,bmk->gamk", basis_plus, psi),
+        -np.einsum("gmn,ank->gamk", basis_minus, psi),
+    ]).reshape(len(basis_plus) + len(basis_minus), -1)
     return np.concatenate([images.real, images.imag], axis=1).T
+
+
+def _commutant_basis(values: np.ndarray, vectors: np.ndarray, gap: float) -> np.ndarray:
+    """HS-orthonormal Hermitian basis, stacked (n, d, d), of the operators
+    that commute with V diag(values) V^dagger, V = vectors and values
+    ascending.  Consecutive eigenvalues no more than gap apart share an
+    eigenspace; for each eigenspace W of dimension m the basis holds
+    W hermitian_basis(m) W^dagger, so n is the sum of m^2."""
+    block = np.concatenate([[0], np.cumsum(np.diff(values) > gap)])
+    G = linops.hermitian_basis(len(values))
+    inside = block[:, None] == block[None, :]
+    G = G[~np.any((G != 0) & ~inside, axis=(1, 2))]
+    return vectors @ G @ vectors.conj().T
+
+
+# An eigenvector error of a reduced state is held this many times below
+# rank_tol, so that it cannot push a twin over the kernel cut.
+_GROUPING_MARGIN = 10.0
+
+
+def _grouping_gap(lam_max: float, perturbation: float, rank_tol: float) -> float:
+    """Smallest eigenvalue gap of a reduced state at which its commutant
+    basis splits two eigenspaces.
+
+    perturbation bounds the distance of rho_s from an operator that every
+    twin commutes with exactly.  Across a gap g the eigenvectors are then
+    wrong by about perturbation / g, which this gap keeps _GROUPING_MARGIN
+    times below rank_tol.  The gap is also at least sqrt(rank_tol) *
+    lambda_max, so that a direction across two groups has a singular
+    value far above the cut.  Grouping more coarsely is always exact; it
+    only keeps more coordinates."""
+    if rank_tol == 0:
+        return np.inf
+    return max(np.sqrt(rank_tol) * lam_max, _GROUPING_MARGIN * perturbation / rank_tol)
 
 
 def solve_twin_space(state: BipartiteState) -> TwinSpace:
     """Compute an orthonormal basis of all Hermitian twin pairs of rho.
 
-    The twin constraint is imposed on a column basis of range(rho) only,
-    which is equivalent to imposing it on rho itself and keeps the
-    linear system small.
+    The twin constraint is imposed on a column basis C of range(rho)
+    only, which is equivalent to imposing it on rho itself.  The unknowns
+    are restricted to the commutant of rho_plus and rho_minus: the
+    partial trace Tr_- of (A_plus ⊗ 1 - 1 ⊗ A_minus) rho = 0 and of its
+    adjoint gives A_plus rho_plus = rho_plus A_plus (and the same on the
+    minus side), so every twin pair is block-diagonal over the
+    eigenspaces of the reductions, null spaces included.  Each side then
+    has sum m_i^2 coordinates instead of d^2, m_i the eigenvalue
+    multiplicities.
+
+    Twins of the kept range commute exactly with the reductions of the
+    kept part C Lambda C^dagger of rho.  Those differ from rho_s by
+    rounding and by the partial trace of the eigenvalues cut away, at
+    most d_other times the largest of them; _grouping_gap keeps the
+    eigenspaces coarse enough for that difference to stay far below the
+    kernel cut.  cluster_tol is not used: it knows nothing of that cut.
     """
-    dp, dm = state.d_plus, state.d_minus
-    M = _constraint_matrix(state, state.range_basis())
-    K = linops.kernel_basis(M, tol=1e-10)
-    a_plus, a_minus = linops.coords_to_pair(K, dp, dm)
+    sub = state.subsystems
+    vals, _, null = state.spectrum
+    tail = np.max(np.abs(vals[:null.shape[1]]), initial=0.0)
+    eps = np.finfo(float).eps
+
+    def commutant(values, null_s, range_s, d_other):
+        lam = max(values[-1], 0.0)
+        gap = _grouping_gap(lam, eps * lam + d_other * tail, state.tol.rank_tol)
+        return _commutant_basis(values, np.hstack([null_s, range_s]), gap)
+
+    basis_plus = commutant(sub.values_plus, sub.null_plus, sub.range_plus, state.d_minus)
+    basis_minus = commutant(sub.values_minus, sub.null_minus, sub.range_minus, state.d_plus)
+    M = _constraint_matrix(state, state.range_basis(), basis_plus, basis_minus)
+    K = linops.kernel_basis(M, state.tol.rank_tol)
+    n_plus = len(basis_plus)
+    a_plus = np.einsum("gk,gij->kij", K[:n_plus], basis_plus)
+    a_minus = np.einsum("gk,gij->kij", K[n_plus:], basis_minus)
     pairs = tuple(ObservablePair(ap, am) for ap, am in zip(a_plus, a_minus))
 
-    sub = state.subsystems
     return TwinSpace(
         basis=pairs,
         dim_total=len(pairs),

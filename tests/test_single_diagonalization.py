@@ -1,0 +1,87 @@
+"""Each operator of a state is eigendecomposed once: BipartiteState
+checks positivity with a Cholesky factorization and leaves the one
+eigendecomposition of rho to its cached spectrum, and
+matched_bases_from_pair reuses the eigenvectors SpectralData carries."""
+
+import numpy as np
+import pytest
+
+from twinobs import BipartiteState, find_complete_twins, matched_bases_from_pair, solve_twin_space
+from twinobs import linops
+from twinobs.errors import NotPositiveError
+from twinobs.linops import Tolerances
+from twinobs.spectral import split_detectable
+
+
+def unitary(rng, n):
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(Z)[0]
+
+
+def state_with_lowest_eigenvalue(lam_min, tol, d=3):
+    """rho on C^d ⊗ C^d with spectrum (lam_min, rest), trace 1."""
+    rest = np.linspace(1.0, 2.0, d * d - 1)
+    rest *= (1.0 - lam_min) / rest.sum()
+    U = unitary(np.random.default_rng(71), d * d)
+    rho = U @ np.diag(np.concatenate([[lam_min], rest])) @ U.conj().T
+    return BipartiteState(d, d, rho, tol)
+
+
+def test_construction_runs_no_eigendecomposition(monkeypatch):
+    calls = []
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(linops, "eigh", counting("linops.eigh", linops.eigh))
+    state = state_with_lowest_eigenvalue(0.0, Tolerances())
+    assert calls == []
+    state.range_basis()
+    assert calls == ["linops.eigh", "eigh"]
+
+
+@pytest.mark.parametrize("rank_tol,lam_min,rejected", [
+    (1e-10, -1e-9, True), (1e-10, -2e-10, True), (1e-10, -5e-11, False),
+    (1e-10, 0.0, False), (1e-10, 1e-3, False),
+    (1e-6, -2e-6, True), (1e-6, -5e-7, False),
+    (0.0, -1e-6, True), (0.0, 1e-6, False),
+])
+def test_positivity_verdict_follows_the_eigenvalue_rule(rank_tol, lam_min, rejected):
+    """Rejected exactly when lambda_min < -rank_tol * max(lambda_max, 1)."""
+    tol = Tolerances(rank_tol=rank_tol)
+    if rejected:
+        with pytest.raises(NotPositiveError, match="negative eigenvalue"):
+            state_with_lowest_eigenvalue(lam_min, tol)
+    else:
+        state_with_lowest_eigenvalue(lam_min, tol)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 4), (4, 3)])
+def test_matched_bases_reuse_the_spectral_eigenvectors(dims, monkeypatch):
+    """Bitwise the bases of a fresh eigh of each detectable block, with
+    two eighs per call: the ones spectral_data makes."""
+    dp, dm = dims
+    rng = np.random.default_rng(dp * 10 + dm)
+    r = min(dims)
+    U, V = unitary(rng, dp)[:, :r], unitary(rng, dm)[:, :r]
+    D = np.einsum("ia,ja->ija", U, V).reshape(dp * dm, r)
+    w = rng.uniform(0.2, 1.0, r)
+    state = BipartiteState(dp, dm, D @ np.diag(w / w.sum()) @ D.conj().T)
+    pair, _ = find_complete_twins(solve_twin_space(state), state)
+
+    split = split_detectable(pair, state)
+    ref_plus = split.range_basis_plus @ linops.eigh(split.a_prime_plus)[1]
+    ref_minus = split.range_basis_minus @ linops.eigh(split.a_prime_minus)[1]
+
+    eigh = linops.eigh
+    calls = []
+    monkeypatch.setattr(linops, "eigh", lambda H, *a, **k: calls.append(1) or eigh(H, *a, **k))
+    mb = matched_bases_from_pair(pair, state)
+    assert len(calls) == 2
+    assert np.array_equal(mb.basis_plus, ref_plus)
+    assert np.array_equal(mb.basis_minus, ref_minus)
