@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,12 +27,9 @@ EXIT_INPUT = 2
 
 
 def _tolerances(args) -> Tolerances | None:
-    fields = {}
-    for flag in ("rank_tol", "residual_tol", "cluster_tol", "herm_tol"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            fields[flag] = value
-    return Tolerances(**fields) if fields else None
+    given = {f.name: getattr(args, f.name) for f in fields(Tolerances)
+             if getattr(args, f.name, None) is not None}
+    return Tolerances(**given) if given else None
 
 
 def _load_state(path, args):
@@ -227,10 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="twinobs",
         description="Twin observables of bipartite mixed quantum states.",
     )
-    parser.add_argument("--rank-tol", type=float, dest="rank_tol")
-    parser.add_argument("--residual-tol", type=float, dest="residual_tol")
-    parser.add_argument("--cluster-tol", type=float, dest="cluster_tol")
-    parser.add_argument("--herm-tol", type=float, dest="herm_tol")
+    for f in fields(Tolerances):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=float, dest=f.name)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)

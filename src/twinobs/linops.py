@@ -9,7 +9,7 @@ i = i_plus * d_minus + i_minus throughout the package, which matches
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,9 +35,9 @@ class Tolerances:
     herm_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_tol", "residual_tol", "cluster_tol", "herm_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
 
 DEFAULT_TOL = Tolerances()
@@ -218,9 +218,10 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 def pair_to_coords(a_plus: np.ndarray, a_minus: np.ndarray) -> np.ndarray:
     """Real coordinates of (A_plus, A_minus) over hermitian_basis(d_plus)
-    followed by hermitian_basis(d_minus)."""
+    followed by hermitian_basis(d_minus).  Pairs stacked along the first
+    axis of both arguments give their coordinates as columns."""
     return np.concatenate([
-        np.einsum("gij,ij->g", hermitian_basis(A.shape[0]).conj(), A).real
+        np.einsum("gij,...ij->g...", hermitian_basis(A.shape[-1]).conj(), A).real
         for A in (a_plus, a_minus)
     ])
 

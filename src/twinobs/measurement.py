@@ -10,7 +10,7 @@ import numpy as np
 from . import linops
 from .errors import NotProjectorError
 from .linops import max_norm
-from .spectral import detectable_spectra, spectral_data, split_detectable
+from .spectral import _detectable_data, _lift, spectral_data, split_detectable
 from .states import BipartiteState
 from .twins import ObservablePair, is_twin_pair
 
@@ -168,6 +168,12 @@ def distant_measurement_report(state: BipartiteState,
     measurement: per detectable value, equal probabilities and equal
     Lüders-collapsed states, plus equal expectation values.
 
+    The event for value a is the cluster eigenprojector of the detectable
+    part A'_s at a, lifted by the range basis of rho_s.  This is exact:
+    the characteristic projector of the full A_s at a differs from it by
+    a part P'' on the null space of rho_s, and (P'' ⊗ 1) rho = 0, so
+    probabilities, collapsed and conditional states are the same.
+
     Local projectors act through reshaped products (linops.apply_local
     and apply_local_right), never as dense composite operators.  The
     conditional states are partial traces of (P ⊗ 1) rho, which equal
@@ -177,9 +183,7 @@ def distant_measurement_report(state: BipartiteState,
     if not ok:
         raise ValueError(f"not a twin pair for this state (residual {residual:.3e})")
     split = split_detectable(pair, state)
-    sigma, _, _ = detectable_spectra(split, state.tol.cluster_tol)
-    data_plus = spectral_data(pair.a_plus, state.tol.cluster_tol)
-    data_minus = spectral_data(pair.a_minus, state.tol.cluster_tol)
+    sp, sm = _detectable_data(split, state.tol.cluster_tol)
     dp, dm = state.d_plus, state.d_minus
 
     def collapse(P, side):
@@ -198,9 +202,9 @@ def distant_measurement_report(state: BipartiteState,
     outcomes = []
     max_p_gap = 0.0
     max_c_gap = 0.0
-    for a in sigma:
-        plus = collapse(data_plus.projector_at(a, state.tol.cluster_tol), "+")
-        minus = collapse(data_minus.projector_at(a, state.tol.cluster_tol), "-")
+    for a, Pp, Pm in zip((sp.values + sm.values) / 2, sp.projectors, sm.projectors):
+        plus = collapse(_lift(split.range_basis_plus, Pp), "+")
+        minus = collapse(_lift(split.range_basis_minus, Pm), "-")
         if plus is None or minus is None:
             continue
         (prob_p, post_p, cond_minus), (prob_m, post_m, cond_plus) = plus, minus

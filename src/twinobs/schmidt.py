@@ -59,10 +59,11 @@ def simplified_matrix(state: BipartiteState, mb: MatchedBases):
 
 
 def _pure_vector(state: BipartiteState) -> np.ndarray:
+    """The state vector of a rho whose cached rank cut keeps one eigenvector."""
     vals, range_basis, _ = state.spectrum
-    if vals[-1] < 1.0 - 1e-8 or (len(vals) > 1 and vals[-2] > 1e-8):
+    if range_basis.shape[1] != 1:
         raise NotPureError(f"state is not pure: top eigenvalues {vals[-2:]}")
-    return range_basis[:, -1]
+    return range_basis[:, 0]
 
 
 def _pinv_sqrt(vals: np.ndarray, range_basis: np.ndarray) -> np.ndarray:

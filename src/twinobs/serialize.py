@@ -9,7 +9,7 @@ is the identity to full double precision.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def vector_to_json(v: np.ndarray) -> list:
 def tolerances_from_json(data) -> Tolerances:
     if data is None:
         return DEFAULT_TOL
-    known = {"rank_tol", "residual_tol", "cluster_tol", "herm_tol"}
+    known = {f.name for f in fields(Tolerances)}
     bad = set(data) - known
     if bad:
         raise InputError(f"tolerances: unknown fields {sorted(bad)}")

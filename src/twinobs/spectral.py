@@ -1,9 +1,10 @@
 """Spectral theory of twin pairs.
 
 Covers the detectable/undetectable block decomposition of a twin pair,
-equality of the detectable spectra, characteristic-projector twins,
-closure under operator functions and symmetric polynomials, and the
-search for complete twins (nondegenerate detectable spectra).
+equality of the detectable spectra, characteristic-projector twins (the
+cluster eigenprojectors of the detectable parts), closure under operator
+functions and symmetric polynomials, and the search for complete twins
+(nondegenerate detectable spectra).
 """
 
 from __future__ import annotations
@@ -168,32 +169,18 @@ def _detectable_data(split: DetectableSplit, cluster_tol: float):
 
 
 def characteristic_projector_twins(split: DetectableSplit, state: BipartiteState):
-    """Characteristic projectors of the detectable parts via the Lagrange
-    product over the common spectrum; each projector pair is itself a
-    twin pair for rho'.
+    """Characteristic projectors of the detectable parts: the cluster
+    eigenprojectors of A'_plus and A'_minus, paired by index over the
+    common spectrum; each projector pair is itself a twin pair for rho'.
 
     Returns a list of (value, P'_plus, P'_minus, twin_residual).
     """
-    sigma, _, _ = detectable_spectra(split, state.tol.cluster_tol)
-    # sigma ascends, so the closest pair of values is adjacent
-    close = np.flatnonzero(np.diff(sigma) <= state.tol.cluster_tol)
-    if close.size:
-        i = close[0]
-        raise DegenerateSpectrumCollisionError(
-            f"characteristic values {sigma[i]} and {sigma[i + 1]} collide"
-        )
+    sp, sm = _detectable_data(split, state.tol.cluster_tol)
     rho_prime = restrict_to_relevant(state).rho_prime
     rp = split.a_prime_plus.shape[0]
     rm = split.a_prime_minus.shape[0]
     out = []
-    for a in sigma:
-        Pp = np.eye(rp, dtype=complex)
-        Pm = np.eye(rm, dtype=complex)
-        for b in sigma:
-            if b == a:
-                continue
-            Pp = Pp @ (split.a_prime_plus - b * np.eye(rp)) / (a - b)
-            Pm = Pm @ (split.a_prime_minus - b * np.eye(rm)) / (a - b)
+    for a, Pp, Pm in zip((sp.values + sm.values) / 2, sp.projectors, sm.projectors):
         residual = max_norm(linops.apply_local(Pp, rho_prime, rp, rm, "+")
                             - linops.apply_local(Pm, rho_prime, rp, rm, "-"))
         out.append((float(a), Pp, Pm, residual))
@@ -274,8 +261,13 @@ class MatchedBases:
 def matched_bases_from_pair(pair: ObservablePair, state: BipartiteState) -> MatchedBases:
     """Matched characteristic bases of a complete twin pair, sorted by
     ascending characteristic value on both sides."""
-    split = split_detectable(pair, state)
-    sp, sm = _detectable_data(split, state.tol.cluster_tol)
+    return _matched_bases(split_detectable(pair, state), state.tol.cluster_tol)
+
+
+def _matched_bases(split: DetectableSplit, cluster_tol: float) -> MatchedBases:
+    """Matched bases from the split of a pair; raises DegenerateSpectrumCollision
+    unless both detectable spectra are nondegenerate."""
+    sp, sm = _detectable_data(split, cluster_tol)
     if np.any(sp.multiplicities != 1) or np.any(sm.multiplicities != 1):
         raise DegenerateSpectrumCollisionError(
             "pair is not complete: detectable spectrum is degenerate"
@@ -316,6 +308,5 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState,
             continue
         if len(vals_m) > 1 and np.min(np.diff(vals_m)) <= state.tol.cluster_tol:
             continue
-        candidate = split.detectable_lifted()
-        return candidate, matched_bases_from_pair(candidate, state)
+        return split.detectable_lifted(), _matched_bases(split, state.tol.cluster_tol)
     return None

@@ -84,11 +84,11 @@ class BipartiteState:
         return self.subsystems
 
     def projectors(self) -> "SubspaceProjectors":
-        """Range/null projectors of rho and of both reductions."""
+        """Range/null projectors R = B B^dagger, N = 1 - R of rho and of
+        both reductions, from the cached range bases B."""
         sub = self.subsystems
-        R, N = linops.range_null_projectors(self.rho, self.tol.rank_tol)
-        Rp, Np = linops.range_null_projectors(sub.rho_plus, self.tol.rank_tol)
-        Rm, Nm = linops.range_null_projectors(sub.rho_minus, self.tol.rank_tol)
+        R, Rp, Rm = (B @ B.conj().T for B in (self.spectrum[1], sub.range_plus, sub.range_minus))
+        N, Np, Nm = (np.eye(len(P), dtype=complex) - P for P in (R, Rp, Rm))
         return SubspaceProjectors(R=R, N=N, R_plus=Rp, N_plus=Np, R_minus=Rm, N_minus=Nm)
 
     def range_basis(self) -> np.ndarray:

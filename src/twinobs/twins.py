@@ -72,7 +72,8 @@ class TwinSpace:
 
     def coordinate_matrix(self) -> np.ndarray:
         """Columns are hermitian_basis coordinates of the basis pairs."""
-        return np.column_stack([p.coords() for p in self.basis])
+        return linops.pair_to_coords(np.array([p.a_plus for p in self.basis]),
+                                     np.array([p.a_minus for p in self.basis]))
 
 
 def is_twin_pair(state: BipartiteState, pair: ObservablePair):
@@ -296,15 +297,13 @@ def twins_restrict_to_range_vectors(
 
 def states_admitting_twins(pair: ObservablePair, candidate_state: BipartiteState) -> bool:
     """True iff range(rho) lies in the kernel of A_plus ⊗ 1 - 1 ⊗ A_minus,
-    which is equivalent to the twin property (C4)."""
-    D = pair.difference_operator()
-    R, _ = linops.range_null_projectors(candidate_state.rho, candidate_state.tol.rank_tol)
-    if max_norm(D @ R) > candidate_state.tol.residual_tol:
-        return False
-    # Every positive-weight eigencomponent must lie in the kernel too.
-    vals, vecs = linops.eigh(candidate_state.rho)
-    cut = candidate_state.tol.rank_tol * max(vals[-1], 0.0)
-    for i in range(len(vals)):
-        if vals[i] > cut and np.linalg.norm(D @ vecs[:, i]) > candidate_state.tol.residual_tol:
-            return False
-    return True
+    which is equivalent to the twin property (C4): for Z = (A_plus ⊗ 1 -
+    1 ⊗ A_minus) V, V the cached range basis of rho, the max-norm of Z V^dagger
+    and every column norm of Z must be within residual_tol."""
+    V = candidate_state.spectrum[1]
+    dims = candidate_state.d_plus, candidate_state.d_minus
+    Z = (linops.apply_local(pair.a_plus, V, *dims, "+")
+         - linops.apply_local(pair.a_minus, V, *dims, "-"))
+    tol = candidate_state.tol.residual_tol
+    return bool(max_norm(Z @ V.conj().T) <= tol
+                and np.all(np.linalg.norm(Z, axis=0) <= tol))

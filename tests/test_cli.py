@@ -12,7 +12,7 @@ from twinobs import (
     ObservablePair,
     serialize,
 )
-from twinobs.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFICATION, main
+from twinobs.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFICATION, _tolerances, build_parser, main
 from twinobs.errors import InputError
 from twinobs.linops import Tolerances
 from twinobs.states import PureDecomposition
@@ -203,6 +203,29 @@ class TestCli:
         assert main(["--format", "text", "solve", state_file]) == EXIT_OK
         out = capsys.readouterr().out
         assert "dim_total: 2" in out
+
+
+TOLERANCE_FLAGS = [("--rank-tol", "rank_tol"), ("--residual-tol", "residual_tol"),
+                   ("--cluster-tol", "cluster_tol"), ("--herm-tol", "herm_tol")]
+
+
+@pytest.mark.parametrize("flag, name", TOLERANCE_FLAGS)
+class TestToleranceFields:
+    def test_flag_sets_only_its_field(self, flag, name):
+        args = build_parser().parse_args([flag, "3e-5", "solve"])
+        assert _tolerances(args) == Tolerances(**{name: 3e-5})
+        assert serialize.tolerances_from_json({name: 3e-5}) == Tolerances(**{name: 3e-5})
+        assert Tolerances(**{name: 3e-5}) != Tolerances()
+
+    def test_negative_value_raises(self, flag, name):
+        with pytest.raises(ValueError, match=name):
+            Tolerances(**{name: -1e-12})
+
+
+def test_no_tolerance_flags_keep_the_document_tolerances():
+    assert _tolerances(build_parser().parse_args(["solve"])) is None
+    assert {f for _, f in TOLERANCE_FLAGS} == set(serialize.state_to_document(
+        BipartiteState(1, 1, np.eye(1)))["tolerances"])
 
 
 def test_import_does_not_load_scipy():

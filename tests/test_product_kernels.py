@@ -10,6 +10,7 @@ import pytest
 from twinobs import (
     BipartiteState,
     ObservablePair,
+    characteristic_projector_twins,
     distant_measurement_report,
     find_complete_twins,
     from_pure,
@@ -18,16 +19,19 @@ from twinobs import (
     pure_schmidt,
     simplified_matrix,
     solve_twin_space,
+    states_admitting_twins,
 )
-from twinobs import linops
-from twinobs.errors import NotPositiveError, SparsityViolationError
+from twinobs import linops, spectral
+from twinobs.errors import NotPositiveError, NotPureError, SparsityViolationError
 from twinobs.linops import Tolerances
+from twinobs.schmidt import _pure_vector
 from twinobs.spectral import (
     MatchedBases,
     detectable_spectra,
     spectral_data,
     split_detectable,
 )
+from twinobs.states import restrict_to_relevant
 
 
 def isometry(rng, n, m):
@@ -162,6 +166,40 @@ def ref_find_complete_twins(space, state, seed=0, attempts=64):
             continue
         return candidate
     return None
+
+
+def ref_characteristic_projector_twins(split, state):
+    """Projectors as the Lagrange product over the common spectrum."""
+    sigma, _, _ = detectable_spectra(split, state.tol.cluster_tol)
+    rho_prime = restrict_to_relevant(state).rho_prime
+    rp = split.a_prime_plus.shape[0]
+    rm = split.a_prime_minus.shape[0]
+    out = []
+    for a in sigma:
+        Pp = np.eye(rp, dtype=complex)
+        Pm = np.eye(rm, dtype=complex)
+        for b in sigma:
+            if b != a:
+                Pp = Pp @ (split.a_prime_plus - b * np.eye(rp)) / (a - b)
+                Pm = Pm @ (split.a_prime_minus - b * np.eye(rm)) / (a - b)
+        residual = np.max(np.abs(np.kron(Pp, np.eye(rm)) @ rho_prime
+                                 - np.kron(np.eye(rp), Pm) @ rho_prime))
+        out.append((float(a), Pp, Pm, residual))
+    return out
+
+
+def ref_states_admitting_twins(pair, state):
+    """Dense D R test, then a loop over the eigenvectors kept by the cut."""
+    D = pair.difference_operator()
+    R, _ = linops.range_null_projectors(state.rho, state.tol.rank_tol)
+    if np.max(np.abs(D @ R)) > state.tol.residual_tol:
+        return False
+    vals, vecs = linops.eigh(state.rho)
+    cut = state.tol.rank_tol * max(vals[-1], 0.0)
+    for i in range(len(vals)):
+        if vals[i] > cut and np.linalg.norm(D @ vecs[:, i]) > state.tol.residual_tol:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------- states
@@ -389,7 +427,154 @@ class TestCompleteTwinSearch:
         np.testing.assert_allclose(pair.a_minus, ref.a_minus, rtol=0, atol=1e-12)
 
 
+class TestCharacteristicProjectorKernel:
+    @pytest.mark.parametrize("index", range(6))
+    def test_cluster_projectors_match_lagrange_product(self, index):
+        _, state = kernel_states()[index]
+        pair, _ = complete(state)
+        self.check(split_detectable(pair, state), state)
+
+    @pytest.mark.parametrize("name", SPIN)
+    def test_spin_states(self, name, request):
+        state = request.getfixturevalue(name)
+        pair, _ = complete(state)
+        self.check(split_detectable(pair, state), state)
+
+    def check(self, split, state):
+        got = characteristic_projector_twins(split, state)
+        ref = ref_characteristic_projector_twins(split, state)
+        assert len(got) == len(ref) >= 1
+        for (a, Pp, Pm, res), (ra, rPp, rPm, rres) in zip(got, ref):
+            assert a == ra
+            np.testing.assert_allclose(Pp, rPp, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(Pm, rPm, rtol=0, atol=1e-10)
+            assert res <= 1e-10 and rres <= 1e-10
+
+
+class TestStatesAdmittingKernel:
+    @pytest.mark.parametrize("index", range(6))
+    def test_verdicts_match_eigenvector_loop(self, index):
+        _, state = kernel_states()[index]
+        rng = np.random.default_rng(40 + index)
+        dp, dm = state.d_plus, state.d_minus
+        for pair in solve_twin_space(state).basis[:4]:
+            for eps in (0.0, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7):
+                Hp = rng.standard_normal((dp, dp)) + 1j * rng.standard_normal((dp, dp))
+                Hm = rng.standard_normal((dm, dm)) + 1j * rng.standard_normal((dm, dm))
+                noisy = ObservablePair(pair.a_plus + eps * (Hp + Hp.conj().T),
+                                       pair.a_minus + eps * (Hm + Hm.conj().T))
+                assert states_admitting_twins(noisy, state) is \
+                    ref_states_admitting_twins(noisy, state)
+
+    def test_thin_band_of_the_uniform_product_state(self):
+        state = from_pure(np.full(16, 0.25, dtype=complex), 4, 4)
+        for eps in np.geomspace(1e-9, 1e-6, 31):
+            E00 = np.zeros((4, 4), dtype=complex)
+            E00[0, 0] = eps
+            pair = ObservablePair(E00, np.zeros((4, 4)))
+            assert states_admitting_twins(pair, state) is \
+                ref_states_admitting_twins(pair, state)
+
+
+class TestStateGeometryFromCache:
+    @pytest.mark.parametrize("index", range(6))
+    def test_projectors_bitwise_equal_to_fresh_cuts(self, index):
+        _, state = kernel_states()[index]
+        p = state.projectors()
+        sub = state.subsystems
+        tol = state.tol.rank_tol
+        for (R, N), H in (((p.R, p.N), state.rho), ((p.R_plus, p.N_plus), sub.rho_plus),
+                          ((p.R_minus, p.N_minus), sub.rho_minus)):
+            ref_R, ref_N = linops.range_null_projectors(H, tol)
+            assert np.array_equal(R, ref_R) and np.array_equal(N, ref_N)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_pure_vector_is_the_top_eigenvector(self, index):
+        _, state = kernel_states()[index]
+        assert np.array_equal(_pure_vector(state), linops.eigh(state.rho)[1][:, -1])
+
+    @pytest.mark.parametrize("weight, pure", [(1e-12, True), (1e-9, False), (1e-6, False)])
+    def test_purity_is_the_rank_cut(self, weight, pure):
+        # a second eigenvalue above rank_tol * lambda_max makes rho mixed
+        rho = np.diag([1.0 - weight, weight, 0.0, 0.0]).astype(complex)
+        state = BipartiteState(2, 2, rho)
+        assert (state.range_basis().shape[1] == 1) is pure
+        if pure:
+            np.testing.assert_allclose(np.abs(_pure_vector(state)), [1, 0, 0, 0], atol=1e-15)
+        else:
+            with pytest.raises(NotPureError):
+                _pure_vector(state)
+
+
 class TestGeometryCache:
+    @pytest.mark.parametrize("kind, expected", [("pure", 9), ("block2", 7)])
+    def test_eigh_calls_through_the_pipeline(self, kind, expected, monkeypatch):
+        # one eigh each of rho, rho_plus and rho_minus, and one of each
+        # detectable block for the complete-twin bases, the measurement
+        # report and (pure inputs) the Schmidt form
+        calls = []
+        eigh = linops.eigh
+
+        def counting_eigh(H, *args, **kwargs):
+            calls.append(np.shape(H))
+            return eigh(H, *args, **kwargs)
+
+        monkeypatch.setattr(linops, "eigh", counting_eigh)
+        rng = np.random.default_rng(11)
+        state = (pure_schmidt_state(rng, 4, 5) if kind == "pure"
+                 else diagonal_support_state(rng, 4, 4, 4, 2))
+        assert calls == []
+        pair, mb = find_complete_twins(solve_twin_space(state), state)
+        simplified_matrix(state, mb)
+        distant_measurement_report(state, pair)
+        if kind == "pure":
+            pure_schmidt(state, pair)
+        assert len(calls) == expected
+
+    def test_warm_cache_needs_no_decomposition(self, monkeypatch):
+        state = pure_schmidt_state(np.random.default_rng(12), 3, 4)
+        pair, _ = complete(state)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigendecomposition after the cache is warm")
+
+        for module, name in ((linops, "eigh"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+            monkeypatch.setattr(module, name, forbidden)
+        state.projectors()
+        assert states_admitting_twins(pair, state)
+        _pure_vector(state)
+
+    @staticmethod
+    def count_splits(monkeypatch):
+        calls = []
+        split = spectral.split_detectable
+        monkeypatch.setattr(spectral, "split_detectable",
+                            lambda *args: calls.append(1) or split(*args))
+        return calls
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_search_splits_once_per_attempt(self, index, monkeypatch):
+        _, state = kernel_states()[index]
+        space = solve_twin_space(state)
+        calls = self.count_splits(monkeypatch)
+        pair, mb = find_complete_twins(space, state)
+        assert len(calls) == 1
+        ref = matched_bases_from_pair(pair, state)
+        np.testing.assert_allclose(mb.sigma_prime, ref.sigma_prime, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(mb.basis_plus, ref.basis_plus, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mb.basis_minus, ref.basis_minus, rtol=0, atol=1e-12)
+
+    def test_failed_search_splits_once_per_attempt(self, monkeypatch):
+        # a full-rank state has scalar twins only: no attempt is complete
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        rho = X @ X.conj().T
+        state = BipartiteState(3, 3, rho / np.trace(rho).real)
+        space = solve_twin_space(state)
+        calls = self.count_splits(monkeypatch)
+        assert find_complete_twins(space, state, attempts=5) is None
+        assert len(calls) == 5
+
     def test_one_eigh_per_operator_through_the_pipeline(self, monkeypatch):
         rng = np.random.default_rng(3)
         state = diagonal_support_state(rng, 2, 3, 2, 2)

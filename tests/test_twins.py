@@ -129,6 +129,15 @@ class TestSolveTwinSpace:
         gram = coords.T @ coords
         np.testing.assert_allclose(gram, np.eye(coords.shape[1]), atol=1e-10)
 
+    @pytest.mark.parametrize("dims, rank", [((2, 2), 1), ((2, 3), 1), ((3, 2), 2), ((2, 4), 3)])
+    def test_coordinate_matrix_stacks_pair_coords(self, dims, rank):
+        st = random_state(np.random.default_rng(sum(dims) + rank), *dims, rank=rank)
+        space = solve_twin_space(st)
+        coords = space.coordinate_matrix()
+        ref = np.column_stack([pair_to_coords(p.a_plus, p.a_minus) for p in space.basis])
+        assert coords.shape == (dims[0] ** 2 + dims[1] ** 2, space.dim_total)
+        np.testing.assert_allclose(coords, ref, rtol=0, atol=1e-14)
+
     def test_scaling_closure(self, example1):
         rng = np.random.default_rng(5)
         space = solve_twin_space(example1)
@@ -271,3 +280,16 @@ class TestStatesAdmittingTwins:
             space = solve_twin_space(st)
             for pair in space.basis:
                 assert states_admitting_twins(pair, st)
+
+    @pytest.mark.parametrize("eps, admitted", [(3e-8, False), (1e-8, True)])
+    def test_column_norm_condition_decides_in_the_thin_band(self, eps, admitted):
+        # uniform product vector on 4x4: every amplitude is 1/4, so for the
+        # pair (eps E_00, 0) the column norm of D v is eps/2 while every
+        # entry of D R is eps/16; at 3e-8 only the column norm exceeds tol
+        st = from_pure(np.full(16, 0.25, dtype=complex), 4, 4)
+        E00 = np.zeros((4, 4), dtype=complex)
+        E00[0, 0] = eps
+        pair = ObservablePair(E00, np.zeros((4, 4)))
+        assert states_admitting_twins(pair, st) is admitted
+        # is_twin_pair reads the max-norm of D rho only, and admits both
+        assert is_twin_pair(st, pair)[0]
