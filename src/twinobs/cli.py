@@ -29,7 +29,12 @@ EXIT_INPUT = 2
 def _tolerances(args) -> Tolerances | None:
     given = {f.name: getattr(args, f.name) for f in fields(Tolerances)
              if getattr(args, f.name, None) is not None}
-    return Tolerances(**given) if given else None
+    if not given:
+        return None
+    try:
+        return Tolerances(**given)
+    except ValueError as exc:
+        raise InputError(f"tolerance flags: {exc}") from exc
 
 
 def _load_state(path, args):

@@ -130,17 +130,6 @@ def apply_local(A, Z, d_plus: int, d_minus: int, side: str) -> np.ndarray:
     raise ValueError(f"side must be '+' or '-', got {side!r}")
 
 
-def apply_local_right(Z, A, d_plus: int, d_minus: int, side: str) -> np.ndarray:
-    """Z (A ⊗ 1) for side='+' or Z (1 ⊗ A) for side='-' on a Z with
-    d_plus*d_minus columns; a C-ordered Z is never transposed."""
-    Z = np.asarray(Z)
-    if side == "+":
-        return (A.T @ Z.reshape(-1, d_plus, d_minus)).reshape(Z.shape)
-    if side == "-":
-        return (Z.reshape(-1, d_minus) @ A).reshape(Z.shape)
-    raise ValueError(f"side must be '+' or '-', got {side!r}")
-
-
 def partial_trace(M, d_plus: int, d_minus: int, side: str) -> np.ndarray:
     """Trace out one tensor factor of an operator on H_plus ⊗ H_minus.
 

@@ -18,7 +18,7 @@ from . import linops
 from .errors import NotPureError, OffDiagonalLeakError, SparsityViolationError
 from .linops import max_norm
 from .spectral import MatchedBases, matched_bases_from_pair
-from .states import BipartiteState, PureDecomposition
+from .states import BipartiteState, PureDecomposition, _compressed_factor
 from .twins import ObservablePair
 
 
@@ -36,16 +36,19 @@ def simplified_matrix(state: BipartiteState, mb: MatchedBases):
     """Compress rho to the matrix M[a,b] = <a,a|rho|b,b> over the matched
     bases of a complete twin pair.
 
-    One product X = B† rho B with B = basis_plus ⊗ basis_minus holds every
-    element <a,c|rho|b,d> at X[a*r + c, b*r + d]; M is its (a,a),(b,b)
-    block and every other element is forbidden.  Raises
-    SparsityViolation when a forbidden element exceeds residual_tol,
-    which signals that the input bases do not come from complete twins
-    of this state.
+    The Gram matrix X = Y Y† of Y = (basis_plus ⊗ basis_minus)† C, with C
+    the factor of rho, holds every element <a,c|rho|b,d> at
+    X[a*r + c, b*r + d]; M is its (a,a),(b,b) block and every other
+    element is forbidden.  Y comes from two local products on C, so no
+    composite basis is formed, and X is the compression of the rank cut
+    C C†: each element is within the dropped tail (at most
+    rank_tol * lambda_max) of the one of rho.  Raises SparsityViolation
+    when a forbidden element exceeds residual_tol, which signals that the
+    input bases do not come from complete twins of this state.
     """
     r = len(mb.sigma_prime)
-    B = linops.kron(mb.basis_plus, mb.basis_minus)
-    X = B.conj().T @ state.rho @ B
+    Y = _compressed_factor(state, mb.basis_plus, mb.basis_minus).reshape(r * r, -1)
+    X = Y @ Y.conj().T
     diag = np.ix_(np.arange(r) * (r + 1), np.arange(r) * (r + 1))
     M = X[diag]
     X[diag] = 0.0

@@ -51,11 +51,16 @@ def vector_to_json(v: np.ndarray) -> list:
 def tolerances_from_json(data) -> Tolerances:
     if data is None:
         return DEFAULT_TOL
+    if not isinstance(data, dict):
+        raise InputError("tolerances: expected a JSON object")
     known = {f.name for f in fields(Tolerances)}
     bad = set(data) - known
     if bad:
         raise InputError(f"tolerances: unknown fields {sorted(bad)}")
-    return Tolerances(**{k: float(v) for k, v in data.items()})
+    try:
+        return Tolerances(**{k: float(v) for k, v in data.items()})
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"tolerances: {exc}") from exc
 
 
 def state_to_document(state: BipartiteState) -> dict:

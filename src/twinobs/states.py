@@ -25,6 +25,12 @@ class BipartiteState:
     per operator; rho is read-only and tol frozen, so the cached arrays
     never go stale, and they are read-only too.  The positivity check is
     a Cholesky factorization, so a valid rho is never diagonalized twice.
+
+    ``factor`` is the rank cut as a D x k matrix C with C C† = V Λ V†
+    over the kept eigenpairs, read off ``spectrum`` without a further
+    decomposition.  ||rho - C C†|| (spectral norm) is the largest dropped
+    eigenvalue, at most rank_tol * lambda_max; the measurement report,
+    ``simplified_matrix`` and ``restrict_to_relevant`` work on C.
     """
 
     d_plus: int
@@ -67,6 +73,13 @@ class BipartiteState:
     def spectrum(self) -> tuple:
         """(eigenvalues ascending, range basis, null basis) of rho at rank_tol."""
         return _read_only(*linops.range_null_bases(self.rho, self.tol.rank_tol))
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """C = V_range diag(sqrt(lambda_kept)), a read-only D x k array."""
+        vals, range_basis, _ = self.spectrum
+        kept = vals[len(vals) - range_basis.shape[1]:]
+        return _read_only(range_basis * np.sqrt(kept))[0]
 
     @cached_property
     def subsystems(self) -> "SubsystemPair":
@@ -238,11 +251,28 @@ class RelevantRestriction:
         return B.conj().T @ X @ B
 
 
+def _compressed_factor(state: BipartiteState, basis_plus: np.ndarray,
+                       basis_minus: np.ndarray) -> np.ndarray:
+    """(B_plus ⊗ B_minus)† C for the factor C of rho, as an
+    (r_plus, r_minus, k) array, by two local products on C reshaped to
+    (d_plus, d_minus, k); row a*r_minus + c of the flattened result is
+    <a,c| C, so B† (C C†) B is its Gram matrix."""
+    C = state.factor
+    k = C.shape[1]
+    rp, rm = basis_plus.shape[1], basis_minus.shape[1]
+    T = (basis_plus.conj().T @ C.reshape(state.d_plus, -1)).reshape(rp, state.d_minus, k)
+    return basis_minus.conj().T @ T
+
+
 def restrict_to_relevant(state: BipartiteState) -> RelevantRestriction:
     """Compress rho to R_plus ⊗ R_minus; lossless because the range of
-    rho lies inside that product subspace."""
+    rho lies inside that product subspace.
+
+    rho_prime = Y Y† with Y = (B_plus ⊗ B_minus)† C from the factor C, so
+    no composite basis is formed: it is the compression of the rank cut
+    C C†, within the dropped tail (at most rank_tol * lambda_max) of
+    B† rho B."""
     sub = state.subsystems
     Bp, Bm = sub.range_plus, sub.range_minus
-    B = linops.kron(Bp, Bm)
-    rho_prime = B.conj().T @ state.rho @ B
-    return RelevantRestriction(rho_prime=rho_prime, basis_plus=Bp, basis_minus=Bm)
+    Y = _compressed_factor(state, Bp, Bm).reshape(Bp.shape[1] * Bm.shape[1], -1)
+    return RelevantRestriction(rho_prime=Y @ Y.conj().T, basis_plus=Bp, basis_minus=Bm)

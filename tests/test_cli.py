@@ -222,6 +222,33 @@ class TestToleranceFields:
             Tolerances(**{name: -1e-12})
 
 
+@pytest.mark.parametrize("flag, name", TOLERANCE_FLAGS)
+def test_negative_tolerance_flag_exit_2(flag, name, capsys):
+    assert main([flag, "-1", "example", "example2_ms0"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and name in err
+
+
+def test_negative_document_tolerance_exit_2(tmp_path, example1, capsys):
+    doc = serialize.state_to_document(example1)
+    doc["tolerances"]["herm_tol"] = -1
+    path = tmp_path / "negative_tol.json"
+    path.write_text(serialize.dump_json(doc))
+    assert main(["solve", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "herm_tol" in err
+
+
+def test_non_object_document_tolerances_exit_2(tmp_path, example1, capsys):
+    doc = serialize.state_to_document(example1)
+    doc["tolerances"] = 5
+    path = tmp_path / "scalar_tol.json"
+    path.write_text(serialize.dump_json(doc))
+    assert main(["solve", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "tolerances" in err
+
+
 def test_no_tolerance_flags_keep_the_document_tolerances():
     assert _tolerances(build_parser().parse_args(["solve"])) is None
     assert {f for _, f in TOLERANCE_FLAGS} == set(serialize.state_to_document(

@@ -283,8 +283,6 @@ class TestLocalProducts:
         cases = [
             (linops.apply_local(Ap, Z, dp, dm, "+"), np.kron(Ap, Im) @ Z),
             (linops.apply_local(Am, Z, dp, dm, "-"), np.kron(Ip, Am) @ Z),
-            (linops.apply_local_right(Z, Ap, dp, dm, "+"), Z @ np.kron(Ap, Im)),
-            (linops.apply_local_right(Z, Am, dp, dm, "-"), Z @ np.kron(Ip, Am)),
             (linops.apply_local(Am, Z[:, :2], dp, dm, "-"), np.kron(Ip, Am) @ Z[:, :2]),
         ]
         for got, expected in cases:

@@ -1,6 +1,10 @@
 """Smoke tests of the scripts under scripts/: each runs as a subprocess
-and exits 0, and the survey prints the rows the theory fixes."""
+and exits 0, and the survey prints the rows the theory fixes.  The
+aggregation of bench_pairs.py is tested on synthetic run records, without
+running the benchmark."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -58,3 +62,62 @@ def test_pure_two_by_three_state(survey):
     """Schmidt rank 2: two detectable twins and one undetectable one on
     the null space of rho_minus."""
     assert survey["2x3"][1] == ("3:2", "2:2", "(0, 1):2")
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_record(p50, ops, failed=0, attempted=100):
+    """A result record as perfbench/run.py prints it last."""
+    return {"correct": failed == 0, "attempted": attempted, "failed": failed,
+            "metrics": {"latency_p50_s": {"value": p50, "unit": "s"},
+                        "throughput_ops_per_s": {"value": ops, "unit": "ops/s"},
+                        "unlisted": {"value": 1.0, "unit": "s"}}}
+
+
+class TestBenchPairsAggregation:
+    BETTER = {"latency_p50_s": "lower", "throughput_ops_per_s": "higher"}
+
+    def pairs(self):
+        # change p50 lower in pairs 0, 1, 3; equal in pair 2 (a tie)
+        parent = [(5.0, 100.0), (6.0, 110.0), (4.0, 90.0), (7.0, 120.0)]
+        change = [(4.0, 101.0), (5.0, 100.0), (4.0, 95.0), (3.0, 130.0)]
+        return [{"seed": 10 + i, "parent": run_record(*p, failed=i == 1, attempted=50),
+                 "change": run_record(*c, attempted=60)}
+                for i, (p, c) in enumerate(zip(parent, change))]
+
+    def test_quartiles_wins_and_counts(self):
+        summary = load_bench_pairs().aggregate(self.pairs(), self.BETTER)
+        assert summary["failed/attempted"] == {"parent": "1/200", "change": "0/240"}
+        p50 = summary["metrics"]["latency_p50_s"]
+        assert p50["parent"] == {"median": 5.5, "q1": 4.75, "q3": 6.25}
+        assert p50["change"] == {"median": 4.0, "q1": 3.75, "q3": 4.25}
+        assert (p50["change_wins"], p50["pairs"], p50["unit"]) == (3, 4, "s")
+        ops = summary["metrics"]["throughput_ops_per_s"]
+        assert ops["change_wins"] == 3  # higher is better: pair 1 is a loss
+        assert ops["parent"]["median"] == 105.0
+
+    def test_metrics_without_direction_are_left_out(self):
+        summary = load_bench_pairs().aggregate(self.pairs(), self.BETTER)
+        assert set(summary["metrics"]) == set(self.BETTER)
+        assert summary["runs"][3] == {"seed": 13,
+                                      "parent": {"latency_p50_s": 7.0,
+                                                 "throughput_ops_per_s": 120.0},
+                                      "change": {"latency_p50_s": 3.0,
+                                                 "throughput_ops_per_s": 130.0}}
+
+    def test_directions_from_the_benchmark_file(self):
+        benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+        better = load_bench_pairs().directions(benchmark)
+        assert better["latency_p50_s"] == "lower"
+        assert better["throughput_ops_per_s"] == "higher"
+        assert better["linops.kron.calls_per_op"] == "lower"
+
+    def test_single_pair(self):
+        summary = load_bench_pairs().aggregate(self.pairs()[:1], self.BETTER)
+        assert summary["metrics"]["latency_p50_s"]["change"] == {"median": 4.0, "q1": 4.0,
+                                                                  "q3": 4.0}

@@ -48,6 +48,10 @@ class TestIsTwinPair:
         with pytest.raises(DimensionMismatchError):
             is_twin_pair(example1, ObservablePair(np.eye(3), np.eye(2)))
 
+    def test_stack_operand_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            ObservablePair(np.zeros((2, 3, 3)), np.eye(3))
+
 
 class TestSolveTwinSpace:
     def test_example1_dimension_and_span(self, example1):
