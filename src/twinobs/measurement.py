@@ -146,15 +146,45 @@ def certainty_test(state: BipartiteState, A):
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    """One detectable result of measuring either member of a twin pair."""
+    """One detectable result of measuring either member of a twin pair.
+
+    The Lüders states are kept as normalised factors Y_s of shape
+    (d_plus, d_minus, k): Y_s = (P ⊗ 1) C / sqrt(prob) on the plus side
+    and (1 ⊗ P) C / sqrt(prob) on the minus side, C the factor of rho.
+    The post and conditional states are accessors that compute a fresh
+    array from them on each read: the post state is Y Y† (D x D) and
+    the conditional state of the other side a partial trace of it."""
 
     value: float
     probability_plus: float
     probability_minus: float
-    post_state_plus: np.ndarray
-    post_state_minus: np.ndarray
-    conditional_minus: np.ndarray  # state of S_- given the plus-side event
-    conditional_plus: np.ndarray   # state of S_+ given the minus-side event
+    factor_plus: np.ndarray
+    factor_minus: np.ndarray
+
+    @staticmethod
+    def _gram(Y: np.ndarray) -> np.ndarray:
+        Y = Y.reshape(-1, Y.shape[-1])
+        return Y @ Y.conj().T
+
+    @property
+    def post_state_plus(self) -> np.ndarray:
+        return self._gram(self.factor_plus)
+
+    @property
+    def post_state_minus(self) -> np.ndarray:
+        return self._gram(self.factor_minus)
+
+    @property
+    def conditional_minus(self) -> np.ndarray:
+        """State of S_- given the plus-side event."""
+        Y = self.factor_plus
+        return np.einsum("ijk,ilk->jl", Y, Y.conj())
+
+    @property
+    def conditional_plus(self) -> np.ndarray:
+        """State of S_+ given the minus-side event."""
+        Y = self.factor_minus
+        return np.einsum("ijk,ljk->il", Y, Y.conj())
 
 
 @dataclass(frozen=True)
@@ -188,26 +218,23 @@ def distant_measurement_report(state: BipartiteState,
     probabilities, collapsed and conditional states are the same.
 
     The outcomes are computed from the factor C of rho (rho = C C† over
-    its rank cut), all values of one side at once: the lifted projectors
-    are stacked as an (n, d_s, d_s) array and X = (P ⊗ 1) C or (1 ⊗ P) C
-    is one batched product, so no D x D product with rho is formed.  Then
-    prob = ||X||_F^2, and with Y = X / sqrt(prob) the Lüders state is
-    Y Y† and the other side's conditional state a partial trace of Y Y†,
-    which equals that of (P ⊗ 1) rho / prob because P acts on the traced
-    factor.  These are the outputs of the rank cut C C†: they differ from
-    those of rho by at most the dropped tail (no more than
-    rank_tol * lambda_max) over prob, and not at all for a rho of exact
-    low rank beyond rounding.  The post states stay eager D x D arrays:
-    they are fields of the outcome and the collapse gap reads every
-    entry; the gap is taken one outcome at a time, so no stacked
-    difference is held.  The expectations are read off the reduced
+    its rank cut, ``BipartiteState.factor``), all values of one side at
+    once: the lifted projectors are stacked as an (n, d_s, d_s) array and
+    X = (P ⊗ 1) C or (1 ⊗ P) C is one batched product, so no D x D
+    product with rho is formed.  Then prob = ||X||_F^2, and each outcome
+    keeps Y = X / sqrt(prob); its Lüders state Y Y† and the other side's
+    conditional state, a partial trace of Y Y† that equals that of
+    (P ⊗ 1) rho / prob because P acts on the traced factor, are computed
+    only when read.  These are the outputs of the rank cut C C†: they
+    differ from those of rho by at most ``state.cut_error`` (no more
+    than rank_tol * lambda_max) over prob, and only by rounding for a
+    rho of exact low rank.  The expectations are read off the reduced
     states.
 
-    The Gram product Y Y† costs about D^2 k per outcome, against
-    2 d_s D^2 for the local products (P ⊗ 1) rho (P ⊗ 1) it replaces, so
-    this form is the cheaper one for rank k up to about 2 d_s and the
-    dearer one above; twin states of higher rank exist (a block state on
-    (R1 ⊗ S1) ⊕ (R2 ⊗ S2) reaches k = D/2)."""
+    The collapse gap is the max-norm of Y+ Y+† - Y- Y-†, formed one
+    outcome at a time as [Y+ Y-] [Y+ -Y-]† into one reused D x D buffer,
+    about 2 D^2 k per outcome for rank k of rho.  No D x D array is kept
+    per outcome."""
     ok, residual = is_twin_pair(state, pair)
     if not ok:
         raise ValueError(f"not a twin pair for this state (residual {residual:.3e})")
@@ -227,24 +254,14 @@ def distant_measurement_report(state: BipartiteState,
     prob_plus, prob_minus = prob_plus[keep], prob_minus[keep]
     Y_plus = X_plus[keep] / np.sqrt(prob_plus)[:, None, None, None]
     Y_minus = X_minus[keep] / np.sqrt(prob_minus)[:, None, None, None]
-
-    def gram(Y):
-        Y = Y.reshape(len(Y), dp * dm, k)
-        return Y @ Y.conj().transpose(0, 2, 1)
-
-    post_plus, post_minus = gram(Y_plus), gram(Y_minus)
-    cond_minus = np.einsum("nijk,nilk->njl", Y_plus, Y_plus.conj())
-    cond_plus = np.einsum("nijk,nljk->nil", Y_minus, Y_minus.conj())
     values = ((sp.values + sm.values) / 2)[keep]
     outcomes = tuple(
         MeasurementOutcome(
             value=float(values[i]),
             probability_plus=float(prob_plus[i]),
             probability_minus=float(prob_minus[i]),
-            post_state_plus=post_plus[i],
-            post_state_minus=post_minus[i],
-            conditional_minus=cond_minus[i],
-            conditional_plus=cond_plus[i],
+            factor_plus=Y_plus[i],
+            factor_minus=Y_minus[i],
         )
         for i in range(len(values))
     )
@@ -254,7 +271,23 @@ def distant_measurement_report(state: BipartiteState,
         expectation_plus=float(np.real(np.trace(pair.a_plus @ sub.rho_plus))),
         expectation_minus=float(np.real(np.trace(pair.a_minus @ sub.rho_minus))),
         max_probability_gap=float(np.max(np.abs(prob_plus - prob_minus), initial=0.0)),
-        max_collapse_gap=max((max_norm(p - m) for p, m in zip(post_plus, post_minus)),
-                             default=0.0),
+        max_collapse_gap=_max_collapse_gap(Y_plus.reshape(len(values), -1, k),
+                                           Y_minus.reshape(len(values), -1, k)),
         tolerance=1e-9,
     )
+
+
+def _max_collapse_gap(Y_plus: np.ndarray, Y_minus: np.ndarray) -> float:
+    """max_i ||Y+_i Y+_i† - Y-_i Y-_i†||_max over stacked (n, D, k) factors,
+    each difference formed as [Y+ Y-] [Y+ -Y-]† into one D x D buffer."""
+    if not len(Y_plus):
+        return 0.0
+    left = np.concatenate([Y_plus, Y_minus], axis=2)
+    right = np.concatenate([Y_plus, -Y_minus], axis=2).conj().transpose(0, 2, 1)
+    D = Y_plus.shape[1]
+    buf = np.empty((D, D), dtype=left.dtype)
+    gap = 0.0
+    for a, b in zip(left, right):
+        np.matmul(a, b, out=buf)
+        gap = max(gap, max_norm(buf))
+    return gap

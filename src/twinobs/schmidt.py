@@ -63,9 +63,9 @@ def simplified_matrix(state: BipartiteState, mb: MatchedBases):
 
 def _pure_vector(state: BipartiteState) -> np.ndarray:
     """The state vector of a rho whose cached rank cut keeps one eigenvector."""
-    vals, range_basis, _ = state.spectrum
+    range_basis = state.range_basis()
     if range_basis.shape[1] != 1:
-        raise NotPureError(f"state is not pure: top eigenvalues {vals[-2:]}")
+        raise NotPureError(f"state is not pure: top eigenvalues {state.spectrum[0][-2:]}")
     return range_basis[:, 0]
 
 

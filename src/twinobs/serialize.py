@@ -32,6 +32,9 @@ def _complex_from_json(data, locus: str, ndim: int, layout: str) -> np.ndarray:
         raise InputError(f"{locus}: not a numeric array: {exc}") from exc
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         raise InputError(f"{locus}: expected {layout} of [re, im] pairs, got shape {arr.shape}")
+    # json accepts the literals NaN, Infinity and -Infinity
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{locus}: non-finite entry (NaN or Infinity)")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -49,12 +49,19 @@ def spectral_data(H, cluster_tol: float = linops.DEFAULT_TOL.cluster_tol) -> Spe
     """Eigendecompose H and group eigenvalues that lie within cluster_tol
     of each other into one characteristic value (cluster mean)."""
     vals, vecs = linops.eigh(H)
-    cuts = [0, *(np.flatnonzero(np.diff(vals) > cluster_tol) + 1), len(vals)]
-    blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(vals) > cluster_tol) + 1])
+    mult = np.diff(starts, append=len(vals))
+    # cluster c as columns starts[c] .. starts[c] + m_max - 1 of vecs, the
+    # ones past its own multiplicity zeroed, so every projector V_c V_c† is
+    # one member of a batched product
+    cols = starts[:, None] + np.arange(mult.max())
+    inside = cols < (starts + mult)[:, None]
+    W = vecs[:, np.where(inside, cols, 0)] * inside
+    W = W.transpose(1, 0, 2)
     return SpectralData(
-        values=np.array([float(np.mean(vals[b])) for b in blocks]),
-        multiplicities=np.array([b.stop - b.start for b in blocks], dtype=int),
-        projectors=tuple(vecs[:, b] @ vecs[:, b].conj().T for b in blocks),
+        values=np.add.reduceat(vals, starts) / mult,
+        multiplicities=mult,
+        projectors=tuple(W @ W.conj().transpose(0, 2, 1)),
         vectors=vecs,
     )
 
@@ -101,8 +108,8 @@ class DetectableSplit:
 
     def detectable_lifted(self) -> ObservablePair:
         """The pair A'_s ⊕ 0''_s on the full subsystem spaces."""
-        return ObservablePair(_lift(self.range_basis_plus, self.a_prime_plus),
-                              _lift(self.range_basis_minus, self.a_prime_minus))
+        return ObservablePair._trusted(_lift(self.range_basis_plus, self.a_prime_plus),
+                                       _lift(self.range_basis_minus, self.a_prime_minus))
 
     def undetectable_lifted(self) -> ObservablePair:
         """The pair 0'_s ⊕ A''_s on the full subsystem spaces."""
@@ -299,8 +306,8 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState,
     stacked_minus = np.array([p.a_minus for p in twin_space.basis])
     for _ in range(attempts):
         c = rng.standard_normal(len(twin_space.basis))
-        pair = ObservablePair(np.tensordot(c, stacked_plus, 1),
-                              np.tensordot(c, stacked_minus, 1))
+        pair = ObservablePair._trusted(np.tensordot(c, stacked_plus, 1),
+                                       np.tensordot(c, stacked_minus, 1))
         split = split_detectable(pair, state)
         vals_p = np.linalg.eigvalsh(split.a_prime_plus)
         vals_m = np.linalg.eigvalsh(split.a_prime_minus)

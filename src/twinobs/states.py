@@ -18,19 +18,34 @@ class BipartiteState:
 
     rho is symmetrized on ingestion; the trace must be 1 within 1e-6
     (it is renormalized to exactly 1) and the spectrum nonnegative
-    within rank_tol.
+    within rank_tol.  The positivity check is a Cholesky factorization,
+    so construction runs no eigendecomposition.
 
-    ``spectrum`` (the rank cut of rho) and ``subsystems`` (the reductions
-    and their rank cuts) are computed once, on first use, with one eigh
-    per operator; rho is read-only and tol frozen, so the cached arrays
-    never go stale, and they are read-only too.  The positivity check is
-    a Cholesky factorization, so a valid rho is never diagonalized twice.
+    The rank cut of rho (eigenvalues above rank_tol * lambda_max) and
+    ``subsystems`` (the reductions and their rank cuts) are computed
+    once, on first use; rho is read-only and tol frozen, so the cached
+    arrays never go stale, and they are read-only too.  The cut is taken
+    on one of two paths, chosen from rho itself:
 
-    ``factor`` is the rank cut as a D x k matrix C with C C† = V Λ V†
-    over the kept eigenpairs, read off ``spectrum`` without a further
-    decomposition.  ||rho - C C†|| (spectral norm) is the largest dropped
-    eigenvalue, at most rank_tol * lambda_max; the measurement report,
-    ``simplified_matrix`` and ``restrict_to_relevant`` work on C.
+    - factor path: pivoted Cholesky of rho and Rayleigh-Ritz on the
+      pivot columns (``linops.low_rank_cut``), O(D^2 k) for rank k.  It
+      is taken when tr(rho)^2 / ||rho||_F^2, a lower bound on the rank,
+      is at most D // 8, at most D // 8 pivots reach the cut, and the
+      certificate holds: with e = ||rho - C C†||_F, every kept Ritz
+      value and zero lie farther than e (plus rounding) from the cut,
+      so the cut keeps as many eigenvalues as that of a full eigh.
+    - eigh path: one D x D ``linops.eigh`` of rho, for every other rho.
+
+    ``factor`` is the cut as a D x k matrix C = V diag(sqrt(lambda_kept))
+    over the kept eigen- or Ritz pairs, and ``cut_error`` bounds
+    ||rho - C C†|| in spectral norm: the largest dropped eigenvalue on
+    the eigh path, e on the factor path, at most rank_tol * lambda_max
+    on both.  The measurement report, ``simplified_matrix``,
+    ``restrict_to_relevant`` and the twin solve work on C and its range
+    basis.  ``spectrum`` holds the eigenvalues the cut computed: all D
+    on the eigh path, only the k kept Ritz values on the factor path,
+    where its null basis is an orthonormal complement formed when
+    ``spectrum`` is first read.
     """
 
     d_plus: int
@@ -70,14 +85,34 @@ class BipartiteState:
         return self.d_plus * self.d_minus
 
     @cached_property
+    def _cut(self) -> tuple:
+        """(eigenvalues, range basis, null basis or None on the factor
+        path, cut_error) of the rank cut of rho, all arrays read-only."""
+        cut = linops.low_rank_cut(self.rho, self.tol.rank_tol, self.dim // 8)
+        if cut is None:
+            vals, V, N = linops.range_null_bases(self.rho, self.tol.rank_tol)
+            return (*_read_only(vals, V, N), np.max(np.abs(vals[:N.shape[1]]), initial=0.0))
+        vals, V, err = cut
+        return (*_read_only(vals, V), None, err)
+
+    @cached_property
     def spectrum(self) -> tuple:
         """(eigenvalues ascending, range basis, null basis) of rho at rank_tol."""
-        return _read_only(*linops.range_null_bases(self.rho, self.tol.rank_tol))
+        vals, V, N, _ = self._cut
+        if N is None:
+            N = np.linalg.qr(V, mode="complete")[0][:, V.shape[1]:]
+            _read_only(N)
+        return vals, V, N
+
+    @property
+    def cut_error(self) -> float:
+        """Bound on ||rho - C C†||_2 for the cached factor C."""
+        return self._cut[3]
 
     @cached_property
     def factor(self) -> np.ndarray:
         """C = V_range diag(sqrt(lambda_kept)), a read-only D x k array."""
-        vals, range_basis, _ = self.spectrum
+        vals, range_basis, _, _ = self._cut
         kept = vals[len(vals) - range_basis.shape[1]:]
         return _read_only(range_basis * np.sqrt(kept))[0]
 
@@ -100,12 +135,12 @@ class BipartiteState:
         """Range/null projectors R = B B^dagger, N = 1 - R of rho and of
         both reductions, from the cached range bases B."""
         sub = self.subsystems
-        R, Rp, Rm = (B @ B.conj().T for B in (self.spectrum[1], sub.range_plus, sub.range_minus))
+        R, Rp, Rm = (B @ B.conj().T for B in (self.range_basis(), sub.range_plus, sub.range_minus))
         N, Np, Nm = (np.eye(len(P), dtype=complex) - P for P in (R, Rp, Rm))
         return SubspaceProjectors(R=R, N=N, R_plus=Rp, N_plus=Np, R_minus=Rm, N_minus=Nm)
 
     def range_basis(self) -> np.ndarray:
-        return self.spectrum[1]
+        return self._cut[1]
 
 
 def _read_only(*arrays) -> tuple:
@@ -150,8 +185,8 @@ class PureDecomposition:
         w = np.asarray(self.weights, dtype=float)
         if len(self.weights) != len(self.vectors) or len(self.vectors) == 0:
             raise WeightError("weights and vectors must be nonempty and equal length")
-        if np.any(w <= 0):
-            raise WeightError("weights must be positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise WeightError("weights must be positive and finite")
         if abs(w.sum() - 1.0) > 1e-10:
             raise WeightError(f"weights sum to {w.sum()}, not 1")
         vecs = [np.asarray(v, dtype=complex).ravel() for v in self.vectors]

@@ -29,6 +29,16 @@ class ObservablePair:
         object.__setattr__(self, "a_plus", linops.hermitize(self.a_plus))
         object.__setattr__(self, "a_minus", linops.hermitize(self.a_minus))
 
+    @classmethod
+    def _trusted(cls, a_plus: np.ndarray, a_minus: np.ndarray) -> "ObservablePair":
+        """A pair of finite square complex arrays that are Hermitian by
+        construction (real combinations or compressions of Hermitian
+        operators): symmetrized against rounding, not validated."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "a_plus", (a_plus + a_plus.conj().T) / 2)
+        object.__setattr__(pair, "a_minus", (a_minus + a_minus.conj().T) / 2)
+        return pair
+
     @property
     def d_plus(self) -> int:
         return self.a_plus.shape[0]
@@ -164,15 +174,14 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     multiplicities.
 
     Twins of the kept range commute exactly with the reductions of the
-    kept part C Lambda C^dagger of rho.  Those differ from rho_s by
-    rounding and by the partial trace of the eigenvalues cut away, at
-    most d_other times the largest of them; _grouping_gap keeps the
+    rank cut C C^dagger of rho.  Those differ from rho_s by rounding and
+    by the partial trace of rho - C C^dagger, at most d_other times its
+    spectral norm, which ``state.cut_error`` bounds; _grouping_gap keeps the
     eigenspaces coarse enough for that difference to stay far below the
     kernel cut.  cluster_tol is not used: it knows nothing of that cut.
     """
     sub = state.subsystems
-    vals, _, null = state.spectrum
-    tail = np.max(np.abs(vals[:null.shape[1]]), initial=0.0)
+    tail = state.cut_error
     eps = np.finfo(float).eps
 
     def commutant(values, null_s, range_s, d_other):
@@ -187,7 +196,7 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     n_plus = len(basis_plus)
     a_plus = np.einsum("gk,gij->kij", K[:n_plus], basis_plus)
     a_minus = np.einsum("gk,gij->kij", K[n_plus:], basis_minus)
-    pairs = tuple(ObservablePair(ap, am) for ap, am in zip(a_plus, a_minus))
+    pairs = tuple(ObservablePair._trusted(ap, am) for ap, am in zip(a_plus, a_minus))
 
     return TwinSpace(
         basis=pairs,
@@ -300,7 +309,7 @@ def states_admitting_twins(pair: ObservablePair, candidate_state: BipartiteState
     which is equivalent to the twin property (C4): for Z = (A_plus ⊗ 1 -
     1 ⊗ A_minus) V, V the cached range basis of rho, the max-norm of Z V^dagger
     and every column norm of Z must be within residual_tol."""
-    V = candidate_state.spectrum[1]
+    V = candidate_state.range_basis()
     dims = candidate_state.d_plus, candidate_state.d_minus
     Z = (linops.apply_local(pair.a_plus, V, *dims, "+")
          - linops.apply_local(pair.a_minus, V, *dims, "-"))

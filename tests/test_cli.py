@@ -264,3 +264,39 @@ def test_import_does_not_load_scipy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+NON_FINITE = ["NaN", "Infinity", "-Infinity"]
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_non_finite_state_entry_exit_2(tmp_path, example1, literal, capsys):
+    text = serialize.dump_json(serialize.state_to_document(example1))
+    doc = json.loads(text)
+    doc["rho"][1][2][0] = 0.125  # a unique marker to replace by the literal
+    path = tmp_path / "non_finite_state.json"
+    path.write_text(serialize.dump_json(doc).replace("0.125", literal, 1))
+    assert main(["solve", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "rho" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_non_finite_pair_entry_exit_2(tmp_path, state_file, literal, capsys):
+    path = tmp_path / "non_finite_pair.json"
+    doc = serialize.pair_to_document(ObservablePair(np.diag([0.5, 0.25]), np.eye(2)))
+    path.write_text(serialize.dump_json(doc).replace("0.25", literal, 1))
+    assert main(["verify", state_file, str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "a_plus" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("entry, locus", [("0.6", "vectors[0]"), ("1.0", "weights")])
+def test_non_finite_decomposition_entry_exit_2(tmp_path, state_file, entry, locus, capsys):
+    dec = PureDecomposition(weights=(1.0,), vectors=(np.array([0.6, 0, 0, 0.8]),))
+    path = tmp_path / "non_finite_dec.json"
+    path.write_text(serialize.dump_json(serialize.decomposition_to_document(dec))
+                    .replace(entry, "NaN", 1))
+    assert main(["schmidt", state_file, "--decomposition", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and locus in err

@@ -474,22 +474,69 @@ class TestStatesAdmittingKernel:
                 ref_states_admitting_twins(pair, state)
 
 
+def record_eigh_shapes(monkeypatch):
+    """Shapes of the operators passed to linops.eigh and np.linalg.eigh."""
+    shapes = []
+    for module in (linops, np.linalg):
+        eigh = module.eigh
+        monkeypatch.setattr(module, "eigh", lambda H, *args, _eigh=eigh, **kwargs:
+                            shapes.append(np.shape(H)) or _eigh(H, *args, **kwargs))
+    return shapes
+
+
+def on_factor_path(state) -> bool:
+    """The rank cut of rho came from its pivoted Cholesky factor: the
+    spectrum then holds only the kept Ritz values."""
+    return len(state.spectrum[0]) < state.dim
+
+
+def factor_path_bound(state) -> float:
+    """Distance (spectral norm) the factor-path range projector may have
+    from the one of a fresh eigh of rho, by Davis-Kahan: twice the
+    residual bound cut_error plus D * eps * lambda_max of rounding in
+    either decomposition, over the smallest kept eigenvalue."""
+    vals = state.spectrum[0]
+    kept = vals[len(vals) - state.range_basis().shape[1]:]
+    return 2 * (state.cut_error + state.dim * np.finfo(float).eps * kept[-1]) / kept[0]
+
+
 class TestStateGeometryFromCache:
+    # kernel_states 0 and 2 (pure, D = 9 and 12) take the factor path,
+    # the others (D // 8 below their rank) one eigh of rho
     @pytest.mark.parametrize("index", range(6))
-    def test_projectors_bitwise_equal_to_fresh_cuts(self, index):
+    def test_projectors_bitwise_equal_to_fresh_cuts(self, index, monkeypatch):
         _, state = kernel_states()[index]
+        shapes = record_eigh_shapes(monkeypatch)
         p = state.projectors()
+        monkeypatch.undo()
         sub = state.subsystems
         tol = state.tol.rank_tol
-        for (R, N), H in (((p.R, p.N), state.rho), ((p.R_plus, p.N_plus), sub.rho_plus),
+        ref_R, ref_N = linops.range_null_projectors(state.rho, tol)
+        assert on_factor_path(state) is (index in (0, 2))
+        if on_factor_path(state):
+            assert (state.dim, state.dim) not in shapes
+            assert np.linalg.norm(p.R - ref_R, 2) <= factor_path_bound(state)
+            assert np.linalg.norm(p.N - ref_N, 2) <= factor_path_bound(state)
+        else:
+            assert np.array_equal(p.R, ref_R) and np.array_equal(p.N, ref_N)
+        for (R, N), H in (((p.R_plus, p.N_plus), sub.rho_plus),
                           ((p.R_minus, p.N_minus), sub.rho_minus)):
             ref_R, ref_N = linops.range_null_projectors(H, tol)
             assert np.array_equal(R, ref_R) and np.array_equal(N, ref_N)
 
-    @pytest.mark.parametrize("index", [0, 1, 2])
-    def test_pure_vector_is_the_top_eigenvector(self, index):
+    @pytest.mark.parametrize("index, factor_path", [(0, True), (1, False), (2, True)])
+    def test_pure_vector_is_the_top_eigenvector(self, index, factor_path, monkeypatch):
         _, state = kernel_states()[index]
-        assert np.array_equal(_pure_vector(state), linops.eigh(state.rho)[1][:, -1])
+        shapes = record_eigh_shapes(monkeypatch)
+        phi = _pure_vector(state)
+        monkeypatch.undo()
+        ref = linops.eigh(state.rho)[1][:, -1]
+        assert on_factor_path(state) is factor_path
+        if factor_path:
+            assert (state.dim, state.dim) not in shapes
+            assert np.max(np.abs(phi - ref)) <= factor_path_bound(state)
+        else:
+            assert np.array_equal(phi, ref)
 
     @pytest.mark.parametrize("weight, pure", [(1e-12, True), (1e-9, False), (1e-6, False)])
     def test_purity_is_the_rank_cut(self, weight, pure):
@@ -505,11 +552,15 @@ class TestStateGeometryFromCache:
 
 
 class TestGeometryCache:
-    @pytest.mark.parametrize("kind, expected", [("pure", 9), ("block2", 7)])
-    def test_eigh_calls_through_the_pipeline(self, kind, expected, monkeypatch):
-        # one eigh each of rho, rho_plus and rho_minus, and one of each
-        # detectable block for the complete-twin bases, the measurement
-        # report and (pure inputs) the Schmidt form
+    @pytest.mark.parametrize("kind, dims, expected", [
+        ("pure", (4, 5), 8), ("block2", (4, 4), 6),   # factor path
+        ("pure", (2, 3), 9), ("block2", (2, 3), 7),   # eigh path
+    ])
+    def test_eigh_calls_through_the_pipeline(self, kind, dims, expected, monkeypatch):
+        # one eigh each of rho_plus and rho_minus, one of rho on the eigh
+        # path only, and one of each detectable block for the
+        # complete-twin bases, the measurement report and (pure inputs)
+        # the Schmidt form
         calls = []
         eigh = linops.eigh
 
@@ -519,8 +570,8 @@ class TestGeometryCache:
 
         monkeypatch.setattr(linops, "eigh", counting_eigh)
         rng = np.random.default_rng(11)
-        state = (pure_schmidt_state(rng, 4, 5) if kind == "pure"
-                 else diagonal_support_state(rng, 4, 4, 4, 2))
+        state = (pure_schmidt_state(rng, *dims) if kind == "pure"
+                 else diagonal_support_state(rng, *dims, min(dims), 2))
         assert calls == []
         pair, mb = find_complete_twins(solve_twin_space(state), state)
         simplified_matrix(state, mb)
@@ -528,6 +579,7 @@ class TestGeometryCache:
         if kind == "pure":
             pure_schmidt(state, pair)
         assert len(calls) == expected
+        assert ((state.dim, state.dim) in calls) is (state.dim // 8 == 0)
 
     def test_warm_cache_needs_no_decomposition(self, monkeypatch):
         state = pure_schmidt_state(np.random.default_rng(12), 3, 4)
