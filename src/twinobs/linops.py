@@ -26,7 +26,8 @@ class Tolerances:
     """Numerical policy knobs.
 
     rank_tol is relative to the largest eigenvalue when deciding
-    range/null splits; the remaining tolerances are absolute.
+    range/null splits; the remaining tolerances are absolute.  Each must
+    be finite and nonnegative.
     """
 
     rank_tol: float = 1e-10
@@ -36,8 +37,9 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be nonnegative")
+            value = getattr(self, f.name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and nonnegative, got {value}")
 
 
 DEFAULT_TOL = Tolerances()

@@ -21,7 +21,7 @@ from .twins import ObservablePair
 
 def matrix_to_json(M: np.ndarray) -> list:
     M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def _complex_from_json(data, locus: str, ndim: int, layout: str) -> np.ndarray:
@@ -47,8 +47,7 @@ def vector_from_json(data, locus: str = "vector") -> np.ndarray:
 
 
 def vector_to_json(v: np.ndarray) -> list:
-    v = np.asarray(v, dtype=complex).ravel()
-    return [[float(z.real), float(z.imag)] for z in v]
+    return matrix_to_json(np.ravel(v))
 
 
 def tolerances_from_json(data) -> Tolerances:

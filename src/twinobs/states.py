@@ -17,15 +17,13 @@ class BipartiteState:
     """A density matrix rho on H_plus ⊗ H_minus.
 
     rho is symmetrized on ingestion; the trace must be 1 within 1e-6
-    (it is renormalized to exactly 1) and the spectrum nonnegative
-    within rank_tol.  The positivity check is a Cholesky factorization,
-    so construction runs no eigendecomposition.
-
-    The rank cut of rho (eigenvalues above rank_tol * lambda_max) and
-    ``subsystems`` (the reductions and their rank cuts) are computed
-    once, on first use; rho is read-only and tol frozen, so the cached
-    arrays never go stale, and they are read-only too.  The cut is taken
-    on one of two paths, chosen from rho itself:
+    (it is renormalized to exactly 1).  Construction takes the rank cut
+    of rho (eigenvalues above rank_tol * lambda_max), the one pass over
+    rho, and reads positivity off it; ``subsystems`` (the reductions and
+    their rank cuts) is computed once, on first use.  rho is read-only
+    and tol frozen, so the cached arrays never go stale, and they are
+    read-only too.  The cut is taken on one of two paths, chosen from
+    rho itself:
 
     - factor path: pivoted Cholesky of rho and Rayleigh-Ritz on the
       pivot columns (``linops.low_rank_cut``), O(D^2 k) for rank k.  It
@@ -33,8 +31,12 @@ class BipartiteState:
       is at most D // 8, at most D // 8 pivots reach the cut, and the
       certificate holds: with e = ||rho - C C†||_F, every kept Ritz
       value and zero lie farther than e (plus rounding) from the cut,
-      so the cut keeps as many eigenvalues as that of a full eigh.
-    - eigh path: one D x D ``linops.eigh`` of rho, for every other rho.
+      so the cut keeps as many eigenvalues as that of a full eigh.  Every
+      eigenvalue of rho then lies within e < rank_tol * lambda_max of a
+      kept Ritz value or of zero, so rho is positive within rank_tol.
+    - eigh path: one D x D ``linops.eigh`` of rho, for every other rho;
+      it raises NotPositiveError when
+      lambda_min < -rank_tol * max(lambda_max, 1).
 
     ``factor`` is the cut as a D x k matrix C = V diag(sqrt(lambda_kept))
     over the kept eigen- or Ritz pairs, and ``cut_error`` bounds
@@ -67,33 +69,23 @@ class BipartiteState:
         # is left untouched so re-ingesting a state is bitwise stable
         if abs(tr - 1.0) > 1e-13:
             rho = rho / tr
-        # A Cholesky factor of rho + rank_tol * 1 shows lambda_min >= -rank_tol
-        # up to rounding, which passes the test below, so rho is
-        # eigendecomposed once, for the cached spectrum; the eigenvalues
-        # are computed here only when the factorization fails.
-        try:
-            np.linalg.cholesky(rho + self.tol.rank_tol * np.eye(dim))
-        except np.linalg.LinAlgError:
-            vals = np.linalg.eigvalsh(rho)
+        # (eigenvalues, range basis, null basis or None on the factor
+        # path, cut_error) of the rank cut of rho, all arrays read-only
+        cut = linops.low_rank_cut(rho, self.tol.rank_tol, dim // 8)
+        if cut is None:
+            vals, V, N = linops.range_null_bases(rho, self.tol.rank_tol)
             if vals[0] < -self.tol.rank_tol * max(vals[-1], 1.0):
-                raise NotPositiveError(f"rho has negative eigenvalue {vals[0]:.3e}") from None
+                raise NotPositiveError(f"rho has negative eigenvalue {vals[0]:.3e}")
+            cut = (*_read_only(vals, V, N), np.max(np.abs(vals[:N.shape[1]]), initial=0.0))
+        else:
+            cut = (*_read_only(*cut[:2]), None, cut[2])
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "_cut", cut)
 
     @property
     def dim(self) -> int:
         return self.d_plus * self.d_minus
-
-    @cached_property
-    def _cut(self) -> tuple:
-        """(eigenvalues, range basis, null basis or None on the factor
-        path, cut_error) of the rank cut of rho, all arrays read-only."""
-        cut = linops.low_rank_cut(self.rho, self.tol.rank_tol, self.dim // 8)
-        if cut is None:
-            vals, V, N = linops.range_null_bases(self.rho, self.tol.rank_tol)
-            return (*_read_only(vals, V, N), np.max(np.abs(vals[:N.shape[1]]), initial=0.0))
-        vals, V, err = cut
-        return (*_read_only(vals, V), None, err)
 
     @cached_property
     def spectrum(self) -> tuple:

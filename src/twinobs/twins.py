@@ -15,7 +15,7 @@ import numpy as np
 from . import linops
 from .errors import DimensionMismatchError
 from .linops import max_norm
-from .states import BipartiteState, from_pure
+from .states import BipartiteState
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,13 @@ def is_twin_pair(state: BipartiteState, pair: ObservablePair):
     residual = max_norm(linops.apply_local(pair.a_plus, state.rho, *dims, "+")
                         - linops.apply_local(pair.a_minus, state.rho, *dims, "-"))
     return residual <= state.tol.residual_tol, residual
+
+
+def _twin_image(pair: ObservablePair, state: BipartiteState, V: np.ndarray) -> np.ndarray:
+    """(A_plus ⊗ 1 - 1 ⊗ A_minus) V for columns V on the space of state."""
+    dims = state.d_plus, state.d_minus
+    return (linops.apply_local(pair.a_plus, V, *dims, "+")
+            - linops.apply_local(pair.a_minus, V, *dims, "-"))
 
 
 def _constraint_matrix(state: BipartiteState, columns: np.ndarray,
@@ -283,18 +290,18 @@ class ConsequenceReport:
 def twins_restrict_to_range_vectors(
     state: BipartiteState, twin_space: TwinSpace, seed: int = 0
 ) -> ConsequenceReport:
-    eigvecs = list(state.range_basis().T)
+    """C1: the largest twin residual of a pair on a pure state |v><v|, v a
+    range vector: the max-norm of z v† is max|z| * max|v| for z = (A_plus
+    ⊗ 1 - 1 ⊗ A_minus) v.  C3: the twin space of fresh weights on V."""
+    V = state.range_basis()
+    v_max = np.max(np.abs(V), axis=0)
+    c1 = max((float(np.max(np.max(np.abs(_twin_image(pair, state, V)), axis=0) * v_max))
+              for pair in twin_space.basis), default=0.0)
 
-    pures = [from_pure(v, state.d_plus, state.d_minus, state.tol) for v in eigvecs]
-    c1 = max((is_twin_pair(pure, pair)[1] for pure in pures for pair in twin_space.basis),
-             default=0.0)
-
-    # Second state on the same range: fresh random positive weights.
     rng = np.random.default_rng(seed)
-    w = rng.uniform(0.2, 1.0, size=len(eigvecs))
+    w = rng.uniform(0.2, 1.0, size=V.shape[1])
     w /= w.sum()
-    rho2 = sum(wi * np.outer(v, v.conj()) for wi, v in zip(w, eigvecs))
-    state2 = BipartiteState(state.d_plus, state.d_minus, rho2, state.tol)
+    state2 = BipartiteState(state.d_plus, state.d_minus, (V * w) @ V.conj().T, state.tol)
     space2 = solve_twin_space(state2)
     c3 = subspace_distance(twin_space.coordinate_matrix(), space2.coordinate_matrix())
     return ConsequenceReport(
@@ -310,9 +317,7 @@ def states_admitting_twins(pair: ObservablePair, candidate_state: BipartiteState
     1 ⊗ A_minus) V, V the cached range basis of rho, the max-norm of Z V^dagger
     and every column norm of Z must be within residual_tol."""
     V = candidate_state.range_basis()
-    dims = candidate_state.d_plus, candidate_state.d_minus
-    Z = (linops.apply_local(pair.a_plus, V, *dims, "+")
-         - linops.apply_local(pair.a_minus, V, *dims, "-"))
+    Z = _twin_image(pair, candidate_state, V)
     tol = candidate_state.tol.residual_tol
     return bool(max_norm(Z @ V.conj().T) <= tol
                 and np.all(np.linalg.norm(Z, axis=0) <= tol))

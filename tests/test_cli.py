@@ -80,6 +80,18 @@ class TestSerializeRoundTrip:
         with pytest.raises(InputError):
             serialize.tolerances_from_json({"bogus": 1e-8})
 
+    def test_json_bytes_equal_to_the_per_entry_loops(self):
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                   1e-300, -1e-300, 0.1, 1 / 3]
+        rng = np.random.default_rng(8)
+        M = np.array(special * 2).reshape(2, 11) + 1j * np.array(special[::-1] * 2).reshape(2, 11)
+        M = np.vstack([M, rng.standard_normal((3, 11)) + 1j * rng.standard_normal((3, 11))])
+        loop_matrix = [[[float(z.real), float(z.imag)] for z in row] for row in M]
+        loop_vector = [[float(z.real), float(z.imag)] for z in M.ravel()]
+        for got, ref in ((serialize.matrix_to_json(M), loop_matrix),
+                         (serialize.vector_to_json(M), loop_vector)):
+            assert serialize.dump_json(got) == serialize.dump_json(ref)
+
 
 @pytest.fixture()
 def state_file(tmp_path, example1):
@@ -217,21 +229,24 @@ class TestToleranceFields:
         assert serialize.tolerances_from_json({name: 3e-5}) == Tolerances(**{name: 3e-5})
         assert Tolerances(**{name: 3e-5}) != Tolerances()
 
-    def test_negative_value_raises(self, flag, name):
+    @pytest.mark.parametrize("value", [-1e-12, float("nan"), float("inf")])
+    def test_negative_value_raises(self, flag, name, value):
         with pytest.raises(ValueError, match=name):
-            Tolerances(**{name: -1e-12})
+            Tolerances(**{name: value})
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("flag, name", TOLERANCE_FLAGS)
-def test_negative_tolerance_flag_exit_2(flag, name, capsys):
-    assert main([flag, "-1", "example", "example2_ms0"]) == EXIT_INPUT
+def test_negative_tolerance_flag_exit_2(flag, name, value, capsys):
+    assert main([flag, value, "example", "example2_ms0"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error:") and name in err
 
 
-def test_negative_document_tolerance_exit_2(tmp_path, example1, capsys):
+@pytest.mark.parametrize("value", [-1, float("nan"), float("inf")])
+def test_negative_document_tolerance_exit_2(tmp_path, example1, value, capsys):
     doc = serialize.state_to_document(example1)
-    doc["tolerances"]["herm_tol"] = -1
+    doc["tolerances"]["herm_tol"] = value
     path = tmp_path / "negative_tol.json"
     path.write_text(serialize.dump_json(doc))
     assert main(["solve", str(path)]) == EXIT_INPUT

@@ -151,6 +151,25 @@ def test_noisy_singular_states(kind, eta):
         assert ran == {"dims", "well kept"}
 
 
+@pytest.mark.parametrize("f", [0.2, 0.6, 1.6, 4.0, 20.0])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (3, 4), (4, 3), (4, 4)])
+def test_schmidt_weight_at_the_reduced_cut(dims, f):
+    """One Schmidt weight mu = f * rank_tol * w_max, a kept or dropped
+    eigenvalue of rho_plus and rho_minus within a few times their cut:
+    the twin space is that of the dense reference.  A twin need not
+    commute with the range projectors of the reductions here, so the
+    null blocks are not split off in closed form; nor is
+    dim_total = detectable + n_plus^2 + n_minus^2 asserted, which fails
+    below the cut (f < 1)."""
+    weights = np.array([0.5, 0.35, 0.2][:min(dims) - 1])
+    weights = np.append(weights, f * DEFAULT_TOL.rank_tol * weights.max())
+    state = schmidt_state(np.random.default_rng(67), *dims, weights)
+    ref = kernel_basis(_constraint_matrix(state, state.range_basis()), state.tol.rank_tol)
+    space = solve_twin_space(state)
+    assert space.dim_total == ref.shape[1]
+    assert subspace_distance(ref, space.coordinate_matrix()) <= SUBSPACE_TOL
+
+
 @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (1, 1)])
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_factor_of_dimension_one(dims, rank):

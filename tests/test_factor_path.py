@@ -54,8 +54,10 @@ class TestAgreementWithEigh:
     @pytest.mark.parametrize("d, rank", [(4, 1), (4, 2), (6, 1), (6, 3), (6, 4), (8, 5),
                                          (8, 8)])
     def test_exact_low_rank(self, d, rank, monkeypatch):
-        state = random_state(np.random.default_rng(10 * d + rank), d, d, rank)
+        rho = random_state(np.random.default_rng(10 * d + rank), d, d, rank).rho
         shapes = record_eigh_shapes(monkeypatch)
+        # construction takes the cut
+        state = BipartiteState(d, d, rho)
         state.range_basis()
         monkeypatch.undo()
         assert (state.dim, state.dim) not in shapes
@@ -104,13 +106,14 @@ def state_with_second_eigenvalue(rel):
 class TestCertificate:
     @pytest.mark.parametrize("rel", [1 + 1e-5, 1 - 1e-5])
     def test_ritz_value_at_the_cut_falls_back_to_eigh(self, rel, monkeypatch):
-        state = state_with_second_eigenvalue(rel)
+        rho = state_with_second_eigenvalue(rel).rho
         pivots = []
         pivoted = linops.pivoted_cholesky
         monkeypatch.setattr(linops, "pivoted_cholesky",
                             lambda *args: pivots.append(1) or pivoted(*args))
         shapes = record_eigh_shapes(monkeypatch)
-        state.range_basis()
+        # construction takes the cut
+        state = BipartiteState(4, 4, rho)
         assert pivots and (16, 16) in shapes
         assert not on_factor_path(state)
 
@@ -121,12 +124,13 @@ class TestCertificate:
     @pytest.mark.parametrize("rank", [None, 3])
     def test_rank_above_the_budget_never_pivots(self, rank, monkeypatch):
         # D = 16 allows 2 pivots; tr^2 / ||rho||_F^2 shows a higher rank
-        state = random_state(np.random.default_rng(3), 4, 4, rank)
+        rho = random_state(np.random.default_rng(3), 4, 4, rank).rho
 
         def forbidden(*args):
             raise AssertionError("pivoted Cholesky of a high-rank rho")
 
         monkeypatch.setattr(linops, "pivoted_cholesky", forbidden)
+        state = BipartiteState(4, 4, rho)
         assert state.range_basis().shape[1] == (rank or 16)
         assert len(state.spectrum[0]) == 16
 

@@ -505,8 +505,10 @@ class TestStateGeometryFromCache:
     # the others (D // 8 below their rank) one eigh of rho
     @pytest.mark.parametrize("index", range(6))
     def test_projectors_bitwise_equal_to_fresh_cuts(self, index, monkeypatch):
-        _, state = kernel_states()[index]
+        _, built = kernel_states()[index]
         shapes = record_eigh_shapes(monkeypatch)
+        # construction takes the cut of rho
+        state = BipartiteState(built.d_plus, built.d_minus, built.rho)
         p = state.projectors()
         monkeypatch.undo()
         sub = state.subsystems
@@ -526,8 +528,10 @@ class TestStateGeometryFromCache:
 
     @pytest.mark.parametrize("index, factor_path", [(0, True), (1, False), (2, True)])
     def test_pure_vector_is_the_top_eigenvector(self, index, factor_path, monkeypatch):
-        _, state = kernel_states()[index]
+        _, built = kernel_states()[index]
         shapes = record_eigh_shapes(monkeypatch)
+        # construction takes the cut of rho
+        state = BipartiteState(built.d_plus, built.d_minus, built.rho)
         phi = _pure_vector(state)
         monkeypatch.undo()
         ref = linops.eigh(state.rho)[1][:, -1]
@@ -568,11 +572,14 @@ class TestGeometryCache:
             calls.append(np.shape(H))
             return eigh(H, *args, **kwargs)
 
-        monkeypatch.setattr(linops, "eigh", counting_eigh)
         rng = np.random.default_rng(11)
-        state = (pure_schmidt_state(rng, *dims) if kind == "pure"
-                 else diagonal_support_state(rng, *dims, min(dims), 2))
-        assert calls == []
+        rho = (pure_schmidt_state(rng, *dims) if kind == "pure"
+               else diagonal_support_state(rng, *dims, min(dims), 2)).rho
+        monkeypatch.setattr(linops, "eigh", counting_eigh)
+        # construction takes the cut of rho: one D x D eigh on the eigh
+        # path, none on the factor path
+        state = BipartiteState(*dims, rho)
+        assert calls == ([(state.dim, state.dim)] if state.dim // 8 == 0 else [])
         pair, mb = find_complete_twins(solve_twin_space(state), state)
         simplified_matrix(state, mb)
         distant_measurement_report(state, pair)
@@ -627,10 +634,10 @@ class TestGeometryCache:
 
     def test_one_eigh_per_operator_through_the_pipeline(self, monkeypatch):
         rng = np.random.default_rng(3)
-        state = diagonal_support_state(rng, 2, 3, 2, 2)
-        T = state.rho.reshape(2, 3, 2, 3)
+        rho = diagonal_support_state(rng, 2, 3, 2, 2).rho
+        T = rho.reshape(2, 3, 2, 3)
         operators = {
-            "rho": state.rho,
+            "rho": rho,
             "rho_plus": np.trace(T, axis1=1, axis2=3),
             "rho_minus": np.trace(T, axis1=0, axis2=2),
         }
@@ -644,6 +651,7 @@ class TestGeometryCache:
             return eigh(H, *args, **kwargs)
 
         monkeypatch.setattr(linops, "eigh", counting_eigh)
+        state = BipartiteState(2, 3, rho)
         space = solve_twin_space(state)
         pair, mb = find_complete_twins(space, state)
         simplified_matrix(state, mb)

@@ -1,6 +1,7 @@
 """Each operator of a state is eigendecomposed once: BipartiteState
-checks positivity with a Cholesky factorization and leaves the one
-eigendecomposition of rho to its cached spectrum, and
+takes the rank cut of rho at construction and reads positivity off it,
+so construction is the one eigendecomposition of rho (none on the
+factor path) and everything read from the cut later reuses it; and
 matched_bases_from_pair reuses the eigenvectors SpectralData carries."""
 
 import numpy as np
@@ -18,16 +19,19 @@ def unitary(rng, n):
     return np.linalg.qr(Z)[0]
 
 
-def state_with_lowest_eigenvalue(lam_min, tol, d=3):
+def rho_with_lowest_eigenvalue(lam_min, d=3):
     """rho on C^d ⊗ C^d with spectrum (lam_min, rest), trace 1."""
     rest = np.linspace(1.0, 2.0, d * d - 1)
     rest *= (1.0 - lam_min) / rest.sum()
     U = unitary(np.random.default_rng(71), d * d)
-    rho = U @ np.diag(np.concatenate([[lam_min], rest])) @ U.conj().T
-    return BipartiteState(d, d, rho, tol)
+    return U @ np.diag(np.concatenate([[lam_min], rest])) @ U.conj().T
 
 
-def test_construction_runs_no_eigendecomposition(monkeypatch):
+def state_with_lowest_eigenvalue(lam_min, tol, d=3):
+    return BipartiteState(d, d, rho_with_lowest_eigenvalue(lam_min, d), tol)
+
+
+def test_construction_is_the_one_eigendecomposition_of_rho(monkeypatch):
     calls = []
 
     def counting(name, f):
@@ -36,12 +40,16 @@ def test_construction_runs_no_eigendecomposition(monkeypatch):
             return f(*args, **kwargs)
         return wrapped
 
-    for name in ("eigh", "eigvalsh"):
+    rho = rho_with_lowest_eigenvalue(0.0)
+    for name in ("eigh", "eigvalsh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(linops, "eigh", counting("linops.eigh", linops.eigh))
-    state = state_with_lowest_eigenvalue(0.0, Tolerances())
-    assert calls == []
+    state = BipartiteState(3, 3, rho)
+    assert calls == ["linops.eigh", "eigh"]
     state.range_basis()
+    state.spectrum
+    state.factor
+    state.cut_error
     assert calls == ["linops.eigh", "eigh"]
 
 
@@ -59,6 +67,28 @@ def test_positivity_verdict_follows_the_eigenvalue_rule(rank_tol, lam_min, rejec
             state_with_lowest_eigenvalue(lam_min, tol)
     else:
         state_with_lowest_eigenvalue(lam_min, tol)
+
+
+@pytest.mark.parametrize("lam_min,rejected", [
+    (-1e-9, True), (-2e-10, True), (-5e-11, False), (0.0, False),
+])
+def test_positivity_verdict_on_the_factor_path(lam_min, rejected):
+    """rho on C^8 ⊗ C^8 with spectrum (0.7 - lam_min, 0.3, lam_min, 0...):
+    a certified factor-path cut puts lambda_min within cut_error <
+    rank_tol * lambda_max of zero, so it accepts; a lambda_min below
+    that fails the certificate and the eigh path rejects it by the
+    eigenvalue rule."""
+    U = unitary(np.random.default_rng(64), 64)
+    spectrum = np.zeros(64)
+    spectrum[:3] = (0.7 - lam_min, 0.3, lam_min)
+    rho = (U * spectrum) @ U.conj().T
+    if rejected:
+        with pytest.raises(NotPositiveError, match="negative eigenvalue"):
+            BipartiteState(8, 8, rho)
+    else:
+        state = BipartiteState(8, 8, rho)
+        assert len(state.spectrum[0]) == 2
+        assert state.cut_error < state.tol.rank_tol * state.spectrum[0][-1]
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (4, 3)])

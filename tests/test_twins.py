@@ -261,6 +261,18 @@ class TestRangeConsequences:
         report = twins_restrict_to_range_vectors(st, solve_twin_space(st))
         assert report.passed
 
+    @pytest.mark.parametrize("name", ["example1_range10_00", "example1_range10_1m1",
+                                      "example2_ms0", "example2_ms1"])
+    def test_c1_equals_the_per_vector_residuals(self, name):
+        from twinobs.spin import SpinScenario, build_scenario
+        st = build_scenario(SpinScenario(name))
+        space = solve_twin_space(st)
+        ref = max(is_twin_pair(from_pure(v, st.d_plus, st.d_minus, st.tol), pair)[1]
+                  for v in st.range_basis().T for pair in space.basis)
+        report = twins_restrict_to_range_vectors(st, space)
+        assert report.c1_max_residual == pytest.approx(ref, rel=0, abs=1e-15)
+        assert report.passed
+
 
 class TestStatesAdmittingTwins:
     def test_example1_admits_sz_pair(self, example1):
