@@ -66,10 +66,11 @@ def hermitize(M, herm_tol: float = DEFAULT_TOL.herm_tol) -> np.ndarray:
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"operator must be square, got {M.shape}")
-    dev = max_norm(M - M.conj().T)
+    MH = np.conj(M.T, order="C")
+    dev = max_norm(M - MH)
     if dev > herm_tol:
         raise NonHermitianError(f"Hermiticity deviation {dev:.3e} > {herm_tol:.3e}")
-    return (M + M.conj().T) / 2
+    return (M + MH) / 2
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:

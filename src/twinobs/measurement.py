@@ -10,7 +10,7 @@ import numpy as np
 from . import linops
 from .errors import NonHermitianError, NotProjectorError
 from .linops import max_norm
-from .spectral import _detectable_data, _lift, spectral_data, split_detectable
+from .spectral import _lift, _pair_spectra, spectral_data
 from .states import BipartiteState
 from .twins import ObservablePair, is_twin_pair
 
@@ -212,7 +212,10 @@ def distant_measurement_report(state: BipartiteState,
     Lüders-collapsed states, plus equal expectation values.
 
     The event for value a is the cluster eigenprojector of the detectable
-    part A'_s at a, lifted by the range basis of rho_s.  This is exact:
+    part A'_s at a, lifted by the range basis of rho_s.  The split and the
+    spectral data of A'_s come from ``spectral._pair_spectra``, so a pair
+    that ``find_complete_twins`` returned, or that this state was already
+    asked about, is not split or eigendecomposed again.  This is exact:
     the characteristic projector of the full A_s at a differs from it by
     a part P'' on the null space of rho_s, and (P'' ⊗ 1) rho = 0, so
     probabilities, collapsed and conditional states are the same.
@@ -238,8 +241,7 @@ def distant_measurement_report(state: BipartiteState,
     ok, residual = is_twin_pair(state, pair)
     if not ok:
         raise ValueError(f"not a twin pair for this state (residual {residual:.3e})")
-    split = split_detectable(pair, state)
-    sp, sm = _detectable_data(split, state.tol.cluster_tol)
+    split, sp, sm = _pair_spectra(pair, state)
     dp, dm = state.d_plus, state.d_minus
     C = state.factor
     k = C.shape[1]

@@ -82,7 +82,9 @@ def pure_schmidt(state: BipartiteState, complete_pair: ObservablePair):
     The minus-side basis is recomputed through the phase rule
     |a>_- = normalize(rho_-^{-1/2} <a|_+ |phi>), making every expansion
     coefficient real nonnegative.  Returns (coefficients, basis_plus,
-    basis_minus) with phi = sum_a coeff_a |a>_+ |a>_-.
+    basis_minus) with phi = sum_a coeff_a |a>_+ |a>_-.  The plus-side
+    basis is ``matched_bases_from_pair``, which reuses the spectra of a
+    pair that ``find_complete_twins`` returned for this state.
     """
     phi = _pure_vector(state)
     mb = matched_bases_from_pair(complete_pair, state)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -267,14 +267,35 @@ class MatchedBases:
 
 def matched_bases_from_pair(pair: ObservablePair, state: BipartiteState) -> MatchedBases:
     """Matched characteristic bases of a complete twin pair, sorted by
-    ascending characteristic value on both sides."""
-    return _matched_bases(split_detectable(pair, state), state.tol.cluster_tol)
+    ascending characteristic value on both sides.
+
+    The split and detectable spectra come from ``_pair_spectra``: a pair
+    that ``find_complete_twins`` returned, or that was just split for
+    this state, is not split or eigendecomposed again."""
+    return _matched_bases(*_pair_spectra(pair, state))
 
 
-def _matched_bases(split: DetectableSplit, cluster_tol: float) -> MatchedBases:
-    """Matched bases from the split of a pair; raises DegenerateSpectrumCollision
-    unless both detectable spectra are nondegenerate."""
-    sp, sm = _detectable_data(split, cluster_tol)
+def _pair_spectra(pair: ObservablePair, state: BipartiteState) -> tuple:
+    """(split, SpectralData of A'_plus, SpectralData of A'_minus) of pair
+    on state, computed once per pair and state.
+
+    The state keeps the last pair asked about, with its split and
+    spectra, in its instance dict under "_pair_spectra" (as the
+    cached_property fields are kept), keyed by identity.  The entry holds
+    the pair itself, so its id cannot be reused while the entry lives,
+    and a pair's arrays are read-only, so the entry cannot go stale."""
+    memo = state.__dict__.get("_pair_spectra")
+    if memo is None or memo[0] is not pair:
+        split = split_detectable(pair, state)
+        memo = (pair, split, *_detectable_data(split, state.tol.cluster_tol))
+        state.__dict__["_pair_spectra"] = memo
+    return memo[1:]
+
+
+def _matched_bases(split: DetectableSplit, sp: SpectralData, sm: SpectralData) -> MatchedBases:
+    """Matched bases from the split of a pair and the spectral data of its
+    detectable parts; raises DegenerateSpectrumCollision unless both
+    detectable spectra are nondegenerate."""
     if np.any(sp.multiplicities != 1) or np.any(sm.multiplicities != 1):
         raise DegenerateSpectrumCollisionError(
             "pair is not complete: detectable spectrum is degenerate"
@@ -296,6 +317,14 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState,
     after the attempt budget is reported as None (not a nonexistence
     proof).  Returns (pair, MatchedBases) on success, the pair being the
     detectable part lifted with zero undetectable blocks.
+
+    The winner's detectable blocks are eigendecomposed once, and the
+    state remembers the split and spectra under the returned pair (see
+    ``_pair_spectra``), so ``matched_bases_from_pair``, ``pure_schmidt``
+    and ``distant_measurement_report`` on that pair reuse them.  The
+    lifted pair has the same detectable blocks up to rounding, since
+    B† (B A' B†) B = A' for an orthonormal range basis B, and zero
+    undetectable blocks.
     """
     sub = state.subsystems
     if sub.range_plus.shape[1] != sub.range_minus.shape[1]:
@@ -315,5 +344,10 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState,
             continue
         if len(vals_m) > 1 and np.min(np.diff(vals_m)) <= state.tol.cluster_tol:
             continue
-        return split.detectable_lifted(), _matched_bases(split, state.tol.cluster_tol)
+        split = replace(split, a_dprime_plus=np.zeros_like(split.a_dprime_plus),
+                        a_dprime_minus=np.zeros_like(split.a_dprime_minus))
+        spectra = _detectable_data(split, state.tol.cluster_tol)
+        lifted = split.detectable_lifted()
+        state.__dict__["_pair_spectra"] = (lifted, split, *spectra)
+        return lifted, _matched_bases(split, *spectra)
     return None

@@ -15,29 +15,46 @@ import numpy as np
 from . import linops
 from .errors import DimensionMismatchError
 from .linops import max_norm
-from .states import BipartiteState
+from .states import BipartiteState, _read_only
 
 
 @dataclass(frozen=True)
 class ObservablePair:
-    """A candidate or solved twin pair of Hermitian subsystem operators."""
+    """A candidate or solved twin pair of Hermitian subsystem operators.
+
+    Both arrays are symmetrized copies of the input and read-only, so a
+    pair can serve as an identity key: a state remembers the split and
+    detectable spectra of the last pair it was asked about (see
+    ``spectral.matched_bases_from_pair``)."""
 
     a_plus: np.ndarray
     a_minus: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a_plus", linops.hermitize(self.a_plus))
-        object.__setattr__(self, "a_minus", linops.hermitize(self.a_minus))
+        a_plus, a_minus = _read_only(linops.hermitize(self.a_plus), linops.hermitize(self.a_minus))
+        object.__setattr__(self, "a_plus", a_plus)
+        object.__setattr__(self, "a_minus", a_minus)
 
     @classmethod
     def _trusted(cls, a_plus: np.ndarray, a_minus: np.ndarray) -> "ObservablePair":
         """A pair of finite square complex arrays that are Hermitian by
         construction (real combinations or compressions of Hermitian
         operators): symmetrized against rounding, not validated."""
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "a_plus", (a_plus + a_plus.conj().T) / 2)
-        object.__setattr__(pair, "a_minus", (a_minus + a_minus.conj().T) / 2)
-        return pair
+        return cls._stacked(a_plus[None], a_minus[None])[0]
+
+    @classmethod
+    def _stacked(cls, a_plus: np.ndarray, a_minus: np.ndarray) -> tuple:
+        """The pairs (a_plus[k], a_minus[k]) of stacked (n, d_s, d_s)
+        arrays that are Hermitian by construction, as for ``_trusted``:
+        each stack symmetrized in one batched pass and made read-only."""
+        a_plus, a_minus = _read_only(_symmetrized(a_plus), _symmetrized(a_minus))
+        pairs = []
+        for ap, am in zip(a_plus, a_minus):
+            pair = object.__new__(cls)
+            object.__setattr__(pair, "a_plus", ap)
+            object.__setattr__(pair, "a_minus", am)
+            pairs.append(pair)
+        return tuple(pairs)
 
     @property
     def d_plus(self) -> int:
@@ -58,6 +75,11 @@ class ObservablePair:
 
     def coords(self) -> np.ndarray:
         return linops.pair_to_coords(self.a_plus, self.a_minus)
+
+
+def _symmetrized(A: np.ndarray) -> np.ndarray:
+    """(A + A†)/2 of each matrix of a stacked (n, d, d) array."""
+    return (A + np.swapaxes(A, 1, 2).conj()) / 2
 
 
 def scalar_pair(d_plus: int, d_minus: int) -> ObservablePair:
@@ -200,10 +222,11 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     basis_minus = commutant(sub.values_minus, sub.null_minus, sub.range_minus, state.d_plus)
     M = _constraint_matrix(state, state.range_basis(), basis_plus, basis_minus)
     K = linops.kernel_basis(M, state.tol.rank_tol)
-    n_plus = len(basis_plus)
-    a_plus = np.einsum("gk,gij->kij", K[:n_plus], basis_plus)
-    a_minus = np.einsum("gk,gij->kij", K[n_plus:], basis_minus)
-    pairs = tuple(ObservablePair._trusted(ap, am) for ap, am in zip(a_plus, a_minus))
+    n_plus, dp, dm = len(basis_plus), state.d_plus, state.d_minus
+    # one real-by-complex product per side: pair k is sum_g K[g, k] basis[g]
+    a_plus = (K[:n_plus].T @ basis_plus.reshape(n_plus, -1)).reshape(-1, dp, dp)
+    a_minus = (K[n_plus:].T @ basis_minus.reshape(len(basis_minus), -1)).reshape(-1, dm, dm)
+    pairs = ObservablePair._stacked(a_plus, a_minus)
 
     return TwinSpace(
         basis=pairs,

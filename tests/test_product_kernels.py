@@ -557,14 +557,14 @@ class TestStateGeometryFromCache:
 
 class TestGeometryCache:
     @pytest.mark.parametrize("kind, dims, expected", [
-        ("pure", (4, 5), 8), ("block2", (4, 4), 6),   # factor path
-        ("pure", (2, 3), 9), ("block2", (2, 3), 7),   # eigh path
+        ("pure", (4, 5), 4), ("block2", (4, 4), 4),   # factor path
+        ("pure", (2, 3), 5), ("block2", (2, 3), 5),   # eigh path
     ])
     def test_eigh_calls_through_the_pipeline(self, kind, dims, expected, monkeypatch):
         # one eigh each of rho_plus and rho_minus, one of rho on the eigh
-        # path only, and one of each detectable block for the
-        # complete-twin bases, the measurement report and (pure inputs)
-        # the Schmidt form
+        # path only, and one of each detectable block of the complete
+        # twin the search found; the measurement report and (pure inputs)
+        # the Schmidt form reuse that pair's spectra
         calls = []
         eigh = linops.eigh
 

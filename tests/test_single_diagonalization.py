@@ -94,7 +94,8 @@ def test_positivity_verdict_on_the_factor_path(lam_min, rejected):
 @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (4, 3)])
 def test_matched_bases_reuse_the_spectral_eigenvectors(dims, monkeypatch):
     """Bitwise the bases of a fresh eigh of each detectable block, with
-    two eighs per call: the ones spectral_data makes."""
+    two eighs per call on a state that has not seen the pair: the ones
+    spectral_data makes."""
     dp, dm = dims
     rng = np.random.default_rng(dp * 10 + dm)
     r = min(dims)
@@ -103,6 +104,9 @@ def test_matched_bases_reuse_the_spectral_eigenvectors(dims, monkeypatch):
     w = rng.uniform(0.2, 1.0, r)
     state = BipartiteState(dp, dm, D @ np.diag(w / w.sum()) @ D.conj().T)
     pair, _ = find_complete_twins(solve_twin_space(state), state)
+    # the search left the pair's spectra on `state`; a fresh state from
+    # the same rho has to compute them
+    state = BipartiteState(dp, dm, state.rho)
 
     split = split_detectable(pair, state)
     ref_plus = split.range_basis_plus @ linops.eigh(split.a_prime_plus)[1]
