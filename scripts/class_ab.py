@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Per-class interleaved timing of two checkouts on one benchmark workload.
+
+    python3 scripts/class_ab.py --parent ../parent --change . \\
+        --workload solve-highrank --seed 9931 --repeats 30
+
+A workload's percentiles are set by a few of its input classes, so a
+change that speeds up most classes can still move p90 through one
+class it slows.  This script shows each class on its own.  Both
+``twinobs`` trees are imported into this one process under distinct
+names (``twinobs_parent``, ``twinobs_change``), and the ops of the
+workload, built from the change checkout's ``perfbench/workloads.py``
+for the given seed, run once per repeat on each side, alternating
+which side goes first from op to op.  Every output is checked against
+the workload's ground truth once, untimed.
+
+Like the benchmark, the process is pinned to one CPU and BLAS to one
+thread.  Times are raw wall-clock milliseconds.  The table gives, per
+input class, each side's median, the median of the paired ratios
+change/parent and their quartiles (the interleaved noise), then the
+weighted p50 and p90 and the throughput of the whole cycle, every
+position of the cycle weighing the same, as in perfbench/run.py.
+Only the library workloads (solve-highrank, pipeline-lowrank) are
+supported; a cli-spin op is a process start.
+"""
+
+import os
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+from time import perf_counter  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+SIDES = ("parent", "change")
+WORKLOADS = ("solve-highrank", "pipeline-lowrank")
+
+
+def load_package(src: Path, name: str):
+    """Import the twinobs package under src/ as the top-level module `name`."""
+    init = src / "twinobs" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"error: no twinobs sources under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads(checkout: Path):
+    path = checkout / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("class_ab_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def build_ops(workloads, workload: str, package, seed: int, tiny: bool) -> list:
+    """The workload's ops, built while `import twinobs` resolves to package."""
+    saved = sys.modules.get("twinobs")
+    sys.modules["twinobs"] = package
+    try:
+        return workloads.BUILDERS[workload](seed, tiny)
+    finally:
+        if saved is None:
+            del sys.modules["twinobs"]
+        else:
+            sys.modules["twinobs"] = saved
+
+
+def time_ops(ops: dict, repeats: int) -> dict:
+    """{side: (repeats, n_ops) array of seconds}; sides alternate op by op."""
+    n = len(ops["parent"])
+    times = {s: np.empty((repeats, n)) for s in SIDES}
+    for rep in range(repeats):
+        for i in range(n):
+            order = SIDES if (rep + i) % 2 == 0 else SIDES[::-1]
+            for side in order:
+                t0 = perf_counter()
+                ops[side][i].run()
+                times[side][rep, i] = perf_counter() - t0
+    return times
+
+
+def failures(ops: dict) -> dict:
+    """{side: [(label, error)] of the ops whose output fails the workload's check}."""
+    out = {}
+    for side in SIDES:
+        out[side] = []
+        for op in ops[side]:
+            try:
+                error = op.check(op.run())
+            except Exception as exc:  # a raising op is a failed op; the others still run
+                error = f"raised {type(exc).__name__}: {exc}"
+            if error:
+                out[side].append((op.label, error))
+    return out
+
+
+def report(labels: list, times: dict) -> list:
+    """Lines of the per-class table and the cycle summary (milliseconds)."""
+    lines = [f"{'class':<22} {'n':>3} {'parent':>8} {'change':>8} {'ratio':>7} "
+             f"{'q1':>7} {'q3':>7}"]
+    for label in dict.fromkeys(labels):
+        cols = [i for i, lab in enumerate(labels) if lab == label]
+        p, c = times["parent"][:, cols], times["change"][:, cols]
+        q1, ratio, q3 = np.percentile(c / p, [25, 50, 75])
+        lines.append(f"{label:<22} {len(cols):>3} {1e3 * np.median(p):>8.3f} "
+                     f"{1e3 * np.median(c):>8.3f} {ratio:>7.3f} {q1:>7.3f} {q3:>7.3f}")
+    for name, q in (("p50", 50), ("p90", 90)):
+        p, c = (np.percentile(times[s], q) for s in SIDES)
+        lines.append(f"weighted {name:<13} {'':>3} {1e3 * p:>8.3f} {1e3 * c:>8.3f} "
+                     f"{c / p:>7.3f}")
+    ops_s = {s: times[s].size / times[s].sum() for s in SIDES}
+    lines.append(f"{'throughput ops/s':<22} {'':>3} {ops_s['parent']:>8.1f} "
+                 f"{ops_s['change']:>8.1f} {ops_s['change'] / ops_s['parent']:>7.3f}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", choices=WORKLOADS, default="solve-highrank")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--repeats", type=int, default=30, help="timed passes over the cycle")
+    parser.add_argument("--tiny", action="store_true", help="the tiny input classes (smoke run)")
+    args = parser.parse_args(argv)
+    if args.repeats < 1 or args.seed < 0:
+        parser.error("--repeats must be >= 1 and --seed >= 0")
+
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    workloads = load_workloads(args.change)
+    ops = {s: build_ops(workloads, args.workload,
+                        load_package(getattr(args, s).resolve() / "src", f"twinobs_{s}"),
+                        args.seed, args.tiny)
+           for s in SIDES}
+    bad = failures(ops)  # also the warm-up pass
+    times = time_ops(ops, args.repeats)
+    print(f"# {args.workload} seed {args.seed}, {args.repeats} repeats, raw ms, "
+          f"failed ops parent {len(bad['parent'])} change {len(bad['change'])}")
+    for side in SIDES:
+        for label, error in bad[side][:5]:
+            print(f"# FAILED {side} {label}: {error}")
+    print("\n".join(report([op.label for op in ops["parent"]], times)))
+    return 1 if any(bad.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

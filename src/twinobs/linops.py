@@ -264,11 +264,21 @@ def hermitian_basis(d: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    diag = np.arange(d)
-    basis[diag, diag, diag] = 1.0
-    i, j = np.triu_indices(d, 1)
-    sym = np.arange(d, d * d, 2)
+    return block_hermitian_basis(np.zeros(d, dtype=int))
+
+
+def block_hermitian_basis(labels: np.ndarray) -> np.ndarray:
+    """The elements of hermitian_basis(d), d = len(labels), supported
+    inside one block of indices of equal label, in the same order:
+    an HS-orthonormal basis, stacked (n, d, d), of the Hermitian
+    operators that are block diagonal over those blocks, so n is the
+    sum of the squared block sizes."""
+    d = len(labels)
+    index = np.arange(d)
+    i, j = np.nonzero((labels[:, None] == labels) & (index[:, None] < index))
+    basis = np.zeros((d + 2 * len(i), d, d), dtype=complex)
+    basis[index, index, index] = 1.0
+    sym = np.arange(d, len(basis), 2)
     s = 1 / np.sqrt(2)
     basis[sym, i, j] = basis[sym, j, i] = s
     basis[sym + 1, i, j] = -1j * s

@@ -81,7 +81,7 @@ def state_from_document(doc: dict, tol_override: Tolerances | None = None) -> Bi
             raise InputError(f"state document: missing field {field!r}")
     dims = doc["dims"]
     if (not isinstance(dims, list) or len(dims) != 2
-            or any(not isinstance(d, int) or d < 1 for d in dims)):
+            or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in dims)):
         raise InputError("state document: dims must be two positive integers")
     rho = matrix_from_json(doc["rho"], "rho")
     tol = tol_override if tol_override is not None else tolerances_from_json(
@@ -128,11 +128,17 @@ def decomposition_from_document(doc: dict) -> PureDecomposition:
     for field in ("weights", "vectors"):
         if field not in doc:
             raise InputError(f"decomposition document: missing field {field!r}")
+    weights = doc["weights"]
+    if not isinstance(weights, list) or any(
+            isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights):
+        raise InputError("decomposition document: weights must be a list of numbers")
+    if not isinstance(doc["vectors"], list):
+        raise InputError("decomposition document: vectors must be a list of vectors")
     vectors = [
         vector_from_json(v, f"vectors[{i}]") for i, v in enumerate(doc["vectors"])
     ]
     try:
-        return PureDecomposition(weights=tuple(doc["weights"]), vectors=tuple(vectors))
+        return PureDecomposition(weights=tuple(weights), vectors=tuple(vectors))
     except TwinObsError as exc:
         raise InputError(f"decomposition document: {exc}") from exc
 
@@ -143,7 +149,7 @@ def load_json(path_or_stream, locus: str) -> dict:
             return json.load(path_or_stream)
         with open(path_or_stream) as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{locus}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{locus}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc

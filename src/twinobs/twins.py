@@ -149,23 +149,10 @@ def _constraint_matrix(state: BipartiteState, columns: np.ndarray,
         basis_minus = linops.hermitian_basis(dm)
     psi = columns.reshape(dp, dm, -1)
     images = np.concatenate([
-        np.einsum("gab,bmk->gamk", basis_plus, psi),
-        -np.einsum("gmn,ank->gamk", basis_minus, psi),
-    ]).reshape(len(basis_plus) + len(basis_minus), -1)
+        (basis_plus @ psi.reshape(dp, -1)).reshape(len(basis_plus), -1),
+        -(basis_minus[:, None] @ psi).reshape(len(basis_minus), -1),
+    ])
     return np.concatenate([images.real, images.imag], axis=1).T
-
-
-def _commutant_basis(values: np.ndarray, vectors: np.ndarray, gap: float) -> np.ndarray:
-    """HS-orthonormal Hermitian basis, stacked (n, d, d), of the operators
-    that commute with V diag(values) V^dagger, V = vectors and values
-    ascending.  Consecutive eigenvalues no more than gap apart share an
-    eigenspace; for each eigenspace W of dimension m the basis holds
-    W hermitian_basis(m) W^dagger, so n is the sum of m^2."""
-    block = np.concatenate([[0], np.cumsum(np.diff(values) > gap)])
-    G = linops.hermitian_basis(len(values))
-    inside = block[:, None] == block[None, :]
-    G = G[~np.any((G != 0) & ~inside, axis=(1, 2))]
-    return vectors @ G @ vectors.conj().T
 
 
 # An eigenvector error of a reduced state is held this many times below
@@ -189,62 +176,141 @@ def _grouping_gap(lam_max: float, perturbation: float, rank_tol: float) -> float
     return max(np.sqrt(rank_tol) * lam_max, _GROUPING_MARGIN * perturbation / rank_tol)
 
 
+def _eigenspace_labels(state: BipartiteState) -> tuple:
+    """Eigenspace label of each eigenvalue of rho_plus and of rho_minus
+    (ascending, as in ``state.subsystems``): consecutive eigenvalues no
+    more than the side's _grouping_gap apart share an eigenspace.
+
+    Twins of the kept range commute exactly with the reductions of the
+    rank cut C C† of rho.  Those differ from rho_s by rounding and by the
+    partial trace of rho - C C†, at most d_other times its spectral norm,
+    which ``state.cut_error`` bounds."""
+    sub = state.subsystems
+    eps = np.finfo(float).eps
+
+    def labels(values, d_other):
+        lam = max(values[-1], 0.0)
+        gap = _grouping_gap(lam, eps * lam + d_other * state.cut_error, state.tol.rank_tol)
+        return np.concatenate([[0], np.cumsum(np.diff(values) > gap)])
+
+    return labels(sub.values_plus, state.d_minus), labels(sub.values_minus, state.d_plus)
+
+
+def _block_constraints(state: BipartiteState, P: np.ndarray, labels_plus: np.ndarray,
+                       labels_minus: np.ndarray, units_plus: np.ndarray,
+                       units_minus: np.ndarray) -> np.ndarray:
+    """Real twin constraint system in the product eigenbasis of the
+    reductions, block-compressed: it has the singular values and kernel
+    of the system imposed on every range vector.
+
+    P is the range basis V of rho in that basis, (W_plus ⊗ W_minus)† V
+    as a (d_plus, d_minus, r) array, and the unknowns are the coordinates
+    over units_plus then units_minus.  A twin X' = A'_plus ⊗ 1 - 1 ⊗
+    A'_minus is block diagonal over the pairs b = (g, h) of eigenspaces,
+    so ||X' P||_F^2 is the sum over b of ||X'_b P_b||_F^2, and P_b, the
+    (m_b = m_g m_h, r) slice of P, can be replaced by any F_b with
+    F_b F_b† = P_b P_b† without changing the Gram matrix of the system.
+    F_b = R† from the QR factorization P_b† = Q R, with k_b = min(m_b, r)
+    columns; all pairs go through one batched QR, each slice padded with
+    zero rows to the largest m_b.  For a pair of one-dimensional
+    eigenspaces R is the real number ±||P_b|| (LAPACK's Householder QR
+    has a real diagonal), so the pair gives the single real row
+    ±||P_b|| (e_g - f_h).  When every pair is one-dimensional, as for
+    nondegenerate reductions, the norms are taken directly: the same
+    rows up to sign, without the batched QR and its index setup.  No
+    Gram product is formed, so no digits are lost to squaring.
+
+    The factors, zero-padded to k = max k_b columns, go through
+    _constraint_matrix, and the rows that are zero by construction
+    (columns beyond k_b, imaginary parts of one-dimensional pairs) are
+    dropped: at most 2 m_b k_b rows per pair, and d_plus d_minus rows in
+    all for nondegenerate reductions."""
+    dp, dm, r = P.shape
+    size_p, size_m = np.bincount(labels_plus), np.bincount(labels_minus)
+    m_b = np.outer(size_p[labels_plus], size_m[labels_minus]).ravel()
+    m_max = int(m_b.max())
+    if m_max == 1:
+        # the rows the QR below gives one-dimensional pairs, up to sign
+        F = np.linalg.norm(P, axis=2).reshape(-1, 1)
+    else:
+        # entry (a, c) is row (a - first_g) n_h + (c - first_h) of its pair (g, h)
+        offset_p = np.arange(dp) - np.searchsorted(labels_plus, labels_plus)
+        offset_m = np.arange(dm) - np.searchsorted(labels_minus, labels_minus)
+        pair = (labels_plus[:, None] * len(size_m) + labels_minus).ravel()
+        row = (offset_p[:, None] * size_m[labels_minus] + offset_m).ravel()
+        slots = np.full((len(size_p) * len(size_m), m_max), dp * dm)
+        slots[pair, row] = np.arange(dp * dm)
+        padded = np.concatenate([P.reshape(dp * dm, r), np.zeros((1, r))])[slots]
+        R = np.linalg.qr(np.swapaxes(padded, 1, 2).conj(), mode="r")
+        F = R.conj()[pair, :, row]
+    k = F.shape[1]
+    kept = np.arange(k) < np.minimum(m_b, r)[:, None]
+    M = _constraint_matrix(state, F, units_plus, units_minus)
+    return M[np.concatenate([kept.ravel(), (kept & (m_b > 1)[:, None]).ravel()])]
+
+
 def solve_twin_space(state: BipartiteState) -> TwinSpace:
     """Compute an orthonormal basis of all Hermitian twin pairs of rho.
 
-    The twin constraint is imposed on a column basis C of range(rho)
+    The twin constraint is imposed on a column basis V of range(rho)
     only, which is equivalent to imposing it on rho itself.  The unknowns
     are restricted to the commutant of rho_plus and rho_minus: the
     partial trace Tr_- of (A_plus ⊗ 1 - 1 ⊗ A_minus) rho = 0 and of its
     adjoint gives A_plus rho_plus = rho_plus A_plus (and the same on the
-    minus side), so every twin pair is block-diagonal over the
-    eigenspaces of the reductions, null spaces included.  Each side then
-    has sum m_i^2 coordinates instead of d^2, m_i the eigenvalue
-    multiplicities.
+    minus side), so every twin pair is block diagonal over the
+    eigenspaces of the reductions, null spaces included.  In the
+    eigenbasis W_s = [null_s, range_s] of each reduction a twin is
+    block diagonal over the eigenspaces as grouped by
+    _eigenspace_labels, and each side has sum m_i^2 coordinates
+    (linops.block_hermitian_basis) instead of d^2, m_i the eigenspace sizes.
 
-    Twins of the kept range commute exactly with the reductions of the
-    rank cut C C^dagger of rho.  Those differ from rho_s by rounding and
-    by the partial trace of rho - C C^dagger, at most d_other times its
-    spectral norm, which ``state.cut_error`` bounds; _grouping_gap keeps the
-    eigenspaces coarse enough for that difference to stay far below the
-    kernel cut.  cluster_tol is not used: it knows nothing of that cut.
+    The system is solved in the product eigenbasis W_plus ⊗ W_minus and
+    compressed block pair by block pair (_block_constraints): one real
+    row per pair of one-dimensional eigenspaces, so d_plus d_minus rows
+    for nondegenerate reductions instead of 2 d_plus d_minus r, and at
+    most 2 m_b min(m_b, r) for a pair of dimension m_b > 1.  The
+    compression is exact: the system has the singular values and kernel
+    of the one imposed on every range vector, and ``kernel_basis`` cuts
+    it at rank_tol.  _grouping_gap keeps the eigenspaces coarse enough
+    for the dropped tail of rho (``state.cut_error``) to stay far below
+    that cut; cluster_tol is not used, as it knows nothing of the cut.
+    The pairs are the kernel's combinations of the units, rotated back
+    by W_plus and W_minus.
     """
     sub = state.subsystems
-    tail = state.cut_error
-    eps = np.finfo(float).eps
-
-    def commutant(values, null_s, range_s, d_other):
-        lam = max(values[-1], 0.0)
-        gap = _grouping_gap(lam, eps * lam + d_other * tail, state.tol.rank_tol)
-        return _commutant_basis(values, np.hstack([null_s, range_s]), gap)
-
-    basis_plus = commutant(sub.values_plus, sub.null_plus, sub.range_plus, state.d_minus)
-    basis_minus = commutant(sub.values_minus, sub.null_minus, sub.range_minus, state.d_plus)
-    M = _constraint_matrix(state, state.range_basis(), basis_plus, basis_minus)
+    dp, dm = state.d_plus, state.d_minus
+    Wp = np.hstack([sub.null_plus, sub.range_plus])
+    Wm = np.hstack([sub.null_minus, sub.range_minus])
+    labels_plus, labels_minus = _eigenspace_labels(state)
+    units_plus = linops.block_hermitian_basis(labels_plus)
+    units_minus = linops.block_hermitian_basis(labels_minus)
+    # (W_plus ⊗ W_minus)† V by one local product a side
+    P = Wm.conj().T @ (Wp.conj().T @ state.range_basis().reshape(dp, -1)).reshape(dp, dm, -1)
+    M = _block_constraints(state, P, labels_plus, labels_minus, units_plus, units_minus)
     K = linops.kernel_basis(M, state.tol.rank_tol)
-    n_plus, dp, dm = len(basis_plus), state.d_plus, state.d_minus
-    # one real-by-complex product per side: pair k is sum_g K[g, k] basis[g]
-    a_plus = (K[:n_plus].T @ basis_plus.reshape(n_plus, -1)).reshape(-1, dp, dp)
-    a_minus = (K[n_plus:].T @ basis_minus.reshape(len(basis_minus), -1)).reshape(-1, dm, dm)
-    pairs = ObservablePair._stacked(a_plus, a_minus)
+    n_plus = len(units_plus)
+    # one real-by-complex product a side: pair k is sum_g K[g, k] units[g]
+    a_plus = (K[:n_plus].T @ units_plus.reshape(n_plus, -1)).reshape(-1, dp, dp)
+    a_minus = (K[n_plus:].T @ units_minus.reshape(len(units_minus), -1)).reshape(-1, dm, dm)
+    np_, nm = sub.null_plus.shape[1], sub.null_minus.shape[1]
+    detectable = _detectable_rank(a_plus[:, np_:, np_:], a_minus[:, nm:, nm:])
+    pairs = ObservablePair._stacked(Wp @ a_plus @ Wp.conj().T, Wm @ a_minus @ Wm.conj().T)
 
     return TwinSpace(
         basis=pairs,
         dim_total=len(pairs),
-        dim_detectable=_detectable_rank(a_plus, a_minus, sub.range_plus, sub.range_minus),
-        dim_undetectable_plus=sub.null_plus.shape[1] ** 2,
-        dim_undetectable_minus=sub.null_minus.shape[1] ** 2,
+        dim_detectable=detectable,
+        dim_undetectable_plus=np_ ** 2,
+        dim_undetectable_minus=nm ** 2,
     )
 
 
-def _detectable_rank(a_plus, a_minus, Bp, Bm) -> int:
-    """Rank of the stacked twin basis pairs (a_plus[k], a_minus[k])
-    projected onto the detectable blocks (conjugation by the subsystem
-    range bases Bp, Bm)."""
-    if not len(a_plus):
+def _detectable_rank(app, amm) -> int:
+    """Rank of the stacked detectable blocks (app[k], amm[k]) of the twin
+    basis pairs: their compressions to the subsystem ranges."""
+    if not len(app):
         return 0
-    app = (Bp.conj().T @ a_plus @ Bp).reshape(len(a_plus), -1)
-    amm = (Bm.conj().T @ a_minus @ Bm).reshape(len(a_minus), -1)
+    app, amm = app.reshape(len(app), -1), amm.reshape(len(amm), -1)
     A = np.concatenate([app.real, app.imag, amm.real, amm.imag], axis=1)
     s = np.linalg.svd(A, compute_uv=False)
     return int(np.sum(s > 1e-8 * max(s[0], 1.0)))

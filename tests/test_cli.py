@@ -315,3 +315,35 @@ def test_non_finite_decomposition_entry_exit_2(tmp_path, state_file, entry, locu
     assert main(["schmidt", state_file, "--decomposition", str(path)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error:") and locus in err
+
+
+def test_directory_as_state_file_exit_2(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_undecodable_state_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["solve", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_boolean_dims_exit_2(tmp_path, capsys):
+    path = tmp_path / "bool_dims.json"
+    path.write_text(json.dumps({"dims": [True, True], "rho": [[[1.0, 0.0]]]}))
+    assert main(["solve", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "dims" in err
+
+
+@pytest.mark.parametrize("field, value", [("weights", "ab"), ("vectors", 5)])
+def test_malformed_decomposition_lists_exit_2(tmp_path, state_file, field, value, capsys):
+    dec = PureDecomposition(weights=(1.0,), vectors=(np.array([0.6, 0, 0, 0.8]),))
+    doc = serialize.decomposition_to_document(dec)
+    doc[field] = value
+    path = tmp_path / "malformed_dec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["schmidt", state_file, "--decomposition", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and field in err

@@ -1,7 +1,8 @@
 """Smoke tests of the scripts under scripts/: each runs as a subprocess
-and exits 0, and the survey prints the rows the theory fixes.  The
-aggregation of bench_pairs.py is tested on synthetic run records, without
-running the benchmark."""
+and exits 0, the survey prints the rows the theory fixes, and the
+per-class timing prints a row per input class.  The aggregation of
+bench_pairs.py is tested on synthetic run records, without running the
+benchmark."""
 
 import importlib.util
 import json
@@ -62,6 +63,17 @@ def test_pure_two_by_three_state(survey):
     """Schmidt rank 2: two detectable twins and one undetectable one on
     the null space of rho_minus."""
     assert survey["2x3"][1] == ("3:2", "2:2", "(0, 1):2")
+
+
+def test_class_ab_tiny():
+    """Both sides of a per-class timing of one checkout against itself:
+    every tiny class has a row, and no op fails its check."""
+    out = run_script("class_ab.py", "--parent", str(ROOT), "--change", str(ROOT),
+                     "--workload", "solve-highrank", "--tiny", "--repeats", "2")
+    assert "failed ops parent 0 change 0" in out
+    labels = [line.split("  ")[0] for line in out.splitlines()[2:]]
+    assert labels[:3] == ["generic d=3 r=3", "block d=3 r=3", "embedded d=3 r=2"]
+    assert any(line.startswith("weighted p90") for line in out.splitlines())
 
 
 def load_bench_pairs():
