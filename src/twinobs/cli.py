@@ -88,6 +88,16 @@ def _twin_space_report(state, space):
     return report
 
 
+def _detectable_spectrum_report(state, pair) -> dict:
+    split = spectral.split_detectable(pair, state)
+    sigma, mp, mm = spectral.detectable_spectra(split, state.tol.cluster_tol)
+    return {
+        "detectable_spectrum": list(sigma),
+        "multiplicities_plus": [int(x) for x in mp],
+        "multiplicities_minus": [int(x) for x in mm],
+    }
+
+
 def cmd_solve(args) -> int:
     state = _load_state(args.state, args)
     space = solve_twin_space(state)
@@ -106,11 +116,7 @@ def cmd_verify(args) -> int:
         "commutation_residuals": spectral.commutation_check(pair, state),
     }
     if verdict:
-        split = spectral.split_detectable(pair, state)
-        sigma, mp, mm = spectral.detectable_spectra(split, state.tol.cluster_tol)
-        report["detectable_spectrum"] = list(sigma)
-        report["multiplicities_plus"] = [int(x) for x in mp]
-        report["multiplicities_minus"] = [int(x) for x in mm]
+        report.update(_detectable_spectrum_report(state, pair))
     print(_render(report, args.format))
     return EXIT_OK if verdict else EXIT_VERIFICATION
 
@@ -127,17 +133,10 @@ def cmd_analyze(args) -> int:
         },
         "twin_space": _twin_space_report(state, space),
     }
-    splits = []
-    for i, pair in enumerate(space.basis):
-        split = spectral.split_detectable(pair, state)
-        sigma, mp, mm = spectral.detectable_spectra(split, state.tol.cluster_tol)
-        splits.append({
-            "basis_index": i,
-            "detectable_spectrum": list(sigma),
-            "multiplicities_plus": [int(x) for x in mp],
-            "multiplicities_minus": [int(x) for x in mm],
-        })
-    report["basis_spectra"] = splits
+    report["basis_spectra"] = [
+        {"basis_index": i, **_detectable_spectrum_report(state, pair)}
+        for i, pair in enumerate(space.basis)
+    ]
     found = spectral.find_complete_twins(space, state, seed=args.seed)
     if found is None:
         report["complete_twins"] = "not found"

@@ -17,7 +17,6 @@ from .errors import (
     ConvergenceFailureError,
     DimensionMismatchError,
     NonHermitianError,
-    NotPositiveError,
 )
 
 
@@ -231,26 +230,10 @@ def low_rank_cut(H, tol: float, max_rank: int):
     return theta[keep], _fix_phases(V), err
 
 
-def range_null_projectors(H, tol: float = DEFAULT_TOL.rank_tol):
-    """Projectors (R, N) onto the range and null space of a PSD operator,
-    cut as in range_null_bases; raises NotPositive below -tol * max(lambda_max, 1)."""
-    vals, V, _ = range_null_bases(H, tol)
-    floor = tol * max(vals[-1], 1.0) if vals.size else tol
-    if vals.size and vals[0] < -floor:
-        raise NotPositiveError(f"eigenvalue {vals[0]:.3e} below -{floor:.3e}")
-    R = V @ V.conj().T
-    N = np.eye(H.shape[0], dtype=complex) - R
-    return R, N
-
-
 def range_basis(H, tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
     """Orthonormal columns spanning the range of a PSD operator,
     ordered by ascending eigenvalue."""
     return range_null_bases(H, tol)[1]
-
-
-def null_basis(H, tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
-    return range_null_bases(H, tol)[2]
 
 
 def hermitian_basis(d: int) -> np.ndarray:
@@ -294,15 +277,3 @@ def pair_to_coords(a_plus: np.ndarray, a_minus: np.ndarray) -> np.ndarray:
         np.einsum("gij,...ij->g...", hermitian_basis(A.shape[-1]).conj(), A).real
         for A in (a_plus, a_minus)
     ])
-
-
-def coords_to_pair(x: np.ndarray, d_plus: int, d_minus: int):
-    """Inverse of pair_to_coords.  Coordinates stacked as the columns of
-    x give the pairs stacked along the first axis of both results."""
-    x = np.asarray(x, dtype=float)
-    np_, nm = d_plus**2, d_minus**2
-    if x.ndim not in (1, 2) or x.shape[0] != np_ + nm:
-        raise DimensionMismatchError("coordinate vector has wrong length")
-    a_plus = np.einsum("g...,gij->...ij", x[:np_], hermitian_basis(d_plus))
-    a_minus = np.einsum("g...,gij->...ij", x[np_:], hermitian_basis(d_minus))
-    return a_plus, a_minus

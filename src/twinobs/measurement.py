@@ -3,12 +3,12 @@ criteria, sharp (probability-one) values, and distant measurement."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linops
-from .errors import NonHermitianError, NotProjectorError
+from .errors import DimensionMismatchError, NonHermitianError, NotProjectorError
 from .linops import max_norm
 from .spectral import _lift, _pair_spectra, spectral_data
 from .states import BipartiteState
@@ -35,30 +35,38 @@ def _check_projectors(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return P
 
 
+def _check_shape(A: np.ndarray, dim: int, name: str) -> None:
+    if A.shape != (dim, dim):
+        raise DimensionMismatchError(f"{name} shape {A.shape} does not match dimension {dim}")
+
+
 @dataclass(frozen=True)
 class EventPair:
-    """Two events (projectors) on the composite space."""
+    """Two events (projectors) on the composite space; commuting is
+    computed from them."""
 
     E: np.ndarray
     F: np.ndarray
-    commuting: bool = None
+    commuting: bool = field(init=False)
 
     def __post_init__(self):
         E = _check_projector(self.E)
         F = _check_projector(self.F)
+        _check_shape(F, len(E), "F")
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "F", F)
-        if self.commuting is None:
-            object.__setattr__(self, "commuting", max_norm(E @ F - F @ E) <= 1e-10)
+        object.__setattr__(self, "commuting", max_norm(E @ F - F @ E) <= 1e-10)
 
 
 def luders_collapse(rho: np.ndarray, P, rank_tol: float = linops.DEFAULT_TOL.rank_tol):
     """Ideal-measurement state change rho -> P rho P / Tr(P rho).
 
     Returns (probability, post_state); the post state is None when the
-    probability is numerically zero."""
+    probability is numerically zero.  rho must be finite and of the
+    shape of P, else ValueError or DimensionMismatch."""
     P = _check_projector(P)
-    rho = np.asarray(rho, dtype=complex)
+    rho = linops.as_matrix(rho)
+    _check_shape(rho, len(P), "rho")
     prob = float(np.real(np.trace(P @ rho)))
     if prob <= rank_tol:
         return max(prob, 0.0), None
@@ -106,6 +114,7 @@ class CriteriaReport:
 def event_equivalence(state: BipartiteState, events: EventPair) -> CriteriaReport:
     rho = state.rho
     E, F = events.E, events.F
+    _check_shape(E, state.dim, "event")
     collapse = max_norm(E @ rho @ E - F @ rho @ F)
     algebraic = max_norm(E @ rho - F @ rho)
     implication = None
@@ -132,6 +141,7 @@ def certainty_test(state: BipartiteState, A):
     the characteristic projector at a), else None.  The candidate value
     is Tr(A rho), which equals a exactly when one exists."""
     A = linops.hermitize(A, state.tol.herm_tol)
+    _check_shape(A, state.dim, "observable")
     rho = state.rho
     a = float(np.real(np.trace(A @ rho)))
     if max_norm(A @ rho - a * rho) > state.tol.residual_tol:

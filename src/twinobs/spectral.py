@@ -38,12 +38,6 @@ class SpectralData:
     projectors: tuple
     vectors: np.ndarray
 
-    def projector_at(self, a: float, cluster_tol: float) -> np.ndarray:
-        for v, P in zip(self.values, self.projectors):
-            if abs(v - a) <= cluster_tol:
-                return P
-        raise KeyError(f"{a} is not a characteristic value")
-
 
 def spectral_data(H, cluster_tol: float = linops.DEFAULT_TOL.cluster_tol) -> SpectralData:
     """Eigendecompose H and group eigenvalues that lie within cluster_tol

@@ -119,10 +119,6 @@ class BipartiteState:
             *linops.range_null_bases(rm, self.tol.rank_tol),
         ))
 
-    def reduce(self) -> "SubsystemPair":
-        """The cached ``subsystems``."""
-        return self.subsystems
-
     def projectors(self) -> "SubspaceProjectors":
         """Range/null projectors R = B B^dagger, N = 1 - R of rho and of
         both reductions, from the cached range bases B."""
@@ -271,11 +267,6 @@ class RelevantRestriction:
         """Operator on R_plus ⊗ R_minus -> operator on the full space."""
         B = self.composite_basis
         return B @ X @ B.conj().T
-
-    def restrict(self, X: np.ndarray) -> np.ndarray:
-        """Operator on the full space -> compression to R_plus ⊗ R_minus."""
-        B = self.composite_basis
-        return B.conj().T @ X @ B
 
 
 def _compressed_factor(state: BipartiteState, basis_plus: np.ndarray,

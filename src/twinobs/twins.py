@@ -64,12 +64,6 @@ class ObservablePair:
     def d_minus(self) -> int:
         return self.a_minus.shape[0]
 
-    def difference_operator(self) -> np.ndarray:
-        """A_plus ⊗ 1 - 1 ⊗ A_minus on the composite space."""
-        return linops.kron(self.a_plus, np.eye(self.d_minus)) - linops.kron(
-            np.eye(self.d_plus), self.a_minus
-        )
-
     def scaled(self, alpha: float) -> "ObservablePair":
         return ObservablePair(alpha * self.a_plus, alpha * self.a_minus)
 
@@ -119,9 +113,7 @@ def is_twin_pair(state: BipartiteState, pair: ObservablePair):
             f"pair dims ({pair.d_plus},{pair.d_minus}) do not match state "
             f"({state.d_plus},{state.d_minus})"
         )
-    dims = state.d_plus, state.d_minus
-    residual = max_norm(linops.apply_local(pair.a_plus, state.rho, *dims, "+")
-                        - linops.apply_local(pair.a_minus, state.rho, *dims, "-"))
+    residual = max_norm(_twin_image(pair, state, state.rho))
     return residual <= state.tol.residual_tol, residual
 
 

@@ -12,7 +12,7 @@ from twinobs import (
     luders_collapse,
     solve_twin_space,
 )
-from twinobs.errors import NotProjectorError
+from twinobs.errors import DimensionMismatchError, NotProjectorError
 from twinobs.linops import kron, max_norm
 
 from conftest import random_hermitian, random_state
@@ -54,7 +54,33 @@ class TestLudersCollapse:
         assert np.min(np.linalg.eigvalsh(post)) >= -1e-12
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda st: luders_collapse(np.full((4, 4), np.nan), np.eye(4)), ValueError),
+    (lambda st: luders_collapse(st.rho, np.eye(2)), DimensionMismatchError),
+    (lambda st: luders_collapse(np.ones((4, 2)), np.eye(4)), DimensionMismatchError),
+    (lambda st: certainty_test(st, np.eye(2)), DimensionMismatchError),
+    (lambda st: event_equivalence(st, EventPair(np.eye(2), np.eye(2))), DimensionMismatchError),
+    (lambda st: EventPair(np.eye(4), np.eye(2)), DimensionMismatchError),
+], ids=["luders-nan-rho", "luders-small-P", "luders-non-square-rho", "certainty-small-A",
+        "equivalence-small-events", "events-of-two-sizes"])
+def test_malformed_operators_are_rejected(example1, call, error):
+    with pytest.raises(error):
+        call(example1)
+
+
 class TestEventEquivalence:
+    def test_commuting_is_computed_from_the_events(self, example1):
+        # E = |up down><up down| and G = |up><up| ⊗ |+><+|: ||[E, G]|| = 0.5
+        E = kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        G = kron(np.diag([1.0, 0.0]), np.full((2, 2), 0.5))
+        with pytest.raises(TypeError):
+            EventPair(E, G, commuting=True)
+        events = EventPair(E, G)
+        assert events.commuting is False
+        rep = event_equivalence(example1, events)
+        assert rep.implication_values is None
+        assert rep.coherent
+
     def test_equal_events(self, example1):
         P = kron(np.diag([1.0, 0.0]), np.eye(2))
         rep = event_equivalence(example1, EventPair(P, P))

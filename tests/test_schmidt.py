@@ -105,7 +105,7 @@ class TestPureSchmidt:
         st = from_pure(v, 2, 2)
         pair, _ = complete_bases(st)
         coeffs, _, _ = pure_schmidt(st, pair)
-        sub = st.reduce()
+        sub = st.subsystems
         expected = np.linalg.eigvalsh(sub.rho_plus)
         np.testing.assert_allclose(np.sort(coeffs**2),
                                    np.sort(np.clip(expected, 0, None)), atol=1e-9)

@@ -75,7 +75,7 @@ def test_decomposition_rejects_bad_weights():
 
 def test_reduce_singlet_gives_maximally_mixed_sides():
     phi = np.array([0, 1, -1, 0]) / np.sqrt(2)
-    sub = from_pure(phi, 2, 2).reduce()
+    sub = from_pure(phi, 2, 2).subsystems
     np.testing.assert_allclose(sub.rho_plus, np.eye(2) / 2, atol=1e-12)
     np.testing.assert_allclose(sub.rho_minus, np.eye(2) / 2, atol=1e-12)
 
@@ -127,7 +127,7 @@ class TestSubspaceGeometry:
     def test_null_vectors_annihilate_rho(self, example2_ms1):
         # any product of a rho_plus null vector with anything is in null(rho)
         st = example2_ms1
-        sub = st.reduce()
+        sub = st.subsystems
         vals, vecs = np.linalg.eigh(sub.rho_plus)
         rng = np.random.default_rng(3)
         for i in np.flatnonzero(vals <= 1e-10):
