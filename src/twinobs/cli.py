@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: solve, verify, analyze, measure, schmidt, example.
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error.  ``main``
+loads the state, calls the command's ``cmd_*(state, args)``, which
+returns (report, exit code) and prints nothing, and renders the report.
 """
 
 from __future__ import annotations
@@ -9,8 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
-
-import numpy as np
 
 from . import serialize, spectral
 from .errors import InputError, TwinObsError
@@ -29,26 +29,36 @@ EXIT_INPUT = 2
 def _tolerances(args) -> Tolerances | None:
     given = {f.name: getattr(args, f.name) for f in fields(Tolerances)
              if getattr(args, f.name, None) is not None}
-    if not given:
-        return None
-    try:
-        return Tolerances(**given)
-    except ValueError as exc:
-        raise InputError(f"tolerance flags: {exc}") from exc
+    return serialize.tolerances_from_json(given) if given else None
 
 
-def _load_state(path, args):
-    stream = sys.stdin if path == "-" else path
-    doc = serialize.load_json(stream, f"state file {path}")
-    return serialize.state_from_document(doc, tol_override=_tolerances(args))
+def _load_state(path, tol: Tolerances | None):
+    doc = serialize.load_json(sys.stdin if path == "-" else path, f"state file {path}")
+    return serialize.state_from_document(doc, tol_override=tol)
 
 
-def _load_pair(path):
-    doc = serialize.load_json(path, f"pair file {path}")
-    return serialize.pair_from_document(doc)
+def _load_pair(path, state):
+    pair = serialize.pair_from_document(serialize.load_json(path, f"pair file {path}"))
+    if (pair.d_plus, pair.d_minus) != (state.d_plus, state.d_minus):
+        raise InputError(f"pair file {path}: dims ({pair.d_plus},{pair.d_minus}) do not "
+                         f"match state ({state.d_plus},{state.d_minus})")
+    return pair
+
+
+def _load_decomposition(path, state):
+    locus = f"decomposition file {path}"
+    dec = serialize.decomposition_from_document(serialize.load_json(path, locus))
+    for i, v in enumerate(dec.vectors):
+        if v.size != state.dim:
+            raise InputError(f"{locus}: vectors[{i}] has length {v.size}, "
+                             f"not the state dimension {state.dim}")
+    return dec
 
 
 def _render(report, fmt: str) -> str:
+    """The report as JSON or as indented text; a str is already rendered."""
+    if isinstance(report, str):
+        return report
     if fmt == "json":
         return serialize.dump_json(report)
     lines = []
@@ -82,8 +92,7 @@ def _twin_space_report(state, space):
         "dim_undetectable_minus": space.dim_undetectable_minus,
         "basis": [serialize.pair_to_document(p) for p in space.basis],
     }
-    rank = state.range_basis().shape[1]
-    if rank == state.dim:
+    if state.range_basis().shape[1] == state.dim:
         report["warning"] = "nonsingular state: trivial twins only"
     return report
 
@@ -98,16 +107,26 @@ def _detectable_spectrum_report(state, pair) -> dict:
     }
 
 
-def cmd_solve(args) -> int:
-    state = _load_state(args.state, args)
+def _complete_twins(state, seed: int):
+    """(twin space, find_complete_twins result) of the state."""
     space = solve_twin_space(state)
-    print(_render(_twin_space_report(state, space), args.format))
-    return EXIT_OK
+    return space, spectral.find_complete_twins(space, state, seed=seed)
 
 
-def cmd_verify(args) -> int:
-    state = _load_state(args.state, args)
-    pair = _load_pair(args.pair)
+def _simplified_matrix_report(state, mb) -> dict:
+    M, sparsity = simplified_matrix(state, mb)
+    return {
+        "simplified_matrix": serialize.matrix_to_json(M),
+        "max_forbidden_element": sparsity.max_forbidden,
+    }
+
+
+def cmd_solve(state, args):
+    return _twin_space_report(state, solve_twin_space(state)), EXIT_OK
+
+
+def cmd_verify(state, args):
+    pair = _load_pair(args.pair, state)
     verdict, residual = is_twin_pair(state, pair)
     report = {
         "twin": bool(verdict),
@@ -117,14 +136,12 @@ def cmd_verify(args) -> int:
     }
     if verdict:
         report.update(_detectable_spectrum_report(state, pair))
-    print(_render(report, args.format))
-    return EXIT_OK if verdict else EXIT_VERIFICATION
+    return report, EXIT_OK if verdict else EXIT_VERIFICATION
 
 
-def cmd_analyze(args) -> int:
-    state = _load_state(args.state, args)
+def cmd_analyze(state, args):
     geometry = verify_subspace_geometry(state)
-    space = solve_twin_space(state)
+    space, found = _complete_twins(state, args.seed)
     report = {
         "geometry": {
             "residuals": geometry.residuals,
@@ -132,34 +149,28 @@ def cmd_analyze(args) -> int:
             "passed": geometry.passed,
         },
         "twin_space": _twin_space_report(state, space),
+        "basis_spectra": [
+            {"basis_index": i, **_detectable_spectrum_report(state, pair)}
+            for i, pair in enumerate(space.basis)
+        ],
     }
-    report["basis_spectra"] = [
-        {"basis_index": i, **_detectable_spectrum_report(state, pair)}
-        for i, pair in enumerate(space.basis)
-    ]
-    found = spectral.find_complete_twins(space, state, seed=args.seed)
     if found is None:
         report["complete_twins"] = "not found"
     else:
         pair, mb = found
-        M, sparsity = simplified_matrix(state, mb)
         report["complete_twins"] = {
             "pair": serialize.pair_to_document(pair),
             "sigma_prime": list(mb.sigma_prime),
-            "simplified_matrix": serialize.matrix_to_json(M),
-            "max_forbidden_element": sparsity.max_forbidden,
+            **_simplified_matrix_report(state, mb),
         }
-    print(_render(report, args.format))
-    return EXIT_OK if geometry.passed else EXIT_VERIFICATION
+    return report, EXIT_OK if geometry.passed else EXIT_VERIFICATION
 
 
-def cmd_measure(args) -> int:
-    state = _load_state(args.state, args)
-    pair = _load_pair(args.pair)
+def cmd_measure(state, args):
+    pair = _load_pair(args.pair, state)
     verdict, residual = is_twin_pair(state, pair)
     if not verdict:
-        print(_render({"twin": False, "residual": residual}, args.format))
-        return EXIT_VERIFICATION
+        return {"twin": False, "residual": residual}, EXIT_VERIFICATION
     rep = distant_measurement_report(state, pair)
     report = {
         "expectation_plus": rep.expectation_plus,
@@ -179,49 +190,38 @@ def cmd_measure(args) -> int:
             for o in rep.outcomes
         ],
     }
-    print(_render(report, args.format))
-    return EXIT_OK if rep.passed else EXIT_VERIFICATION
+    return report, EXIT_OK if rep.passed else EXIT_VERIFICATION
 
 
-def cmd_schmidt(args) -> int:
-    state = _load_state(args.state, args)
-    space = solve_twin_space(state)
-    found = spectral.find_complete_twins(space, state, seed=args.seed)
+def cmd_schmidt(state, args):
+    _, found = _complete_twins(state, args.seed)
     if found is None:
-        print(_render({"complete_twins": "not found"}, args.format))
-        return EXIT_VERIFICATION
+        return {"complete_twins": "not found"}, EXIT_VERIFICATION
     pair, mb = found
     report = {"sigma_prime": list(mb.sigma_prime)}
-    rank = state.range_basis().shape[1]
-    if rank == 1:
-        coeffs, bp, bm = pure_schmidt(state, pair)
-        report["schmidt_coefficients"] = list(coeffs)
+    if state.range_basis().shape[1] == 1:
+        report["schmidt_coefficients"] = list(pure_schmidt(state, pair)[0])
     else:
-        M, sparsity = simplified_matrix(state, mb)
-        report["simplified_matrix"] = serialize.matrix_to_json(M)
-        report["max_forbidden_element"] = sparsity.max_forbidden
+        report.update(_simplified_matrix_report(state, mb))
     if args.decomposition:
-        doc = serialize.load_json(args.decomposition,
-                                  f"decomposition file {args.decomposition}")
-        dec = serialize.decomposition_from_document(doc)
+        dec = _load_decomposition(args.decomposition, state)
         expansion = simultaneous_expansion(dec, mb, state)
         report["expansion"] = {
             "alphas": [serialize.vector_to_json(a) for a in expansion.alphas],
-            "subsystem_eigenvalues": [
-                [float(x) for x in row] for row in expansion.subsystem_eigenvalues
-            ],
+            "subsystem_eigenvalues": expansion.subsystem_eigenvalues.tolist(),
         }
         report["compatibility_residuals"] = compatibility_report(dec, mb, state)
-    print(_render(report, args.format))
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_example(args) -> int:
-    weights = tuple(args.weights) if args.weights else None
-    scenario = SpinScenario(name=args.scenario, weights=weights)
+def cmd_example(_, args):
+    """The scenario state as JSON text, under --format text too, so that it pipes."""
+    try:
+        scenario = SpinScenario(name=args.scenario, weights=args.weights)
+    except TwinObsError as exc:
+        raise InputError(f"--weights: {exc}") from exc
     state = build_scenario(scenario, tol=_tolerances(args) or Tolerances())
-    print(serialize.dump_json(serialize.state_to_document(state)))
-    return EXIT_OK
+    return serialize.dump_json(serialize.state_to_document(state)), EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,16 +267,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        tol = _tolerances(args)
+        if args.seed < 0:
+            raise InputError(f"--seed must be nonnegative, got {args.seed}")
+        state = _load_state(args.state, tol) if "state" in args else None
+        report, code = args.func(state, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TwinObsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    print(_render(report, args.format))
+    return code
 
 
 if __name__ == "__main__":

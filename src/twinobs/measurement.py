@@ -40,7 +40,7 @@ def _check_shape(A: np.ndarray, dim: int, name: str) -> None:
         raise DimensionMismatchError(f"{name} shape {A.shape} does not match dimension {dim}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventPair:
     """Two events (projectors) on the composite space; commuting is
     computed from them."""
@@ -154,7 +154,7 @@ def certainty_test(state: BipartiteState, A):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementOutcome:
     """One detectable result of measuring either member of a twin pair.
 
@@ -197,7 +197,7 @@ class MeasurementOutcome:
         return np.einsum("ijk,ljk->il", Y, Y.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistantMeasurementReport:
     outcomes: tuple
     expectation_plus: float
@@ -222,8 +222,8 @@ def distant_measurement_report(state: BipartiteState,
     Lüders-collapsed states, plus equal expectation values.
 
     The event for value a is the cluster eigenprojector of the detectable
-    part A'_s at a, lifted by the range basis of rho_s.  The split and the
-    spectral data of A'_s come from ``spectral._pair_spectra``, so a pair
+    part A'_s at a, lifted by the range basis of rho_s.  The spectral
+    data of A'_s come from ``spectral._pair_spectra``, so a pair
     that ``find_complete_twins`` returned, or that this state was already
     asked about, is not split or eigendecomposed again.  This is exact:
     the characteristic projector of the full A_s at a differs from it by
@@ -251,12 +251,13 @@ def distant_measurement_report(state: BipartiteState,
     ok, residual = is_twin_pair(state, pair)
     if not ok:
         raise ValueError(f"not a twin pair for this state (residual {residual:.3e})")
-    split, sp, sm = _pair_spectra(pair, state)
+    sp, sm = _pair_spectra(pair, state)
+    sub = state.subsystems
     dp, dm = state.d_plus, state.d_minus
     C = state.factor
     k = C.shape[1]
-    P_plus = _check_projectors(_lift(split.range_basis_plus, np.array(sp.projectors)))
-    P_minus = _check_projectors(_lift(split.range_basis_minus, np.array(sm.projectors)))
+    P_plus = _check_projectors(_lift(sub.range_plus, np.array(sp.projectors)))
+    P_minus = _check_projectors(_lift(sub.range_minus, np.array(sm.projectors)))
     # (P ⊗ 1) C and (1 ⊗ P) C for every outcome, as (n, d_plus, d_minus, k)
     X_plus = (P_plus @ C.reshape(dp, dm * k)).reshape(-1, dp, dm, k)
     X_minus = P_minus[:, None] @ C.reshape(dp, dm, k)
@@ -277,7 +278,6 @@ def distant_measurement_report(state: BipartiteState,
         )
         for i in range(len(values))
     )
-    sub = state.subsystems
     return DistantMeasurementReport(
         outcomes=outcomes,
         expectation_plus=float(np.real(np.trace(pair.a_plus @ sub.rho_plus))),

@@ -106,7 +106,7 @@ def pure_schmidt(state: BipartiteState, complete_pair: ObservablePair):
     return coeffs, mb.basis_plus, basis_minus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedSchmidtExpansion:
     """Per-component complex coefficients over the matched diagonal
     product basis |a>|a>, plus the induced subsystem eigenvalues."""

@@ -9,6 +9,7 @@ is the identity to full double precision.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -53,16 +54,34 @@ def vector_to_json(v: np.ndarray) -> list:
 def tolerances_from_json(data) -> Tolerances:
     if data is None:
         return DEFAULT_TOL
-    if not isinstance(data, dict):
-        raise InputError("tolerances: expected a JSON object")
-    known = {f.name for f in fields(Tolerances)}
-    bad = set(data) - known
-    if bad:
-        raise InputError(f"tolerances: unknown fields {sorted(bad)}")
+    with _document(data, "tolerances"):
+        bad = set(data) - {f.name for f in fields(Tolerances)}
+        if bad:
+            raise InputError(f"tolerances: unknown fields {sorted(bad)}")
+        try:
+            return Tolerances(**{k: float(v) for k, v in data.items()})
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"tolerances: {exc}") from exc
+
+
+@contextmanager
+def _document(doc, kind: str, *required: str):
+    """Read a document of the given kind in the with-block.
+
+    Raises InputError naming the kind when doc is not a JSON object or
+    lacks a required field, and turns a TwinObsError of the block that
+    is not already an InputError into one with that prefix."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{kind}: expected a JSON object")
+    for field in required:
+        if field not in doc:
+            raise InputError(f"{kind}: missing field {field!r}")
     try:
-        return Tolerances(**{k: float(v) for k, v in data.items()})
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"tolerances: {exc}") from exc
+        yield
+    except InputError:
+        raise
+    except TwinObsError as exc:
+        raise InputError(f"{kind}: {exc}") from exc
 
 
 def state_to_document(state: BipartiteState) -> dict:
@@ -74,23 +93,14 @@ def state_to_document(state: BipartiteState) -> dict:
 
 
 def state_from_document(doc: dict, tol_override: Tolerances | None = None) -> BipartiteState:
-    if not isinstance(doc, dict):
-        raise InputError("state document: expected a JSON object")
-    for field in ("dims", "rho"):
-        if field not in doc:
-            raise InputError(f"state document: missing field {field!r}")
-    dims = doc["dims"]
-    if (not isinstance(dims, list) or len(dims) != 2
-            or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in dims)):
-        raise InputError("state document: dims must be two positive integers")
-    rho = matrix_from_json(doc["rho"], "rho")
-    tol = tol_override if tol_override is not None else tolerances_from_json(
-        doc.get("tolerances")
-    )
-    try:
+    with _document(doc, "state document", "dims", "rho"):
+        dims = doc["dims"]
+        if (not isinstance(dims, list) or len(dims) != 2
+                or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in dims)):
+            raise InputError("state document: dims must be two positive integers")
+        rho = matrix_from_json(doc["rho"], "rho")
+        tol = tolerances_from_json(doc.get("tolerances")) if tol_override is None else tol_override
         return BipartiteState(d_plus=dims[0], d_minus=dims[1], rho=rho, tol=tol)
-    except TwinObsError as exc:
-        raise InputError(f"state document: {exc}") from exc
 
 
 def pair_to_document(pair: ObservablePair) -> dict:
@@ -101,18 +111,11 @@ def pair_to_document(pair: ObservablePair) -> dict:
 
 
 def pair_from_document(doc: dict) -> ObservablePair:
-    if not isinstance(doc, dict):
-        raise InputError("pair document: expected a JSON object")
-    for field in ("a_plus", "a_minus"):
-        if field not in doc:
-            raise InputError(f"pair document: missing field {field!r}")
-    try:
+    with _document(doc, "pair document", "a_plus", "a_minus"):
         return ObservablePair(
             matrix_from_json(doc["a_plus"], "a_plus"),
             matrix_from_json(doc["a_minus"], "a_minus"),
         )
-    except TwinObsError as exc:
-        raise InputError(f"pair document: {exc}") from exc
 
 
 def decomposition_to_document(dec: PureDecomposition) -> dict:
@@ -123,24 +126,17 @@ def decomposition_to_document(dec: PureDecomposition) -> dict:
 
 
 def decomposition_from_document(doc: dict) -> PureDecomposition:
-    if not isinstance(doc, dict):
-        raise InputError("decomposition document: expected a JSON object")
-    for field in ("weights", "vectors"):
-        if field not in doc:
-            raise InputError(f"decomposition document: missing field {field!r}")
-    weights = doc["weights"]
-    if not isinstance(weights, list) or any(
-            isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights):
-        raise InputError("decomposition document: weights must be a list of numbers")
-    if not isinstance(doc["vectors"], list):
-        raise InputError("decomposition document: vectors must be a list of vectors")
-    vectors = [
-        vector_from_json(v, f"vectors[{i}]") for i, v in enumerate(doc["vectors"])
-    ]
-    try:
+    with _document(doc, "decomposition document", "weights", "vectors"):
+        weights = doc["weights"]
+        if not isinstance(weights, list) or any(
+                isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights):
+            raise InputError("decomposition document: weights must be a list of numbers")
+        if not isinstance(doc["vectors"], list):
+            raise InputError("decomposition document: vectors must be a list of vectors")
+        vectors = [
+            vector_from_json(v, f"vectors[{i}]") for i, v in enumerate(doc["vectors"])
+        ]
         return PureDecomposition(weights=tuple(weights), vectors=tuple(vectors))
-    except TwinObsError as exc:
-        raise InputError(f"decomposition document: {exc}") from exc
 
 
 def load_json(path_or_stream, locus: str) -> dict:

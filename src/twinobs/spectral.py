@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .states import BipartiteState, restrict_to_relevant
 from .twins import ObservablePair, TwinSpace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Clustered eigenvalues of a Hermitian operator with multiplicities
     and characteristic projectors, and the eigenvector matrix (columns in
@@ -78,7 +78,7 @@ def commutation_check(pair: ObservablePair, state: BipartiteState) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectableSplit:
     """Blocks of a twin pair with respect to the range/null decomposition
     of the subsystem states: primed blocks act on the ranges, double
@@ -248,7 +248,7 @@ def symmetric_polynomial(pairs, poly: dict, state: BipartiteState) -> Observable
     return ObservablePair(a_plus, a_minus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchedBases:
     """Characteristic bases of a complete twin pair, index-aligned by
     characteristic value.  Vectors live on the full subsystem spaces and
@@ -263,32 +263,33 @@ def matched_bases_from_pair(pair: ObservablePair, state: BipartiteState) -> Matc
     """Matched characteristic bases of a complete twin pair, sorted by
     ascending characteristic value on both sides.
 
-    The split and detectable spectra come from ``_pair_spectra``: a pair
-    that ``find_complete_twins`` returned, or that was just split for
-    this state, is not split or eigendecomposed again."""
-    return _matched_bases(*_pair_spectra(pair, state))
+    The detectable spectra come from ``_pair_spectra``: a pair that
+    ``find_complete_twins`` returned, or that was just split for this
+    state, is not split or eigendecomposed again."""
+    return _matched_bases(state, *_pair_spectra(pair, state))
 
 
 def _pair_spectra(pair: ObservablePair, state: BipartiteState) -> tuple:
-    """(split, SpectralData of A'_plus, SpectralData of A'_minus) of pair
-    on state, computed once per pair and state.
+    """(SpectralData of A'_plus, SpectralData of A'_minus) of pair on
+    state, computed once per pair and state.
 
-    The state keeps the last pair asked about, with its split and
-    spectra, in its instance dict under "_pair_spectra" (as the
-    cached_property fields are kept), keyed by identity.  The entry holds
-    the pair itself, so its id cannot be reused while the entry lives,
-    and a pair's arrays are read-only, so the entry cannot go stale."""
+    The state keeps the last pair asked about, with its spectra, in its
+    instance dict under "_pair_spectra" (as the cached_property fields
+    are kept), keyed by identity.  The entry holds the pair itself, so
+    its id cannot be reused while the entry lives, and a pair's arrays
+    are read-only, so the entry cannot go stale.  The eigenvectors are
+    coordinates in the range bases of ``state.subsystems``."""
     memo = state.__dict__.get("_pair_spectra")
     if memo is None or memo[0] is not pair:
         split = split_detectable(pair, state)
-        memo = (pair, split, *_detectable_data(split, state.tol.cluster_tol))
+        memo = (pair, *_detectable_data(split, state.tol.cluster_tol))
         state.__dict__["_pair_spectra"] = memo
     return memo[1:]
 
 
-def _matched_bases(split: DetectableSplit, sp: SpectralData, sm: SpectralData) -> MatchedBases:
-    """Matched bases from the split of a pair and the spectral data of its
-    detectable parts; raises DegenerateSpectrumCollision unless both
+def _matched_bases(state: BipartiteState, sp: SpectralData, sm: SpectralData) -> MatchedBases:
+    """Matched bases from the spectral data of the detectable parts of a
+    pair on state; raises DegenerateSpectrumCollision unless both
     detectable spectra are nondegenerate."""
     if np.any(sp.multiplicities != 1) or np.any(sm.multiplicities != 1):
         raise DegenerateSpectrumCollisionError(
@@ -297,8 +298,8 @@ def _matched_bases(split: DetectableSplit, sp: SpectralData, sm: SpectralData) -
     # the eigenvector columns already ascend with the characteristic values
     return MatchedBases(
         sigma_prime=np.sort((sp.values + sm.values) / 2),
-        basis_plus=split.range_basis_plus @ sp.vectors,
-        basis_minus=split.range_basis_minus @ sm.vectors,
+        basis_plus=state.subsystems.range_plus @ sp.vectors,
+        basis_minus=state.subsystems.range_minus @ sm.vectors,
     )
 
 
@@ -313,12 +314,11 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState,
     detectable part lifted with zero undetectable blocks.
 
     The winner's detectable blocks are eigendecomposed once, and the
-    state remembers the split and spectra under the returned pair (see
+    state remembers their spectra under the returned pair (see
     ``_pair_spectra``), so ``matched_bases_from_pair``, ``pure_schmidt``
     and ``distant_measurement_report`` on that pair reuse them.  The
     lifted pair has the same detectable blocks up to rounding, since
-    B† (B A' B†) B = A' for an orthonormal range basis B, and zero
-    undetectable blocks.
+    B† (B A' B†) B = A' for an orthonormal range basis B.
     """
     sub = state.subsystems
     if sub.range_plus.shape[1] != sub.range_minus.shape[1]:
@@ -338,10 +338,8 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState,
             continue
         if len(vals_m) > 1 and np.min(np.diff(vals_m)) <= state.tol.cluster_tol:
             continue
-        split = replace(split, a_dprime_plus=np.zeros_like(split.a_dprime_plus),
-                        a_dprime_minus=np.zeros_like(split.a_dprime_minus))
         spectra = _detectable_data(split, state.tol.cluster_tol)
         lifted = split.detectable_lifted()
-        state.__dict__["_pair_spectra"] = (lifted, split, *spectra)
-        return lifted, _matched_bases(split, *spectra)
+        state.__dict__["_pair_spectra"] = (lifted, *spectra)
+        return lifted, _matched_bases(state, *spectra)
     return None

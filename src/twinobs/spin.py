@@ -111,7 +111,7 @@ class SpinScenario:
             w = tuple(float(x) for x in self.weights)
             if len(w) != n:
                 raise WeightError(f"scenario {self.name} needs {n} weights")
-            if any(x <= 0 for x in w) or abs(sum(w) - 1.0) > 1e-10:
+            if not all(x > 0 for x in w) or abs(sum(w) - 1.0) > 1e-10:
                 raise WeightError("weights must be positive and sum to 1")
             object.__setattr__(self, "weights", w)
 

@@ -12,7 +12,7 @@ from .errors import NotNormalizedError, NotPositiveError, WeightError
 from .linops import DEFAULT_TOL, Tolerances, max_norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteState:
     """A density matrix rho on H_plus ⊗ H_minus.
 
@@ -137,7 +137,7 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsystemPair:
     """Reduced states with the eigenvalues (ascending) and orthonormal
     range/null bases of each, cut at rank_tol."""
@@ -152,7 +152,7 @@ class SubsystemPair:
     null_minus: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceProjectors:
     R: np.ndarray
     N: np.ndarray
@@ -162,7 +162,7 @@ class SubspaceProjectors:
     N_minus: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureDecomposition:
     """A convex decomposition rho = sum_i w_i |phi_i><phi_i|."""
 
@@ -250,7 +250,7 @@ def verify_subspace_geometry(state: BipartiteState) -> GeometryReport:
     return GeometryReport(residuals=residuals, tolerance=state.tol.residual_tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelevantRestriction:
     """rho restricted to the product of the subsystem ranges, together
     with the embedding bases in both directions."""

@@ -18,7 +18,7 @@ from .linops import max_norm
 from .states import BipartiteState, _read_only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservablePair:
     """A candidate or solved twin pair of Hermitian subsystem operators.
 
@@ -80,7 +80,7 @@ def scalar_pair(d_plus: int, d_minus: int) -> ObservablePair:
     return ObservablePair(np.eye(d_plus, dtype=complex), np.eye(d_minus, dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwinSpace:
     """Orthonormal basis (sum of HS inner products on the two sides) of
     all twin pairs of a state, with dimension bookkeeping.

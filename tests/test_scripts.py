@@ -133,3 +133,10 @@ class TestBenchPairsAggregation:
         summary = load_bench_pairs().aggregate(self.pairs()[:1], self.BETTER)
         assert summary["metrics"]["latency_p50_s"]["change"] == {"median": 4.0, "q1": 4.0,
                                                                   "q3": 4.0}
+
+
+def test_cli_diff_of_one_checkout_against_itself():
+    out = run_script("cli_diff.py", "--parent", str(ROOT), "--change", str(ROOT))
+    first = out.splitlines()[0]
+    assert first.endswith("cases, 0 differ in stdout or exit code, 0 in stderr only")
+    assert int(first.split()[0]) >= 70

@@ -71,12 +71,10 @@ class TestSplitDetectable:
         assert split.a_dprime_plus.shape == (1, 1)
         assert split.a_dprime_minus.shape == (1, 1)
         # detectable pair is a twin of rho', undetectable pair annihilates rho
-        restriction = restrict_to_relevant(example2_ms1)
         det = split.detectable_lifted()
         ok, _ = is_twin_pair(example2_ms1, det)
         assert ok
         undet = split.undetectable_lifted()
-        diff = reference.difference_operator(undet)
         assert max_norm(kron(undet.a_plus, np.eye(3)) @ example2_ms1.rho) <= 1e-10
         assert max_norm(kron(np.eye(3), undet.a_minus) @ example2_ms1.rho) <= 1e-10
 
