@@ -17,11 +17,14 @@ temporary directory, from the change checkout's perfbench/workloads.py
 - the five commands of that list under ``--format text``
 - ``verify`` and ``measure`` with a pair that is not a twin pair
 - ``schmidt --decomposition`` with the eigen-decomposition of each state
+- ``analyze`` and ``schmidt`` on each scenario under ``--seed`` 0-3, so
+  that a complete-twin verdict that depends on the seed shows up
 - one override per tolerance flag
 - input errors: a negative ``--seed``, bad ``--weights``, a pair or a
   decomposition of the wrong dimension, a NaN tolerance flag, malformed,
-  missing and non-object documents; and a decomposition that leaks
-  outside the diagonal span (an error of the computation)
+  missing and non-object documents, a missing and a malformed
+  decomposition on a state without complete twins; and a decomposition
+  that leaks outside the diagonal span (an error of the computation)
 
 Each differing case is printed with both sides' exit code and first
 stderr line; cases whose stderr alone differs are listed apart, as
@@ -83,6 +86,8 @@ def cases(workloads, tmp: Path) -> list:
         dec = write(tmp / f"{sc.name}.dec.json", eigen_decomposition(sc.rho))
         out.append((f"decomposition: {sc.name}", ["schmidt", states[sc.name],
                                                   "--decomposition", dec]))
+        out += [(f"--seed {seed}: {cmd} {sc.name}", ["--seed", str(seed), cmd, states[sc.name]])
+                for seed in range(4) for cmd in ("analyze", "schmidt")]
 
     name = scenarios[0].name  # a 2 x 2 state with complete twins
     state = states[name]
@@ -99,6 +104,7 @@ def cases(workloads, tmp: Path) -> list:
     leak = write(tmp / "leak.json", {"weights": [1.0], "vectors": [matrix_json([1.0, 0, 0, 0])]})
     broken = write(tmp / "broken.json", "{not json")
     listed = write(tmp / "list.json", [1, 2])
+    scalar_only = states["example1_range10_1m1"]  # no complete twins
     out += [
         ("error: negative seed analyze", ["--seed", "-1", "analyze", state]),
         ("error: negative seed schmidt", ["--seed", "-1", "schmidt", state]),
@@ -109,6 +115,10 @@ def cases(workloads, tmp: Path) -> list:
         ("error: pair dims measure", ["measure", state, pair3]),
         ("error: decomposition length", ["schmidt", state, "--decomposition", short]),
         ("error: decomposition leak", ["schmidt", state, "--decomposition", leak]),
+        ("error: missing decomposition, no complete twins",
+         ["schmidt", scalar_only, "--decomposition", str(tmp / "missing.json")]),
+        ("error: malformed decomposition, no complete twins",
+         ["schmidt", scalar_only, "--decomposition", broken]),
         ("error: NaN tolerance flag", ["--rank-tol", "nan", "solve", state]),
         ("error: malformed JSON", ["solve", broken]),
         ("error: missing file", ["solve", str(tmp / "missing.json")]),

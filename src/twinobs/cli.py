@@ -194,6 +194,7 @@ def cmd_measure(state, args):
 
 
 def cmd_schmidt(state, args):
+    dec = _load_decomposition(args.decomposition, state) if args.decomposition else None
     _, found = _complete_twins(state, args.seed)
     if found is None:
         return {"complete_twins": "not found"}, EXIT_VERIFICATION
@@ -203,8 +204,7 @@ def cmd_schmidt(state, args):
         report["schmidt_coefficients"] = list(pure_schmidt(state, pair)[0])
     else:
         report.update(_simplified_matrix_report(state, mb))
-    if args.decomposition:
-        dec = _load_decomposition(args.decomposition, state)
+    if dec is not None:
         expansion = simultaneous_expansion(dec, mb, state)
         report["expansion"] = {
             "alphas": [serialize.vector_to_json(a) for a in expansion.alphas],

@@ -86,13 +86,13 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def eigh(H, herm_tol: float = DEFAULT_TOL.herm_tol):
+def eigh(H):
     """Eigendecomposition of a Hermitian operator.
 
     Returns (eigenvalues ascending, eigenvector matrix) with a
     deterministic phase convention for the eigenvectors.
     """
-    H = hermitize(H, herm_tol)
+    H = hermitize(H)
     try:
         vals, vecs = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -111,8 +111,7 @@ def kernel_basis(M, tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
     if M.size == 0:
         return np.eye(M.shape[1], dtype=M.dtype)
     _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    rank = int(np.sum(s > tol * s[0]))
     return vh[rank:].conj().T
 
 
@@ -154,11 +153,11 @@ def partial_trace(M, d_plus: int, d_minus: int, side: str) -> np.ndarray:
 
 def range_null_bases(H, tol: float = DEFAULT_TOL.rank_tol):
     """(eigenvalues ascending, range basis, null basis) of a PSD operator
-    from one eigh: eigenvalues above tol * lambda_max (above tol when
-    lambda_max <= 0) span the range, so the kept ones come last."""
+    from one eigh: eigenvalues above tol * max(lambda_max, 0) span the
+    range, so the kept ones come last."""
     vals, vecs = eigh(H)
     lam_max = max(vals[-1], 0.0) if vals.size else 0.0
-    keep = vals > (tol * lam_max if lam_max > 0 else tol)
+    keep = vals > tol * lam_max
     return vals, vecs[:, keep], vecs[:, ~keep]
 
 

@@ -159,6 +159,12 @@ def _detectable_data(split: DetectableSplit, cluster_tol: float):
     unless their characteristic values agree."""
     sp = spectral_data(split.a_prime_plus, cluster_tol)
     sm = spectral_data(split.a_prime_minus, cluster_tol)
+    _check_same_values(sp, sm, cluster_tol)
+    return sp, sm
+
+
+def _check_same_values(sp: SpectralData, sm: SpectralData, cluster_tol: float):
+    """Raises SpectraMismatch unless the characteristic values agree."""
     if len(sp.values) != len(sm.values) or (
         len(sp.values) and np.max(np.abs(sp.values - sm.values)) > 10 * cluster_tol
     ):
@@ -166,7 +172,6 @@ def _detectable_data(split: DetectableSplit, cluster_tol: float):
             f"detectable spectra differ: {sp.values} vs {sm.values} "
             "(the input pair is not a twin pair)"
         )
-    return sp, sm
 
 
 def characteristic_projector_twins(split: DetectableSplit, state: BipartiteState):
@@ -303,43 +308,38 @@ def _matched_bases(state: BipartiteState, sp: SpectralData, sm: SpectralData) ->
     )
 
 
-def find_complete_twins(twin_space: TwinSpace, state: BipartiteState,
-                        seed: int = 0, attempts: int = 64):
-    """Search the detectable subspace of a solved twin space for a pair
-    with nondegenerate detectable spectra on both sides.
+def find_complete_twins(twin_space: TwinSpace, state: BipartiteState, seed: int = 0):
+    """(pair, MatchedBases) of a pair of the twin space whose detectable
+    spectra are nondegenerate on both sides; None when no complete twins
+    exist (always when rho_plus and rho_minus differ in rank).
 
-    Deterministic seeded random combinations of the basis pairs; absence
-    after the attempt budget is reported as None (not a nonexistence
-    proof).  Returns (pair, MatchedBases) on success, the pair being the
-    detectable part lifted with zero undetectable blocks.
+    One seeded Gaussian draw c over the basis pairs decides, with
+    probability 1: a side's detectable spectrum is degenerate exactly
+    where the discriminant of its characteristic polynomial, a real
+    polynomial in c, vanishes, and if one pair of the space is complete
+    the product of the two discriminants is not identically zero.  The
+    draw's detectable part is a standard Gaussian on the detectable
+    subspace, so its gaps are of order 1, far above cluster_tol.
 
-    The winner's detectable blocks are eigendecomposed once, and the
-    state remembers their spectra under the returned pair (see
-    ``_pair_spectra``), so ``matched_bases_from_pair``, ``pure_schmidt``
-    and ``distant_measurement_report`` on that pair reuse them.  The
-    lifted pair has the same detectable blocks up to rounding, since
-    B† (B A' B†) B = A' for an orthonormal range basis B.
+    The pair is that detectable part lifted with zero undetectable
+    blocks.  The state remembers the spectra of its detectable blocks
+    (see ``_pair_spectra``), which the lifted pair shares up to rounding
+    since B† (B A' B†) B = A', so they are eigendecomposed once.
     """
     sub = state.subsystems
     if sub.range_plus.shape[1] != sub.range_minus.shape[1]:
         return None
-
-    rng = np.random.default_rng(seed)
-    stacked_plus = np.array([p.a_plus for p in twin_space.basis])
-    stacked_minus = np.array([p.a_minus for p in twin_space.basis])
-    for _ in range(attempts):
-        c = rng.standard_normal(len(twin_space.basis))
-        pair = ObservablePair._trusted(np.tensordot(c, stacked_plus, 1),
-                                       np.tensordot(c, stacked_minus, 1))
-        split = split_detectable(pair, state)
-        vals_p = np.linalg.eigvalsh(split.a_prime_plus)
-        vals_m = np.linalg.eigvalsh(split.a_prime_minus)
-        if len(vals_p) > 1 and np.min(np.diff(vals_p)) <= state.tol.cluster_tol:
-            continue
-        if len(vals_m) > 1 and np.min(np.diff(vals_m)) <= state.tol.cluster_tol:
-            continue
-        spectra = _detectable_data(split, state.tol.cluster_tol)
-        lifted = split.detectable_lifted()
-        state.__dict__["_pair_spectra"] = (lifted, *spectra)
-        return lifted, _matched_bases(state, *spectra)
-    return None
+    c = np.random.default_rng(seed).standard_normal(len(twin_space.basis))
+    pair = ObservablePair._trusted(
+        np.tensordot(c, np.array([p.a_plus for p in twin_space.basis]), 1),
+        np.tensordot(c, np.array([p.a_minus for p in twin_space.basis]), 1))
+    split = split_detectable(pair, state)
+    tol = state.tol.cluster_tol
+    sp, sm = spectral_data(split.a_prime_plus, tol), spectral_data(split.a_prime_minus, tol)
+    # multiplicities first: a degenerate draw is a verdict, not a mismatch
+    if np.any(sp.multiplicities != 1) or np.any(sm.multiplicities != 1):
+        return None
+    _check_same_values(sp, sm, tol)
+    lifted = split.detectable_lifted()
+    state.__dict__["_pair_spectra"] = (lifted, sp, sm)
+    return lifted, _matched_bases(state, sp, sm)

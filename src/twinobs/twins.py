@@ -125,20 +125,14 @@ def _twin_image(pair: ObservablePair, state: BipartiteState, V: np.ndarray) -> n
 
 
 def _constraint_matrix(state: BipartiteState, columns: np.ndarray,
-                       basis_plus: np.ndarray | None = None,
-                       basis_minus: np.ndarray | None = None) -> np.ndarray:
+                       basis_plus: np.ndarray, basis_minus: np.ndarray) -> np.ndarray:
     """Real matrix of the map (x_plus, x_minus) -> (A_plus ⊗ 1 - 1 ⊗ A_minus) C
     stacked as real and imaginary parts, over the coordinates of A_s in
-    basis_s, a stacked (n_s, d_s, d_s) Hermitian basis (hermitian_basis
-    by default).
+    basis_s, a stacked (n_s, d_s, d_s) Hermitian basis.
 
     Column k of C reshaped to d_plus x d_minus is Psi_k, and
     (A_plus ⊗ 1 - 1 ⊗ A_minus) C is A_plus Psi_k - Psi_k A_minus^T."""
     dp, dm = state.d_plus, state.d_minus
-    if basis_plus is None:
-        basis_plus = linops.hermitian_basis(dp)
-    if basis_minus is None:
-        basis_minus = linops.hermitian_basis(dm)
     psi = columns.reshape(dp, dm, -1)
     images = np.concatenate([
         (basis_plus @ psi.reshape(dp, -1)).reshape(len(basis_plus), -1),

@@ -94,6 +94,17 @@ class TestMalformedInputExit2:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "vectors[0]" in err
 
+    @pytest.mark.parametrize("content", [None, "{bad"], ids=["missing", "malformed"])
+    def test_decomposition_is_read_before_the_search(self, tmp_path, no_complete_twins_file,
+                                                     content, capsys):
+        # the state has no complete twins, so a late read would never happen
+        path = tmp_path / "dec.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["schmidt", no_complete_twins_file, "--decomposition", str(path)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error:") and "decomposition file" in err
+
     def test_trace_off_by_more_than_1e_6(self, tmp_path, example1, capsys):
         doc = serialize.state_to_document(example1)
         doc["rho"] = serialize.matrix_to_json(example1.rho * (1 + 2e-6))

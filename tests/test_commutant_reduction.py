@@ -1,9 +1,9 @@
 """The twin solve restricted to the commutant of rho_plus and rho_minus
 against the dense solve over all of hermitian_basis.
 
-The reference is kernel_basis(_constraint_matrix(state, C), rank_tol)
-with the full d^2 Hermitian coordinates per side.  Both answers are
-held to what the numerics allow:
+The reference is kernel_basis of _constraint_matrix(state, C, ...) over
+hermitian_basis, the full d^2 Hermitian coordinates per side.  Both
+answers are held to what the numerics allow:
 - equal dimensions wherever no dense singular value lies within 100x of
   the cut rank_tol * sigma_max, since a value near the cut may fall on
   either side of it;
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from twinobs import BipartiteState, SpinScenario, build_scenario, from_pure, solve_twin_space
-from twinobs.linops import DEFAULT_TOL, Tolerances, kernel_basis
+from twinobs.linops import DEFAULT_TOL, Tolerances, hermitian_basis, kernel_basis
 from twinobs.spin import SCENARIO_NAMES
 from twinobs.twins import _constraint_matrix, subspace_distance
 
@@ -74,10 +74,15 @@ def noisy_state(rng, base, eta):
     return BipartiteState(base.d_plus, base.d_minus, (1 - eta) * base.rho + eta * noise, base.tol)
 
 
+def dense_constraint_matrix(state):
+    return _constraint_matrix(state, state.range_basis(), hermitian_basis(state.d_plus),
+                              hermitian_basis(state.d_minus))
+
+
 def compare(state):
     """Hold solve_twin_space to the dense reference; returns the names
     of the checks the singular values allowed."""
-    M = _constraint_matrix(state, state.range_basis())
+    M = dense_constraint_matrix(state)
     ref = kernel_basis(M, state.tol.rank_tol)
     s = np.linalg.svd(M, compute_uv=False)
     cut = state.tol.rank_tol * s[0]
@@ -164,7 +169,7 @@ def test_schmidt_weight_at_the_reduced_cut(dims, f):
     weights = np.array([0.5, 0.35, 0.2][:min(dims) - 1])
     weights = np.append(weights, f * DEFAULT_TOL.rank_tol * weights.max())
     state = schmidt_state(np.random.default_rng(67), *dims, weights)
-    ref = kernel_basis(_constraint_matrix(state, state.range_basis()), state.tol.rank_tol)
+    ref = kernel_basis(dense_constraint_matrix(state), state.tol.rank_tol)
     space = solve_twin_space(state)
     assert space.dim_total == ref.shape[1]
     assert subspace_distance(ref, space.coordinate_matrix()) <= SUBSPACE_TOL

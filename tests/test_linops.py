@@ -53,6 +53,13 @@ class TestKernelBasis:
     def test_identity_has_empty_kernel(self):
         assert linops.kernel_basis(np.eye(3)).shape == (3, 0)
 
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    def test_zero_row_has_the_whole_space_as_kernel(self, tol):
+        # s_max = 0: no singular value is above tol * s_max, whatever tol
+        K = linops.kernel_basis(np.zeros((1, 4)), tol)
+        assert K.shape == (4, 4)
+        np.testing.assert_allclose(K.conj().T @ K, np.eye(4), rtol=0, atol=1e-15)
+
     def test_rank_one(self):
         K = linops.kernel_basis(np.ones((2, 2)))
         assert K.shape == (2, 1)
@@ -85,7 +92,8 @@ class TestKernelBasis:
     def test_tall_real_constraint_system_matches_full_complex_svd(self):
         # the 2592 x 72 twin constraint system of a generic full-rank 6x6 state
         st = random_state(np.random.default_rng(36), 6, 6, rank=36)
-        M = _constraint_matrix(st, st.range_basis())
+        M = _constraint_matrix(st, st.range_basis(), linops.hermitian_basis(6),
+                               linops.hermitian_basis(6))
         assert M.shape == (2 * 36 * 36, 72) and not np.iscomplexobj(M)
         K = linops.kernel_basis(M, tol=1e-10)
         assert not np.iscomplexobj(K)
@@ -194,6 +202,16 @@ class TestRangeNullProjectors:
         assert linops.max_norm(N @ N - N) <= 1e-10
         assert linops.max_norm(R @ N) <= 1e-10
         assert linops.max_norm(H - R @ H @ R) <= 1e-10 * linops.max_norm(H)
+
+
+class TestRangeNullBases:
+    @pytest.mark.parametrize("H", [np.zeros((3, 3)), -np.eye(1)], ids=["zero", "minus_one"])
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    def test_nonpositive_operator_has_empty_range(self, H, tol):
+        # lambda_max <= 0: the cut keeps no eigenvalue, whatever tol
+        vals, B, N = linops.range_null_bases(H, tol)
+        np.testing.assert_array_equal(vals, np.linalg.eigvalsh(H))
+        assert B.shape == (len(H), 0) and N.shape == (len(H), len(H))
 
 
 class TestHermitianBasis:

@@ -623,16 +623,16 @@ class TestGeometryCache:
         np.testing.assert_allclose(mb.basis_plus, ref.basis_plus, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mb.basis_minus, ref.basis_minus, rtol=0, atol=1e-12)
 
-    def test_failed_search_splits_once_per_attempt(self, monkeypatch):
-        # a full-rank state has scalar twins only: no attempt is complete
+    def test_failed_search_splits_once(self, monkeypatch):
+        # a full-rank state has scalar twins only: the one draw is not complete
         rng = np.random.default_rng(13)
         X = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         rho = X @ X.conj().T
         state = BipartiteState(3, 3, rho / np.trace(rho).real)
         space = solve_twin_space(state)
         calls = self.count_splits(monkeypatch)
-        assert find_complete_twins(space, state, attempts=5) is None
-        assert len(calls) == 5
+        assert find_complete_twins(space, state) is None
+        assert len(calls) == 1
 
     def test_one_eigh_per_operator_through_the_pipeline(self, monkeypatch):
         rng = np.random.default_rng(3)

@@ -300,6 +300,39 @@ class TestFindCompleteTwins:
         space = solve_twin_space(example1_insufficient)
         assert find_complete_twins(space, example1_insufficient, seed=0) is None
 
+    @pytest.mark.parametrize("name, complete", [("example1", True),
+                                                ("example1_insufficient", False),
+                                                ("example2_ms0", True),
+                                                ("example2_ms1", True)])
+    def test_spin_verdict_does_not_depend_on_the_seed(self, name, complete, request):
+        state = request.getfixturevalue(name)
+        space = solve_twin_space(state)
+        assert {find_complete_twins(space, state, seed=s) is not None
+                for s in range(10)} == {complete}
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 5), (3, 3), (4, 3), (5, 5)])
+    def test_random_pure_states_are_found_under_every_seed(self, dims):
+        state = random_state(np.random.default_rng(sum(dims)), *dims, rank=1)
+        space = solve_twin_space(state)
+        for seed in range(10):
+            _, mb = find_complete_twins(space, state, seed=seed)
+            assert len(mb.sigma_prime) == min(dims)
+
+    def test_full_rank_state_is_none_under_every_seed(self):
+        state = random_state(np.random.default_rng(14), 3, 3)
+        space = solve_twin_space(state)
+        assert all(find_complete_twins(space, state, seed=s) is None for s in range(10))
+
+    def test_search_makes_no_eigvalsh_call(self, example2_ms1, example1_insufficient,
+                                           monkeypatch):
+        spaces = [(solve_twin_space(st), st) for st in (example2_ms1, example1_insufficient)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called during a search")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        assert [find_complete_twins(space, st) is None for space, st in spaces] == [False, True]
+
     def test_eigenvector_relation(self, example2_ms1):
         space = solve_twin_space(example2_ms1)
         pair, mb = find_complete_twins(space, example2_ms1, seed=0)

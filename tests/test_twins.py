@@ -169,7 +169,7 @@ class TestConstraintMatrix:
         st = random_state(np.random.default_rng(dp * 10 + dm), dp, dm,
                           rank=dp * dm if full_rank else 1)
         C = st.range_basis()
-        got = _constraint_matrix(st, C)
+        got = _constraint_matrix(st, C, hermitian_basis(dp), hermitian_basis(dm))
         ref = kron_loop_constraint_matrix(st, C)
         assert got.shape == ref.shape == (2 * dp * dm * C.shape[1], dp * dp + dm * dm)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
