@@ -14,14 +14,20 @@ for the given seed, run once per repeat on each side, alternating
 which side goes first from op to op.  Every output is checked against
 the workload's ground truth once, untimed.
 
-Like the benchmark, the process is pinned to one CPU and BLAS to one
-thread.  Times are raw wall-clock milliseconds.  The table gives, per
-input class, each side's median, the median of the paired ratios
-change/parent and their quartiles (the interleaved noise), then the
-weighted p50 and p90 and the throughput of the whole cycle, every
-position of the cycle weighing the same, as in perfbench/run.py.
-Only the library workloads (solve-highrank, pipeline-lowrank) are
-supported; a cli-spin op is a process start.
+With ``--workload cli-spin`` an op is one ``python -m twinobs.cli``
+call in a fresh child, run for each side with PYTHONPATH set to that
+side's src/, on the argv and input files of ``cli_calls`` in
+perfbench/workloads.py (written once, to a temporary directory), and
+the rows are per command: the four scenarios of a command form one
+class.
+
+Like the benchmark, the process and its children are pinned to one
+CPU and BLAS to one thread.  Times are raw wall-clock milliseconds.
+The table gives, per input class, each side's median, the median of
+the paired ratios change/parent and their quartiles (the interleaved
+noise), then the weighted p50 and p90 and the throughput of the whole
+cycle, every position of the cycle weighing the same, as in
+perfbench/run.py.
 """
 
 import os
@@ -32,21 +38,28 @@ for _var in THREAD_VARS:
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 SIDES = ("parent", "change")
-WORKLOADS = ("solve-highrank", "pipeline-lowrank")
+WORKLOADS = ("solve-highrank", "pipeline-lowrank", "cli-spin")
+
+
+def package_init(src: Path) -> Path:
+    init = src / "twinobs" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"error: no twinobs sources under {src}")
+    return init
 
 
 def load_package(src: Path, name: str):
     """Import the twinobs package under src/ as the top-level module `name`."""
-    init = src / "twinobs" / "__init__.py"
-    if not init.is_file():
-        raise SystemExit(f"error: no twinobs sources under {src}")
+    init = package_init(src)
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)])
     module = importlib.util.module_from_spec(spec)
@@ -75,6 +88,23 @@ def build_ops(workloads, workload: str, package, seed: int, tiny: bool) -> list:
             del sys.modules["twinobs"]
         else:
             sys.modules["twinobs"] = saved
+
+
+def cli_ops(workloads, calls: list, src: Path) -> list:
+    """The cli-spin calls as ops, each a `python -m twinobs.cli` child that
+    imports twinobs from src; an op's label is its command."""
+    package_init(src)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    ops = []
+    for label, argv, check in calls:
+        def run(argv=argv):
+            proc = subprocess.run([sys.executable, "-m", "twinobs.cli", *argv], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=workloads.CLI_TIMEOUT_S)
+            return proc.returncode, proc.stdout
+
+        ops.append(workloads.Op(label.split()[0], run, check))
+    return ops
 
 
 def time_ops(ops: dict, repeats: int) -> dict:
@@ -140,12 +170,18 @@ def main(argv=None) -> int:
 
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     workloads = load_workloads(args.change)
-    ops = {s: build_ops(workloads, args.workload,
-                        load_package(getattr(args, s).resolve() / "src", f"twinobs_{s}"),
-                        args.seed, args.tiny)
-           for s in SIDES}
-    bad = failures(ops)  # also the warm-up pass
-    times = time_ops(ops, args.repeats)
+    with tempfile.TemporaryDirectory(prefix="class_ab_") as workdir:
+        if args.workload == "cli-spin":
+            calls = workloads.cli_calls(args.seed, Path(workdir), args.tiny)
+            ops = {s: cli_ops(workloads, calls, getattr(args, s).resolve() / "src")
+                   for s in SIDES}
+        else:
+            ops = {s: build_ops(workloads, args.workload,
+                                load_package(getattr(args, s).resolve() / "src", f"twinobs_{s}"),
+                                args.seed, args.tiny)
+                   for s in SIDES}
+        bad = failures(ops)  # also the warm-up pass
+        times = time_ops(ops, args.repeats)
     print(f"# {args.workload} seed {args.seed}, {args.repeats} repeats, raw ms, "
           f"failed ops parent {len(bad['parent'])} change {len(bad['change'])}")
     for side in SIDES:

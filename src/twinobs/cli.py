@@ -4,19 +4,20 @@ Subcommands: solve, verify, analyze, measure, schmidt, example.
 Exit codes: 0 success, 1 verification failure, 2 input error.  ``main``
 loads the state, calls the command's ``cmd_*(state, args)``, which
 returns (report, exit code) and prints nothing, and renders the report.
+
+A call loads only the modules its command runs: ``spectral``,
+``measurement`` and ``schmidt`` are imported inside the handlers that
+use them, so ``solve`` and ``example`` never load them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
-from . import serialize, spectral
+from . import serialize
 from .errors import InputError, TwinObsError
 from .linops import Tolerances
-from .measurement import distant_measurement_report
-from .schmidt import pure_schmidt, simplified_matrix, simultaneous_expansion, compatibility_report
 from .spin import SCENARIO_NAMES, SpinScenario, build_scenario
 from .states import verify_subspace_geometry
 from .twins import is_twin_pair, solve_twin_space
@@ -27,8 +28,8 @@ EXIT_INPUT = 2
 
 
 def _tolerances(args) -> Tolerances | None:
-    given = {f.name: getattr(args, f.name) for f in fields(Tolerances)
-             if getattr(args, f.name, None) is not None}
+    given = {name: getattr(args, name) for name in Tolerances.FIELDS
+             if getattr(args, name, None) is not None}
     return serialize.tolerances_from_json(given) if given else None
 
 
@@ -98,8 +99,10 @@ def _twin_space_report(state, space):
 
 
 def _detectable_spectrum_report(state, pair) -> dict:
-    split = spectral.split_detectable(pair, state)
-    sigma, mp, mm = spectral.detectable_spectra(split, state.tol.cluster_tol)
+    from .spectral import detectable_spectra, split_detectable
+
+    split = split_detectable(pair, state)
+    sigma, mp, mm = detectable_spectra(split, state.tol.cluster_tol)
     return {
         "detectable_spectrum": list(sigma),
         "multiplicities_plus": [int(x) for x in mp],
@@ -109,11 +112,15 @@ def _detectable_spectrum_report(state, pair) -> dict:
 
 def _complete_twins(state, seed: int):
     """(twin space, find_complete_twins result) of the state."""
+    from .spectral import find_complete_twins
+
     space = solve_twin_space(state)
-    return space, spectral.find_complete_twins(space, state, seed=seed)
+    return space, find_complete_twins(space, state, seed=seed)
 
 
 def _simplified_matrix_report(state, mb) -> dict:
+    from .schmidt import simplified_matrix
+
     M, sparsity = simplified_matrix(state, mb)
     return {
         "simplified_matrix": serialize.matrix_to_json(M),
@@ -126,13 +133,15 @@ def cmd_solve(state, args):
 
 
 def cmd_verify(state, args):
+    from .spectral import commutation_check
+
     pair = _load_pair(args.pair, state)
     verdict, residual = is_twin_pair(state, pair)
     report = {
         "twin": bool(verdict),
         "residual": residual,
         "tolerance": state.tol.residual_tol,
-        "commutation_residuals": spectral.commutation_check(pair, state),
+        "commutation_residuals": commutation_check(pair, state),
     }
     if verdict:
         report.update(_detectable_spectrum_report(state, pair))
@@ -167,6 +176,8 @@ def cmd_analyze(state, args):
 
 
 def cmd_measure(state, args):
+    from .measurement import distant_measurement_report
+
     pair = _load_pair(args.pair, state)
     verdict, residual = is_twin_pair(state, pair)
     if not verdict:
@@ -194,6 +205,8 @@ def cmd_measure(state, args):
 
 
 def cmd_schmidt(state, args):
+    from .schmidt import compatibility_report, pure_schmidt, simultaneous_expansion
+
     dec = _load_decomposition(args.decomposition, state) if args.decomposition else None
     _, found = _complete_twins(state, args.seed)
     if found is None:
@@ -229,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="twinobs",
         description="Twin observables of bipartite mixed quantum states.",
     )
-    for f in fields(Tolerances):
-        parser.add_argument("--" + f.name.replace("_", "-"), type=float, dest=f.name)
+    for name in Tolerances.FIELDS:
+        parser.add_argument("--" + name.replace("_", "-"), type=float, dest=name)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,8 +9,6 @@ i = i_plus * d_minus + i_minus throughout the package, which matches
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from .errors import (
@@ -20,8 +18,38 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Record:
+    """Base of the package's records: __init__ sets the fields through
+    the instance dict, and they are read-only afterwards.  A record
+    compares and hashes by identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+
+class ValueRecord(Record):
+    """A record of plain values, which compares and hashes by its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class Tolerances(ValueRecord):
     """Numerical policy knobs.
 
     rank_tol is relative to the largest eigenvalue when deciding
@@ -29,16 +57,15 @@ class Tolerances:
     be finite and nonnegative.
     """
 
-    rank_tol: float = 1e-10
-    residual_tol: float = 1e-8
-    cluster_tol: float = 1e-8
-    herm_tol: float = 1e-8
+    FIELDS = ("rank_tol", "residual_tol", "cluster_tol", "herm_tol")
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __init__(self, rank_tol: float = 1e-10, residual_tol: float = 1e-8,
+                 cluster_tol: float = 1e-8, herm_tol: float = 1e-8):
+        self.__dict__.update(rank_tol=rank_tol, residual_tol=residual_tol,
+                             cluster_tol=cluster_tol, herm_tol=herm_tol)
+        for name, value in vars(self).items():
             if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{f.name} must be finite and nonnegative, got {value}")
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -72,13 +99,25 @@ def hermitize(M, herm_tol: float = DEFAULT_TOL.herm_tol) -> np.ndarray:
     return (M + MH) / 2
 
 
+# An entry of a column is a phase pivot candidate when its modulus is at
+# least this fraction of the column's largest modulus.
+_PIVOT_FLOOR = 1e-6
+
+
 def _fix_phases(V: np.ndarray) -> np.ndarray:
-    """Make the first nonzero component of each column real positive;
-    columns with no component above 1e-12 are left as they are."""
-    mask = np.abs(V) > 1e-12
-    pivot = V[np.argmax(mask, axis=0), np.arange(V.shape[1])]
-    found = mask.any(axis=0)
-    pivot = pivot[found]
+    """Make the pivot of each nonzero column real positive.
+
+    The pivot is the first entry whose modulus is at least _PIVOT_FLOOR
+    times the largest modulus in its column.  The floor is relative, so
+    an entry that is zero up to rounding (about eps / gap in an
+    eigenvector) never becomes the pivot, and entries of equal modulus,
+    as symmetry gives, tie: the first of them is taken whichever rounding
+    makes larger."""
+    modulus = np.abs(V)
+    top = modulus.max(axis=0, initial=0.0)
+    found = top > 0
+    rows = np.argmax(modulus >= _PIVOT_FLOOR * top, axis=0)
+    pivot = V[rows, np.arange(V.shape[1])][found]
     # hypot and one row per column round exactly as a per-column loop would
     phase = np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
     V = V.copy()

@@ -3,13 +3,11 @@ criteria, sharp (probability-one) values, and distant measurement."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import linops
 from .errors import DimensionMismatchError, NonHermitianError, NotProjectorError
-from .linops import max_norm
+from .linops import Record, ValueRecord, max_norm
 from .spectral import _lift, _pair_spectra, spectral_data
 from .states import BipartiteState
 from .twins import ObservablePair, is_twin_pair
@@ -40,22 +38,15 @@ def _check_shape(A: np.ndarray, dim: int, name: str) -> None:
         raise DimensionMismatchError(f"{name} shape {A.shape} does not match dimension {dim}")
 
 
-@dataclass(frozen=True, eq=False)
-class EventPair:
+class EventPair(Record):
     """Two events (projectors) on the composite space; commuting is
     computed from them."""
 
-    E: np.ndarray
-    F: np.ndarray
-    commuting: bool = field(init=False)
-
-    def __post_init__(self):
-        E = _check_projector(self.E)
-        F = _check_projector(self.F)
+    def __init__(self, E, F):
+        E = _check_projector(E)
+        F = _check_projector(F)
         _check_shape(F, len(E), "F")
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "commuting", max_norm(E @ F - F @ E) <= 1e-10)
+        self.__dict__.update(E=E, F=F, commuting=max_norm(E @ F - F @ E) <= 1e-10)
 
 
 def luders_collapse(rho: np.ndarray, P, rank_tol: float = linops.DEFAULT_TOL.rank_tol):
@@ -74,8 +65,7 @@ def luders_collapse(rho: np.ndarray, P, rank_tol: float = linops.DEFAULT_TOL.ran
     return prob, post
 
 
-@dataclass(frozen=True)
-class CriteriaReport:
+class CriteriaReport(ValueRecord):
     """Residuals and verdicts of the three event-equivalence criteria.
 
     collapse: ||E rho E - F rho F||; algebraic: ||E rho - F rho||;
@@ -83,10 +73,11 @@ class CriteriaReport:
     and Tr(E F rho F)/Tr(F rho) when applicable (commuting events with
     positive probabilities), else None."""
 
-    collapse_residual: float
-    algebraic_residual: float
-    implication_values: tuple | None
-    tolerance: float
+    def __init__(self, collapse_residual: float, algebraic_residual: float,
+                 implication_values: tuple | None, tolerance: float):
+        self.__dict__.update(collapse_residual=collapse_residual,
+                             algebraic_residual=algebraic_residual,
+                             implication_values=implication_values, tolerance=tolerance)
 
     @property
     def collapse_verdict(self) -> bool:
@@ -154,8 +145,7 @@ def certainty_test(state: BipartiteState, A):
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementOutcome:
+class MeasurementOutcome(Record):
     """One detectable result of measuring either member of a twin pair.
 
     The Lüders states are kept as normalised factors Y_s of shape
@@ -165,11 +155,11 @@ class MeasurementOutcome:
     array from them on each read: the post state is Y Y† (D x D) and
     the conditional state of the other side a partial trace of it."""
 
-    value: float
-    probability_plus: float
-    probability_minus: float
-    factor_plus: np.ndarray
-    factor_minus: np.ndarray
+    def __init__(self, value: float, probability_plus: float, probability_minus: float,
+                 factor_plus, factor_minus):
+        self.__dict__.update(value=value, probability_plus=probability_plus,
+                             probability_minus=probability_minus,
+                             factor_plus=factor_plus, factor_minus=factor_minus)
 
     @staticmethod
     def _gram(Y: np.ndarray) -> np.ndarray:
@@ -197,14 +187,13 @@ class MeasurementOutcome:
         return np.einsum("ijk,ljk->il", Y, Y.conj())
 
 
-@dataclass(frozen=True, eq=False)
-class DistantMeasurementReport:
-    outcomes: tuple
-    expectation_plus: float
-    expectation_minus: float
-    max_probability_gap: float
-    max_collapse_gap: float
-    tolerance: float
+class DistantMeasurementReport(Record):
+    def __init__(self, outcomes: tuple, expectation_plus: float, expectation_minus: float,
+                 max_probability_gap: float, max_collapse_gap: float, tolerance: float):
+        self.__dict__.update(outcomes=outcomes, expectation_plus=expectation_plus,
+                             expectation_minus=expectation_minus,
+                             max_probability_gap=max_probability_gap,
+                             max_collapse_gap=max_collapse_gap, tolerance=tolerance)
 
     @property
     def passed(self) -> bool:

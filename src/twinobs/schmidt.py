@@ -10,22 +10,20 @@ simultaneous generalized Schmidt expansions with complex coefficients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linops
 from .errors import NotPureError, OffDiagonalLeakError, SparsityViolationError
-from .linops import max_norm
+from .linops import Record, ValueRecord, max_norm
 from .spectral import MatchedBases, matched_bases_from_pair
 from .states import BipartiteState, PureDecomposition, _compressed_factor
 from .twins import ObservablePair
 
 
-@dataclass(frozen=True)
-class SparsityReport:
-    max_forbidden: float
-    tolerance: float
+class SparsityReport(ValueRecord):
+    def __init__(self, max_forbidden: float, tolerance: float):
+        self.__dict__.update(max_forbidden=max_forbidden, tolerance=tolerance)
 
     @property
     def passed(self) -> bool:
@@ -106,13 +104,13 @@ def pure_schmidt(state: BipartiteState, complete_pair: ObservablePair):
     return coeffs, mb.basis_plus, basis_minus
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralizedSchmidtExpansion:
+class GeneralizedSchmidtExpansion(Record):
     """Per-component complex coefficients over the matched diagonal
-    product basis |a>|a>, plus the induced subsystem eigenvalues."""
+    product basis |a>|a>, n_components x r, plus the induced subsystem
+    eigenvalues |alpha|^2 of the same shape."""
 
-    alphas: np.ndarray        # n_components x r
-    subsystem_eigenvalues: np.ndarray  # |alpha|^2, same shape
+    def __init__(self, alphas, subsystem_eigenvalues):
+        self.__dict__.update(alphas=alphas, subsystem_eigenvalues=subsystem_eigenvalues)
 
 
 def simultaneous_expansion(dec: PureDecomposition, mb: MatchedBases,

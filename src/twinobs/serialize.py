@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -55,7 +54,7 @@ def tolerances_from_json(data) -> Tolerances:
     if data is None:
         return DEFAULT_TOL
     with _document(data, "tolerances"):
-        bad = set(data) - {f.name for f in fields(Tolerances)}
+        bad = set(data) - set(Tolerances.FIELDS)
         if bad:
             raise InputError(f"tolerances: unknown fields {sorted(bad)}")
         try:
@@ -88,7 +87,7 @@ def state_to_document(state: BipartiteState) -> dict:
     return {
         "dims": [state.d_plus, state.d_minus],
         "rho": matrix_to_json(state.rho),
-        "tolerances": asdict(state.tol),
+        "tolerances": dict(vars(state.tol)),
     }
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+import random
 
 import numpy as np
 
@@ -22,21 +23,19 @@ from .errors import (
     NotSymmetricError,
     SpectraMismatchError,
 )
-from .linops import max_norm
+from .linops import Record, max_norm
 from .states import BipartiteState, restrict_to_relevant
 from .twins import ObservablePair, TwinSpace
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralData:
+class SpectralData(Record):
     """Clustered eigenvalues of a Hermitian operator with multiplicities
     and characteristic projectors, and the eigenvector matrix (columns in
     ascending eigenvalue order, phases as in linops.eigh) they came from."""
 
-    values: np.ndarray
-    multiplicities: np.ndarray
-    projectors: tuple
-    vectors: np.ndarray
+    def __init__(self, values, multiplicities, projectors: tuple, vectors):
+        self.__dict__.update(values=values, multiplicities=multiplicities,
+                             projectors=projectors, vectors=vectors)
 
 
 def spectral_data(H, cluster_tol: float = linops.DEFAULT_TOL.cluster_tol) -> SpectralData:
@@ -78,20 +77,18 @@ def commutation_check(pair: ObservablePair, state: BipartiteState) -> dict:
     }
 
 
-@dataclass(frozen=True, eq=False)
-class DetectableSplit:
+class DetectableSplit(Record):
     """Blocks of a twin pair with respect to the range/null decomposition
     of the subsystem states: primed blocks act on the ranges, double
     primed blocks on the null spaces."""
 
-    a_prime_plus: np.ndarray
-    a_prime_minus: np.ndarray
-    a_dprime_plus: np.ndarray
-    a_dprime_minus: np.ndarray
-    range_basis_plus: np.ndarray
-    range_basis_minus: np.ndarray
-    null_basis_plus: np.ndarray
-    null_basis_minus: np.ndarray
+    def __init__(self, a_prime_plus, a_prime_minus, a_dprime_plus, a_dprime_minus,
+                 range_basis_plus, range_basis_minus, null_basis_plus, null_basis_minus):
+        self.__dict__.update(
+            a_prime_plus=a_prime_plus, a_prime_minus=a_prime_minus,
+            a_dprime_plus=a_dprime_plus, a_dprime_minus=a_dprime_minus,
+            range_basis_plus=range_basis_plus, range_basis_minus=range_basis_minus,
+            null_basis_plus=null_basis_plus, null_basis_minus=null_basis_minus)
 
     def reassemble(self):
         """Embed the blocks back: must reproduce the original pair."""
@@ -253,15 +250,15 @@ def symmetric_polynomial(pairs, poly: dict, state: BipartiteState) -> Observable
     return ObservablePair(a_plus, a_minus)
 
 
-@dataclass(frozen=True, eq=False)
-class MatchedBases:
+class MatchedBases(Record):
     """Characteristic bases of a complete twin pair, index-aligned by
-    characteristic value.  Vectors live on the full subsystem spaces and
-    span the subsystem ranges."""
+    characteristic value: column a of basis_plus (d_plus x r) and of
+    basis_minus (d_minus x r) belongs to sigma_prime[a].  Vectors live
+    on the full subsystem spaces and span the subsystem ranges."""
 
-    sigma_prime: np.ndarray
-    basis_plus: np.ndarray   # d_plus x r, column a belongs to sigma_prime[a]
-    basis_minus: np.ndarray  # d_minus x r
+    def __init__(self, sigma_prime, basis_plus, basis_minus):
+        self.__dict__.update(sigma_prime=sigma_prime, basis_plus=basis_plus,
+                             basis_minus=basis_minus)
 
 
 def matched_bases_from_pair(pair: ObservablePair, state: BipartiteState) -> MatchedBases:
@@ -308,18 +305,38 @@ def _matched_bases(state: BipartiteState, sp: SpectralData, sm: SpectralData) ->
     )
 
 
+def _complex_normals(rng: random.Random, n: int) -> np.ndarray:
+    """n complex numbers whose real and imaginary parts are independent
+    standard normals: the Box-Muller transform of 2n 53-bit uniforms on
+    (0, 1] from one randbytes call of rng, the first n giving the radii
+    and the last n the angles."""
+    u = ((np.frombuffer(rng.randbytes(16 * n), dtype="<u8") >> np.uint64(11)) + 1) * 2.0 ** -53
+    return np.sqrt(-2 * np.log(u[:n])) * np.exp(2j * np.pi * u[n:])
+
+
 def find_complete_twins(twin_space: TwinSpace, state: BipartiteState, seed: int = 0):
     """(pair, MatchedBases) of a pair of the twin space whose detectable
     spectra are nondegenerate on both sides; None when no complete twins
     exist (always when rho_plus and rho_minus differ in rank).
 
-    One seeded Gaussian draw c over the basis pairs decides, with
-    probability 1: a side's detectable spectrum is degenerate exactly
-    where the discriminant of its characteristic polynomial, a real
-    polynomial in c, vanishes, and if one pair of the space is complete
-    the product of the two discriminants is not identically zero.  The
-    draw's detectable part is a standard Gaussian on the detectable
-    subspace, so its gaps are of order 1, far above cluster_tol.
+    One seeded draw decides, with probability 1.  The draw is a pair
+    G = (G_plus, G_minus) of standard Gaussian Hermitian matrices,
+    G_s = (X_s + X_s†)/2 for X_s with independent standard normal real
+    and imaginary parts from ``random.Random(seed)``, so that the
+    coordinates of G_s over any Hilbert-Schmidt orthonormal basis of
+    the Hermitian matrices are independent standard normals.  It is
+    projected onto the twin space: the pair
+    sum_k <B_k, G> B_k over the orthonormal basis B_k, <., .> the
+    Hilbert-Schmidt products summed over both sides.  The projection of
+    an isotropic Gaussian is an isotropic Gaussian on the subspace, so
+    the result depends on the twin space and the seed, not on the basis
+    the solver returned.  A side's detectable spectrum is degenerate
+    exactly where the discriminant of its characteristic polynomial, a
+    real polynomial in the coordinates, vanishes, and if one pair of the
+    space is complete the product of the two discriminants is not
+    identically zero.  The draw's detectable part is a standard Gaussian
+    on the detectable subspace, so its gaps are of order 1, far above
+    cluster_tol.
 
     The pair is that detectable part lifted with zero undetectable
     blocks.  The state remembers the spectra of its detectable blocks
@@ -329,10 +346,16 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState, seed: int 
     sub = state.subsystems
     if sub.range_plus.shape[1] != sub.range_minus.shape[1]:
         return None
-    c = np.random.default_rng(seed).standard_normal(len(twin_space.basis))
-    pair = ObservablePair._trusted(
-        np.tensordot(c, np.array([p.a_plus for p in twin_space.basis]), 1),
-        np.tensordot(c, np.array([p.a_minus for p in twin_space.basis]), 1))
+    dp, dm = state.d_plus, state.d_minus
+    z = _complex_normals(random.Random(operator.index(seed)), dp * dp + dm * dm)
+    n = len(twin_space.basis)
+    a_plus = np.array([p.a_plus for p in twin_space.basis]).reshape(n, -1)
+    a_minus = np.array([p.a_minus for p in twin_space.basis]).reshape(n, -1)
+    # G_s = (X_s + X_s†)/2 for X_s the d_s x d_s block of z, and for a
+    # Hermitian B, <B, G_s> = tr(B G_s) = Re tr(B X_s), so G is not formed
+    c = (a_plus @ z[:dp * dp].reshape(dp, dp).T.ravel()
+         + a_minus @ z[dp * dp:].reshape(dm, dm).T.ravel()).real
+    pair = ObservablePair._trusted((c @ a_plus).reshape(dp, dp), (c @ a_minus).reshape(dm, dm))
     split = split_detectable(pair, state)
     tol = state.tol.cluster_tol
     sp, sm = spectral_data(split.a_prime_plus, tol), spectral_data(split.a_prime_minus, tol)

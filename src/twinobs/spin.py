@@ -8,14 +8,12 @@ against the S^2 and S_z eigen-relations, never transcribed from tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linops
 from .errors import UnsupportedSpinError, WeightError
 from .states import BipartiteState, PureDecomposition, mix
-from .linops import DEFAULT_TOL, Tolerances
+from .linops import DEFAULT_TOL, Tolerances, ValueRecord
 
 SUPPORTED_SPINS = (0.5, 1.0)
 
@@ -94,26 +92,23 @@ _SCENARIO_TABLE = {
 SCENARIO_NAMES = tuple(_SCENARIO_TABLE)
 
 
-@dataclass(frozen=True)
-class SpinScenario:
-    """A named mixture of coupled two-spin states."""
+class SpinScenario(ValueRecord):
+    """A named mixture of coupled two-spin states; weights None means
+    equal weights."""
 
-    name: str
-    weights: tuple | None = None
-
-    def __post_init__(self):
-        if self.name not in _SCENARIO_TABLE:
+    def __init__(self, name: str, weights=None):
+        if name not in _SCENARIO_TABLE:
             raise UnsupportedSpinError(
-                f"unknown scenario {self.name!r}; choose from {SCENARIO_NAMES}"
+                f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}"
             )
-        n = len(_SCENARIO_TABLE[self.name][2])
-        if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            if len(w) != n:
-                raise WeightError(f"scenario {self.name} needs {n} weights")
-            if not all(x > 0 for x in w) or abs(sum(w) - 1.0) > 1e-10:
+        n = len(_SCENARIO_TABLE[name][2])
+        if weights is not None:
+            weights = tuple(float(x) for x in weights)
+            if len(weights) != n:
+                raise WeightError(f"scenario {name} needs {n} weights")
+            if not all(x > 0 for x in weights) or abs(sum(weights) - 1.0) > 1e-10:
                 raise WeightError("weights must be positive and sum to 1")
-            object.__setattr__(self, "weights", w)
+        self.__dict__.update(name=name, weights=weights)
 
 
 def scenario_decomposition(s: SpinScenario) -> tuple[PureDecomposition, int, int]:

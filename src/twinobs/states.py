@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import linops
 from .errors import NotNormalizedError, NotPositiveError, WeightError
-from .linops import DEFAULT_TOL, Tolerances, max_norm
+from .linops import DEFAULT_TOL, Record, Tolerances, ValueRecord, max_norm
 
 
-@dataclass(frozen=True, eq=False)
-class BipartiteState:
+class BipartiteState(Record):
     """A density matrix rho on H_plus ⊗ H_minus.
 
     rho is symmetrized on ingestion; the trace must be 1 within 1e-6
@@ -50,17 +48,12 @@ class BipartiteState:
     ``spectrum`` is first read.
     """
 
-    d_plus: int
-    d_minus: int
-    rho: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOL)
-
-    def __post_init__(self):
-        dim = self.d_plus * self.d_minus
-        rho = linops.hermitize(self.rho, self.tol.herm_tol)
+    def __init__(self, d_plus: int, d_minus: int, rho, tol: Tolerances = DEFAULT_TOL):
+        dim = d_plus * d_minus
+        rho = linops.hermitize(rho, tol.herm_tol)
         if rho.shape != (dim, dim):
             raise linops.DimensionMismatchError(
-                f"rho shape {rho.shape} does not match dims {self.d_plus}x{self.d_minus}"
+                f"rho shape {rho.shape} does not match dims {d_plus}x{d_minus}"
             )
         tr = float(np.real(np.trace(rho)))
         if abs(tr - 1.0) > 1e-6:
@@ -71,17 +64,16 @@ class BipartiteState:
             rho = rho / tr
         # (eigenvalues, range basis, null basis or None on the factor
         # path, cut_error) of the rank cut of rho, all arrays read-only
-        cut = linops.low_rank_cut(rho, self.tol.rank_tol, dim // 8)
+        cut = linops.low_rank_cut(rho, tol.rank_tol, dim // 8)
         if cut is None:
-            vals, V, N = linops.range_null_bases(rho, self.tol.rank_tol)
-            if vals[0] < -self.tol.rank_tol * max(vals[-1], 1.0):
+            vals, V, N = linops.range_null_bases(rho, tol.rank_tol)
+            if vals[0] < -tol.rank_tol * max(vals[-1], 1.0):
                 raise NotPositiveError(f"rho has negative eigenvalue {vals[0]:.3e}")
             cut = (*_read_only(vals, V, N), np.max(np.abs(vals[:N.shape[1]]), initial=0.0))
         else:
             cut = (*_read_only(*cut[:2]), None, cut[2])
         rho.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "_cut", cut)
+        self.__dict__.update(d_plus=d_plus, d_minus=d_minus, rho=rho, tol=tol, _cut=cut)
 
     @property
     def dim(self) -> int:
@@ -137,52 +129,41 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-@dataclass(frozen=True, eq=False)
-class SubsystemPair:
+class SubsystemPair(Record):
     """Reduced states with the eigenvalues (ascending) and orthonormal
     range/null bases of each, cut at rank_tol."""
 
-    rho_plus: np.ndarray
-    rho_minus: np.ndarray
-    values_plus: np.ndarray
-    range_plus: np.ndarray
-    null_plus: np.ndarray
-    values_minus: np.ndarray
-    range_minus: np.ndarray
-    null_minus: np.ndarray
+    def __init__(self, rho_plus, rho_minus, values_plus, range_plus, null_plus,
+                 values_minus, range_minus, null_minus):
+        self.__dict__.update(
+            rho_plus=rho_plus, rho_minus=rho_minus, values_plus=values_plus,
+            range_plus=range_plus, null_plus=null_plus, values_minus=values_minus,
+            range_minus=range_minus, null_minus=null_minus)
 
 
-@dataclass(frozen=True, eq=False)
-class SubspaceProjectors:
-    R: np.ndarray
-    N: np.ndarray
-    R_plus: np.ndarray
-    N_plus: np.ndarray
-    R_minus: np.ndarray
-    N_minus: np.ndarray
+class SubspaceProjectors(Record):
+    def __init__(self, R, N, R_plus, N_plus, R_minus, N_minus):
+        self.__dict__.update(R=R, N=N, R_plus=R_plus, N_plus=N_plus,
+                             R_minus=R_minus, N_minus=N_minus)
 
 
-@dataclass(frozen=True, eq=False)
-class PureDecomposition:
-    """A convex decomposition rho = sum_i w_i |phi_i><phi_i|."""
+class PureDecomposition(Record):
+    """A convex decomposition rho = sum_i w_i |phi_i><phi_i| over unit
+    vectors on the composite space."""
 
-    weights: tuple
-    vectors: tuple  # unit vectors on the composite space
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if len(self.weights) != len(self.vectors) or len(self.vectors) == 0:
+    def __init__(self, weights, vectors):
+        w = np.asarray(weights, dtype=float)
+        if len(weights) != len(vectors) or len(vectors) == 0:
             raise WeightError("weights and vectors must be nonempty and equal length")
         if not np.all(np.isfinite(w) & (w > 0)):
             raise WeightError("weights must be positive and finite")
         if abs(w.sum() - 1.0) > 1e-10:
             raise WeightError(f"weights sum to {w.sum()}, not 1")
-        vecs = [np.asarray(v, dtype=complex).ravel() for v in self.vectors]
+        vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
         for n in map(np.linalg.norm, vecs):
             if abs(n - 1.0) > 1e-10:
                 raise NotNormalizedError(f"component norm {n}, not 1 within 1e-10")
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
-        object.__setattr__(self, "vectors", tuple(vecs))
+        self.__dict__.update(weights=tuple(float(x) for x in w), vectors=tuple(vecs))
 
 
 def from_pure(phi, d_plus: int, d_minus: int, tol: Tolerances = DEFAULT_TOL) -> BipartiteState:
@@ -211,13 +192,12 @@ def mix(dec: PureDecomposition, d_plus: int, d_minus: int,
     return BipartiteState(d_plus=d_plus, d_minus=d_minus, rho=rho, tol=tol)
 
 
-@dataclass(frozen=True)
-class GeometryReport:
+class GeometryReport(ValueRecord):
     """Max-norm residuals of the range/null-space relations between the
     composite state and its reductions."""
 
-    residuals: dict
-    tolerance: float
+    def __init__(self, residuals: dict, tolerance: float):
+        self.__dict__.update(residuals=residuals, tolerance=tolerance)
 
     @property
     def max_residual(self) -> float:
@@ -250,14 +230,14 @@ def verify_subspace_geometry(state: BipartiteState) -> GeometryReport:
     return GeometryReport(residuals=residuals, tolerance=state.tol.residual_tol)
 
 
-@dataclass(frozen=True, eq=False)
-class RelevantRestriction:
+class RelevantRestriction(Record):
     """rho restricted to the product of the subsystem ranges, together
-    with the embedding bases in both directions."""
+    with the embedding bases in both directions: basis_plus is d_plus x
+    r_plus and basis_minus d_minus x r_minus, orthonormal columns."""
 
-    rho_prime: np.ndarray
-    basis_plus: np.ndarray   # d_plus x r_plus, orthonormal columns
-    basis_minus: np.ndarray  # d_minus x r_minus
+    def __init__(self, rho_prime, basis_plus, basis_minus):
+        self.__dict__.update(rho_prime=rho_prime, basis_plus=basis_plus,
+                             basis_minus=basis_minus)
 
     @property
     def composite_basis(self) -> np.ndarray:

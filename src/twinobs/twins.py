@@ -8,18 +8,15 @@ Hilbert-Schmidt-orthonormal Hermitian operator basis of both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linops
 from .errors import DimensionMismatchError
-from .linops import max_norm
+from .linops import Record, ValueRecord, max_norm
 from .states import BipartiteState, _read_only
 
 
-@dataclass(frozen=True, eq=False)
-class ObservablePair:
+class ObservablePair(Record):
     """A candidate or solved twin pair of Hermitian subsystem operators.
 
     Both arrays are symmetrized copies of the input and read-only, so a
@@ -27,13 +24,9 @@ class ObservablePair:
     detectable spectra of the last pair it was asked about (see
     ``spectral.matched_bases_from_pair``)."""
 
-    a_plus: np.ndarray
-    a_minus: np.ndarray
-
-    def __post_init__(self):
-        a_plus, a_minus = _read_only(linops.hermitize(self.a_plus), linops.hermitize(self.a_minus))
-        object.__setattr__(self, "a_plus", a_plus)
-        object.__setattr__(self, "a_minus", a_minus)
+    def __init__(self, a_plus, a_minus):
+        a_plus, a_minus = _read_only(linops.hermitize(a_plus), linops.hermitize(a_minus))
+        self.__dict__.update(a_plus=a_plus, a_minus=a_minus)
 
     @classmethod
     def _trusted(cls, a_plus: np.ndarray, a_minus: np.ndarray) -> "ObservablePair":
@@ -51,8 +44,7 @@ class ObservablePair:
         pairs = []
         for ap, am in zip(a_plus, a_minus):
             pair = object.__new__(cls)
-            object.__setattr__(pair, "a_plus", ap)
-            object.__setattr__(pair, "a_minus", am)
+            pair.__dict__.update(a_plus=ap, a_minus=am)
             pairs.append(pair)
         return tuple(pairs)
 
@@ -80,8 +72,7 @@ def scalar_pair(d_plus: int, d_minus: int) -> ObservablePair:
     return ObservablePair(np.eye(d_plus, dtype=complex), np.eye(d_minus, dtype=complex))
 
 
-@dataclass(frozen=True, eq=False)
-class TwinSpace:
+class TwinSpace(Record):
     """Orthonormal basis (sum of HS inner products on the two sides) of
     all twin pairs of a state, with dimension bookkeeping.
 
@@ -90,11 +81,11 @@ class TwinSpace:
     null space are twins regardless of the other side.
     """
 
-    basis: tuple
-    dim_total: int
-    dim_detectable: int
-    dim_undetectable_plus: int
-    dim_undetectable_minus: int
+    def __init__(self, basis: tuple, dim_total: int, dim_detectable: int,
+                 dim_undetectable_plus: int, dim_undetectable_minus: int):
+        self.__dict__.update(basis=basis, dim_total=dim_total, dim_detectable=dim_detectable,
+                             dim_undetectable_plus=dim_undetectable_plus,
+                             dim_undetectable_minus=dim_undetectable_minus)
 
     def coordinate_matrix(self) -> np.ndarray:
         """Columns are hermitian_basis coordinates of the basis pairs."""
@@ -344,15 +335,14 @@ def additive_twins(state: BipartiteState, b_plus, b_minus):
     return pair
 
 
-@dataclass(frozen=True)
-class ConsequenceReport:
+class ConsequenceReport(ValueRecord):
     """Checks that twins are range-determined: every twin of rho is a
     twin of every pure state in the range (C1), and a second state with
     the same range has the same twin space (C3)."""
 
-    c1_max_residual: float
-    c3_subspace_distance: float
-    tolerance: float
+    def __init__(self, c1_max_residual: float, c3_subspace_distance: float, tolerance: float):
+        self.__dict__.update(c1_max_residual=c1_max_residual,
+                             c3_subspace_distance=c3_subspace_distance, tolerance=tolerance)
 
     @property
     def passed(self) -> bool:

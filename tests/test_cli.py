@@ -10,6 +10,8 @@ import pytest
 from twinobs import (
     BipartiteState,
     ObservablePair,
+    SpinScenario,
+    build_scenario,
     serialize,
 )
 from twinobs.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFICATION, _tolerances, build_parser, main
@@ -270,15 +272,99 @@ def test_no_tolerance_flags_keep_the_document_tolerances():
         BipartiteState(1, 1, np.eye(1)))["tolerances"])
 
 
+def _child_env() -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_import_does_not_load_scipy():
     """NumPy is the only runtime dependency; SciPy is for the tests."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = "import sys, twinobs; assert 'scipy' not in sys.modules, 'scipy imported'"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+# The public names of the package, each loaded on first access.
+PUBLIC_NAMES = {
+    "BipartiteState", "DEFAULT_TOL", "EventPair", "MatchedBases", "ObservablePair",
+    "PureDecomposition", "SCENARIO_NAMES", "SpectralData", "SpinScenario", "Tolerances",
+    "TwinSpace", "additive_twins", "apply_function", "build_scenario", "certainty_test",
+    "characteristic_projector_twins", "commutation_check", "compatibility_report",
+    "coupled_basis", "detectable_spectra", "distant_measurement_report", "errors",
+    "event_equivalence", "find_complete_twins", "from_pure", "is_twin_pair", "linops",
+    "luders_collapse", "matched_bases_from_pair", "measurement", "mix", "pure_schmidt",
+    "restrict_to_relevant", "scalar_pair", "schmidt", "simplified_matrix",
+    "simultaneous_expansion", "solve_twin_space", "spectral", "spectral_data", "spin",
+    "split_detectable", "states", "states_admitting_twins", "symmetric_polynomial", "twins",
+    "twins_restrict_to_range_vectors", "verify_subspace_geometry",
+}
+
+
+def _run_child(*args):
+    result = subprocess.run([sys.executable, *args], env=_child_env(),
+                            capture_output=True, text=True, timeout=120)
+    return result
+
+
+def test_import_loads_no_submodule():
+    code = ("import sys, twinobs; loaded = [m for m in sys.modules if m.startswith('twinobs.')]; "
+            "assert not loaded, loaded")
+    result = _run_child("-c", code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_every_public_name_is_listed_and_resolves():
+    code = ("import json, twinobs; names = list(twinobs.__all__); "
+            "[getattr(twinobs, n) for n in names]; "
+            "print(json.dumps([names, [n for n in dir(twinobs) if not n.startswith('_')]]))")
+    result = _run_child("-c", code)
+    assert result.returncode == 0, result.stderr
+    names, listed = json.loads(result.stdout)
+    assert len(names) == len(PUBLIC_NAMES) == 48 and set(names) == PUBLIC_NAMES
+    assert set(listed) == PUBLIC_NAMES
+
+
+def _loaded_modules(argv) -> tuple:
+    """(exit code, names of the modules a `python -m twinobs.cli` call imports),
+    read off -X importtime."""
+    result = _run_child("-X", "importtime", "-m", "twinobs.cli", *argv)
+    names = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+             if line.startswith("import time:")}
+    return result.returncode, names
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A state file of example2_ms0 and a twin pair (s_z, -s_z) of it."""
+    root = tmp_path_factory.mktemp("startup")
+    state = root / "state.json"
+    pair = root / "pair.json"
+    state.write_text(serialize.dump_json(serialize.state_to_document(
+        build_scenario(SpinScenario("example2_ms0")))))
+    sz = np.diag([1.0, 0.0, -1.0])
+    pair.write_text(serialize.dump_json(serialize.pair_to_document(ObservablePair(sz, -sz))))
+    return str(state), str(pair)
+
+
+@pytest.mark.parametrize("command", ["solve", "example"])
+def test_solve_and_example_load_no_spectral_module(command, cli_files):
+    argv = ["solve", cli_files[0]] if command == "solve" else ["example", "example2_ms0"]
+    code, names = _loaded_modules(argv)
+    assert code == EXIT_OK and "twinobs.serialize" in names
+    assert not names & {"twinobs.spectral", "twinobs.measurement", "twinobs.schmidt"}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "analyze", "measure", "schmidt",
+                                     "example"])
+def test_no_command_loads_numpy_random_or_dataclasses(command, cli_files):
+    state, pair = cli_files
+    argv = {"solve": [state], "verify": [state, pair], "analyze": [state],
+            "measure": [state, pair], "schmidt": [state], "example": ["example2_ms0"]}[command]
+    code, names = _loaded_modules([command, *argv])
+    assert code == EXIT_OK and "twinobs.serialize" in names
+    assert not names & {"numpy.random", "dataclasses"}
 
 
 NON_FINITE = ["NaN", "Infinity", "-Infinity"]

@@ -215,10 +215,10 @@ class TestTrustedPairs:
         phi = np.einsum("ia,ja,a->ij", isometry(rng, 3, 3), isometry(rng, 3, 3), [0.3, 0.5, 0.8])
         state = from_pure(phi.ravel() / np.linalg.norm(phi), 3, 3)
 
-        def forbidden(self):
+        def forbidden(self, *args, **kwargs):
             raise AssertionError("validating constructor on a constructed pair")
 
-        monkeypatch.setattr(ObservablePair, "__post_init__", forbidden)
+        monkeypatch.setattr(ObservablePair, "__init__", forbidden)
         space = solve_twin_space(state)
         pair, _ = find_complete_twins(space, state)
         for p in (*space.basis, pair):

@@ -52,9 +52,7 @@ def user_pair(pair):
 
 
 def column_projectors(B):
-    """|b_a><b_a| for each column: a basis vector up to its phase, which
-    linops.eigh fixes at the first component above 1e-12 and which
-    rounding can therefore move when that component is rounding-sized."""
+    """|b_a><b_a| for each column: a basis vector up to its phase."""
     return np.einsum("ia,ja->aij", B, B.conj())
 
 
@@ -153,6 +151,19 @@ def test_one_pair_on_two_states_shows_no_cross_talk():
     assert len(refs[id(big)][0]) == 3 and len(refs[id(small)][0]) == 2
     for st in (small, big, small, big):
         assert_outputs_close(outputs(st, pair, True), refs[id(st)], 1e-12)
+
+
+def test_re_split_pair_keeps_its_matched_phases():
+    """The found pair of the case above, split again as the lifted pair on
+    a fresh state, gives the matched basis vectors of the search with
+    their phases, not only their projectors."""
+    rng = np.random.default_rng(53)
+    U, V = isometry(rng, 4, 4), isometry(rng, 4, 4)
+    big = schmidt_state(U, V, [1.0, 2.1, 3.3])
+    pair, mb = find_complete_twins(solve_twin_space(big), big)
+    again = matched_bases_from_pair(pair, BipartiteState(4, 4, big.rho))
+    np.testing.assert_allclose(again.basis_minus, mb.basis_minus, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(again.basis_plus, mb.basis_plus, rtol=0, atol=1e-12)
 
 
 def test_pair_arrays_are_read_only():

@@ -4,6 +4,9 @@ replaced, and the per-state cache of spectral geometry.
 Each reference below is the earlier implementation, written out here so
 that a drift of the fast path shows up as a mismatch."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -72,8 +75,8 @@ def ref_fix_phases(V):
     V = V.copy()
     for k in range(V.shape[1]):
         col = V[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
+        nz = np.flatnonzero(np.abs(col) >= 1e-6 * np.abs(col).max())
+        if np.abs(col).max() > 0:
             pivot = col[nz[0]]
             V[:, k] = col * (np.conj(pivot) / abs(pivot))
     return V
@@ -151,23 +154,42 @@ def ref_pure_schmidt(state, pair):
     return coeffs, mb.basis_plus, basis_minus
 
 
-def ref_find_complete_twins(space, state, seed=0, attempts=64):
-    """Search with a Python sum and a second split of the lifted candidate."""
-    rng = np.random.default_rng(seed)
-    for _ in range(attempts):
-        c = rng.standard_normal(len(space.basis))
-        ap = sum(ci * p.a_plus for ci, p in zip(c, space.basis))
-        am = sum(ci * p.a_minus for ci, p in zip(c, space.basis))
-        candidate = split_detectable(ObservablePair(ap, am), state).detectable_lifted()
-        split = split_detectable(candidate, state)
-        vals_p = np.linalg.eigvalsh(split.a_prime_plus)
-        vals_m = np.linalg.eigvalsh(split.a_prime_minus)
-        if len(vals_p) > 1 and np.min(np.diff(vals_p)) <= state.tol.cluster_tol:
-            continue
-        if len(vals_m) > 1 and np.min(np.diff(vals_m)) <= state.tol.cluster_tol:
-            continue
-        return candidate
-    return None
+def ref_find_complete_twins(space, state, seed=0):
+    """The one seeded draw with Python loops: Box-Muller normals from the
+    same random bytes, the Gaussian pair entry by entry, its projection
+    as a Python sum of traces tr(B G), and a second split of the lifted
+    candidate."""
+    dp, dm = state.d_plus, state.d_minus
+    n = dp * dp + dm * dm
+    data = random.Random(seed).randbytes(16 * n)
+    u = [((int.from_bytes(data[8 * i:8 * i + 8], "little") >> 11) + 1) * 2.0 ** -53
+         for i in range(2 * n)]
+    radius = [math.sqrt(-2 * math.log(u[i])) for i in range(n)]
+    z = [complex(r * math.cos(2 * math.pi * t), r * math.sin(2 * math.pi * t))
+         for r, t in zip(radius, u[n:])]
+
+    def gaussian(z, d):
+        """(X + X†)/2 for X = z[:d*d] read row-major."""
+        G = np.zeros((d, d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                G[i, j] = (z[i * d + j] + z[j * d + i].conjugate()) / 2
+        return G
+
+    g_plus, g_minus = gaussian(z[:dp * dp], dp), gaussian(z[dp * dp:], dm)
+    c = [np.trace(p.a_plus @ g_plus).real + np.trace(p.a_minus @ g_minus).real
+         for p in space.basis]
+    ap = sum(ci * p.a_plus for ci, p in zip(c, space.basis))
+    am = sum(ci * p.a_minus for ci, p in zip(c, space.basis))
+    candidate = split_detectable(ObservablePair(ap, am), state).detectable_lifted()
+    split = split_detectable(candidate, state)
+    vals_p = np.linalg.eigvalsh(split.a_prime_plus)
+    vals_m = np.linalg.eigvalsh(split.a_prime_minus)
+    if len(vals_p) > 1 and np.min(np.diff(vals_p)) <= state.tol.cluster_tol:
+        return None
+    if len(vals_m) > 1 and np.min(np.diff(vals_m)) <= state.tol.cluster_tol:
+        return None
+    return candidate
 
 
 def ref_characteristic_projector_twins(split, state):
@@ -244,6 +266,31 @@ class TestFixPhases:
         V = np.array([[0, 1j], [0, 0]], dtype=complex)
         got = linops._fix_phases(V)
         assert got.tobytes() == np.array([[0, 1], [0, 0]], dtype=complex).tobytes()
+
+    def test_exact_two_way_modulus_tie_takes_the_first(self):
+        """Two entries of modulus exactly 5 tie for the pivot; the first is
+        taken also when rounding makes the second the larger."""
+        out = []
+        for scale in (1.0, 1 + 2.0 ** -52, 1 - 2.0 ** -53):
+            V = np.array([[3 + 4j], [(4 - 3j) * scale], [1.0]])
+            got = linops._fix_phases(V)
+            np.testing.assert_allclose(got[0, 0], 5.0, rtol=0, atol=1e-14)
+            out.append(got[:, 0])
+        for col in out[1:]:
+            np.testing.assert_allclose(col, out[0], rtol=0, atol=1e-14)
+
+    def test_rounding_sized_leading_entries_do_not_move_the_pivot(self):
+        """An eigenvector whose leading entry is zero up to a coupling of
+        order 1e-12 keeps its phase when that entry crosses 1e-12: the
+        pivot is an entry of the size of the largest one."""
+        cols = []
+        for coupling in (5e-13, 2e-12):
+            H = np.diag([1.0, 2.0, 3.0]).astype(complex)
+            H[0, 1] = coupling * np.exp(2j)
+            H[1, 0] = np.conj(H[0, 1])
+            cols.append(linops.eigh(H)[1][:, 1])
+        assert max(abs(cols[0][0]), abs(cols[1][0])) < 1e-11
+        np.testing.assert_allclose(cols[0], cols[1], rtol=0, atol=1e-11)
 
 
 class TestRankCut:
@@ -665,7 +712,7 @@ class TestGeometryCache:
         state = diagonal_support_state(np.random.default_rng(4), 3, 2, 2, 1)
         sub = state.subsystems
         assert sub is state.subsystems
-        arrays = [getattr(sub, f) for f in sub.__dataclass_fields__] + list(state.spectrum)
+        arrays = list(vars(sub).values()) + list(state.spectrum)
         for a in arrays:
             assert not a.flags.writeable
         with pytest.raises(ValueError):

@@ -76,6 +76,16 @@ def test_class_ab_tiny():
     assert any(line.startswith("weighted p90") for line in out.splitlines())
 
 
+def test_class_ab_cli_spin_tiny():
+    """The CLI mode: every call is a child process of its side, checked
+    once, and the rows are per command."""
+    out = run_script("class_ab.py", "--parent", str(ROOT), "--change", str(ROOT),
+                     "--workload", "cli-spin", "--tiny", "--repeats", "1")
+    assert "failed ops parent 0 change 0" in out
+    labels = [line.split()[0] for line in out.splitlines()[2:7]]
+    assert labels == ["example", "solve", "analyze", "schmidt", "measure"]
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)

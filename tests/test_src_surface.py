@@ -21,6 +21,8 @@ import twinobs
 SRC = Path(twinobs.__file__).parent
 
 ALLOWED = {
+    "__init__.__getattr__": "PEP 562 hook: the interpreter calls it to load an exported name lazily",
+    "__init__.__dir__": "PEP 562 hook: dir(twinobs) lists the lazily loaded names",
     "linops.range_basis": "perfbench traces it, and perfbench/test_perfbench.py calls it",
     "measurement.CriteriaReport.coherent": "verdict of the event_equivalence report",
     "measurement.MeasurementOutcome.post_state_plus": "Lüders state of an exported report outcome",
