@@ -25,12 +25,15 @@ Like the benchmark, the process and its children are pinned to one
 CPU and BLAS to one thread.  Times are raw wall-clock milliseconds.
 The table gives, per input class, each side's median, the median of
 the paired ratios change/parent and their quartiles (the interleaved
-noise), then the weighted p50 and p90 and the throughput of the whole
-cycle, every position of the cycle weighing the same, as in
-perfbench/run.py.
+noise), and each side's median count of minor page faults per op
+(``getrusage`` ru_minflt of this process and its waited-for children,
+read around each timed op); then the weighted p50 and p90 and the
+throughput of the whole cycle, every position of the cycle weighing the
+same, as in perfbench/run.py, and the mean minor faults per op.
 """
 
 import os
+import resource
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in THREAD_VARS:
@@ -107,18 +110,28 @@ def cli_ops(workloads, calls: list, src: Path) -> list:
     return ops
 
 
-def time_ops(ops: dict, repeats: int) -> dict:
-    """{side: (repeats, n_ops) array of seconds}; sides alternate op by op."""
+def minor_faults() -> int:
+    """Minor page faults so far of this process and its waited-for children."""
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
+
+def time_ops(ops: dict, repeats: int) -> tuple:
+    """({side: (repeats, n_ops) array of seconds}, the same of minor page
+    faults); sides alternate op by op."""
     n = len(ops["parent"])
     times = {s: np.empty((repeats, n)) for s in SIDES}
+    faults = {s: np.empty((repeats, n)) for s in SIDES}
     for rep in range(repeats):
         for i in range(n):
             order = SIDES if (rep + i) % 2 == 0 else SIDES[::-1]
             for side in order:
+                f0 = minor_faults()
                 t0 = perf_counter()
                 ops[side][i].run()
                 times[side][rep, i] = perf_counter() - t0
-    return times
+                faults[side][rep, i] = minor_faults() - f0
+    return times, faults
 
 
 def failures(ops: dict) -> dict:
@@ -136,16 +149,19 @@ def failures(ops: dict) -> dict:
     return out
 
 
-def report(labels: list, times: dict) -> list:
-    """Lines of the per-class table and the cycle summary (milliseconds)."""
+def report(labels: list, times: dict, faults: dict) -> list:
+    """Lines of the per-class table and the cycle summary (milliseconds,
+    minor page faults per op)."""
     lines = [f"{'class':<22} {'n':>3} {'parent':>8} {'change':>8} {'ratio':>7} "
-             f"{'q1':>7} {'q3':>7}"]
+             f"{'q1':>7} {'q3':>7} {'flt par':>8} {'flt chg':>8}"]
     for label in dict.fromkeys(labels):
         cols = [i for i, lab in enumerate(labels) if lab == label]
         p, c = times["parent"][:, cols], times["change"][:, cols]
         q1, ratio, q3 = np.percentile(c / p, [25, 50, 75])
+        fp, fc = (np.median(faults[s][:, cols]) for s in SIDES)
         lines.append(f"{label:<22} {len(cols):>3} {1e3 * np.median(p):>8.3f} "
-                     f"{1e3 * np.median(c):>8.3f} {ratio:>7.3f} {q1:>7.3f} {q3:>7.3f}")
+                     f"{1e3 * np.median(c):>8.3f} {ratio:>7.3f} {q1:>7.3f} {q3:>7.3f} "
+                     f"{fp:>8.1f} {fc:>8.1f}")
     for name, q in (("p50", 50), ("p90", 90)):
         p, c = (np.percentile(times[s], q) for s in SIDES)
         lines.append(f"weighted {name:<13} {'':>3} {1e3 * p:>8.3f} {1e3 * c:>8.3f} "
@@ -153,6 +169,8 @@ def report(labels: list, times: dict) -> list:
     ops_s = {s: times[s].size / times[s].sum() for s in SIDES}
     lines.append(f"{'throughput ops/s':<22} {'':>3} {ops_s['parent']:>8.1f} "
                  f"{ops_s['change']:>8.1f} {ops_s['change'] / ops_s['parent']:>7.3f}")
+    lines.append(f"{'minor faults/op':<22} {'':>3} {faults['parent'].mean():>8.1f} "
+                 f"{faults['change'].mean():>8.1f}")
     return lines
 
 
@@ -181,13 +199,13 @@ def main(argv=None) -> int:
                                 args.seed, args.tiny)
                    for s in SIDES}
         bad = failures(ops)  # also the warm-up pass
-        times = time_ops(ops, args.repeats)
+        times, faults = time_ops(ops, args.repeats)
     print(f"# {args.workload} seed {args.seed}, {args.repeats} repeats, raw ms, "
           f"failed ops parent {len(bad['parent'])} change {len(bad['change'])}")
     for side in SIDES:
         for label, error in bad[side][:5]:
             print(f"# FAILED {side} {label}: {error}")
-    print("\n".join(report([op.label for op in ops["parent"]], times)))
+    print("\n".join(report([op.label for op in ops["parent"]], times, faults)))
     return 1 if any(bad.values()) else 0
 
 

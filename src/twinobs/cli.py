@@ -7,7 +7,9 @@ returns (report, exit code) and prints nothing, and renders the report.
 
 A call loads only the modules its command runs: ``spectral``,
 ``measurement`` and ``schmidt`` are imported inside the handlers that
-use them, so ``solve`` and ``example`` never load them.
+use them, so ``solve`` and ``example`` never load them, and ``spin``
+only by ``example``, whose scenario argument is added to its parser when
+that parser first parses.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import sys
 from . import serialize
 from .errors import InputError, TwinObsError
 from .linops import Tolerances
-from .spin import SCENARIO_NAMES, SpinScenario, build_scenario
 from .states import verify_subspace_geometry
 from .twins import is_twin_pair, solve_twin_space
 
@@ -229,6 +230,8 @@ def cmd_schmidt(state, args):
 
 def cmd_example(_, args):
     """The scenario state as JSON text, under --format text too, so that it pipes."""
+    from .spin import SpinScenario, build_scenario
+
     try:
         scenario = SpinScenario(name=args.scenario, weights=args.weights)
     except TwinObsError as exc:
@@ -237,8 +240,30 @@ def cmd_example(_, args):
     return serialize.dump_json(serialize.state_to_document(state)), EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that runs its ``late`` callback, which adds
+    arguments, when it first parses: a subcommand whose arguments need a
+    module then loads it only when that subcommand is called."""
+
+    def __init__(self, *args, late=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._late = late
+
+    def parse_known_args(self, args=None, namespace=None):
+        late, self._late = self._late, None
+        if late is not None:
+            late(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _scenario_argument(parser) -> None:
+    from .spin import SCENARIO_NAMES
+
+    parser.add_argument("scenario", choices=SCENARIO_NAMES)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twinobs",
         description="Twin observables of bipartite mixed quantum states.",
     )
@@ -271,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decomposition")
     p.set_defaults(func=cmd_schmidt)
 
-    p = sub.add_parser("example", help="emit a named two-spin scenario state")
-    p.add_argument("scenario", choices=SCENARIO_NAMES)
+    p = sub.add_parser("example", help="emit a named two-spin scenario state",
+                       late=_scenario_argument)
     p.add_argument("--weights", type=float, nargs="+")
     p.set_defaults(func=cmd_example)
 

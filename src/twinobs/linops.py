@@ -9,6 +9,8 @@ i = i_plus * d_minus + i_minus throughout the package, which matches
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -83,20 +85,50 @@ def as_matrix(m, dtype=complex) -> np.ndarray:
 
 def max_norm(M) -> float:
     M = np.asarray(M)
-    return 0.0 if M.size == 0 else float(np.max(np.abs(M)))
+    return 0.0 if M.size == 0 else float(np.abs(M).max())
+
+
+def product_max_norm_within(Z: np.ndarray, F: np.ndarray, tol: float) -> tuple:
+    """(max|Z F†| <= tol, witness) for Z and F with the same number of
+    columns.  Entry (i, j) of Z F† is the inner product of row i of Z with
+    row j of F, so by Cauchy-Schwarz max|Z F†| <= max_i ||Z_i|| max_j ||F_j||.
+    When that bound is within tol it decides, and is the witness; only
+    otherwise is Z F† formed, and its max-norm is the witness.  The
+    verdict is that of the max-norm of Z F† either way."""
+    bound = (np.linalg.norm(Z, axis=1).max(initial=0.0)
+             * np.linalg.norm(F, axis=1).max(initial=0.0))
+    if bound <= tol:
+        return True, float(bound)
+    residual = max_norm(Z @ F.conj().T)
+    return residual <= tol, residual
 
 
 def hermitize(M, herm_tol: float = DEFAULT_TOL.herm_tol) -> np.ndarray:
     """Symmetrize (M + M†)/2, rejecting matrices that are not Hermitian
-    within herm_tol to begin with."""
-    M = as_matrix(M)
-    if M.shape[0] != M.shape[1]:
+    within herm_tol to begin with, or not finite (ValueError).
+
+    One D x D complex array, the result, and one float array, the moduli
+    of the deviation M - M†, are allocated.  M is scanned for NaN and Inf
+    only when the deviation is not finite: a non-finite entry makes its
+    deviation entry non-finite, so a finite deviation clears M, and a
+    finite M whose deviation overflows is rejected as non-Hermitian."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        as_matrix(M)
         raise DimensionMismatchError(f"operator must be square, got {M.shape}")
-    MH = np.conj(M.T, order="C")
-    dev = max_norm(M - MH)
+    # M† is copied in and conjugated in place: a ufunc reading M.T
+    # strided would allocate an iteration buffer
+    out = M.T.copy()
+    with np.errstate(invalid="ignore", over="ignore"):  # the checks below report it
+        dev = max_norm(np.subtract(M, np.conj(out, out=out), out=out))
+    if not math.isfinite(dev):
+        as_matrix(M)
     if dev > herm_tol:
         raise NonHermitianError(f"Hermiticity deviation {dev:.3e} > {herm_tol:.3e}")
-    return (M + MH) / 2
+    np.copyto(out, M.T)
+    np.add(M, np.conj(out, out=out), out=out)
+    out /= 2
+    return out
 
 
 # An entry of a column is a phase pivot candidate when its modulus is at
@@ -261,7 +293,8 @@ def low_rank_cut(H, tol: float, max_rank: int):
     keep = theta > tol * top
     V = Q @ W[:, keep]
     C = V * np.sqrt(theta[keep])
-    err = float(np.linalg.norm(H - C @ C.conj().T))
+    residual = C @ C.conj().T
+    err = float(np.linalg.norm(np.subtract(H, residual, out=residual)))
     slack = err + len(H) * np.finfo(float).eps * top
     if theta[keep][0] - slack <= tol * (top + err) or slack >= tol * (top - err):
         return None

@@ -10,7 +10,7 @@ from .errors import DimensionMismatchError, NonHermitianError, NotProjectorError
 from .linops import Record, ValueRecord, max_norm
 from .spectral import _lift, _pair_spectra, spectral_data
 from .states import BipartiteState
-from .twins import ObservablePair, is_twin_pair
+from .twins import ObservablePair, _factor_twin_test
 
 
 def _check_projector(P, tol: float = 1e-10) -> np.ndarray:
@@ -210,6 +210,14 @@ def distant_measurement_report(state: BipartiteState,
     measurement: per detectable value, equal probabilities and equal
     Lüders-collapsed states, plus equal expectation values.
 
+    The pair is first checked to be a twin of the rank cut C C† of rho
+    (``BipartiteState.factor``): Z = (A_plus ⊗ 1 - 1 ⊗ A_minus) C is
+    D x k, and the max-norm of Z C† is accepted from the Cauchy-Schwarz
+    bound max_i ||Z_i|| max_j ||C_j|| over rows when that is within
+    residual_tol; Z C† is formed only when the bound fails.  Pair dims
+    that do not match the state raise DimensionMismatchError, and a pair
+    that is not a twin raises ValueError with its residual.
+
     The event for value a is the cluster eigenprojector of the detectable
     part A'_s at a, lifted by the range basis of rho_s.  The spectral
     data of A'_s come from ``spectral._pair_spectra``, so a pair
@@ -235,9 +243,9 @@ def distant_measurement_report(state: BipartiteState,
 
     The collapse gap is the max-norm of Y+ Y+† - Y- Y-†, formed one
     outcome at a time as [Y+ Y-] [Y+ -Y-]† into one reused D x D buffer,
-    about 2 D^2 k per outcome for rank k of rho.  No D x D array is kept
-    per outcome."""
-    ok, residual = is_twin_pair(state, pair)
+    its moduli into one reused float buffer, about 2 D^2 k per outcome
+    for rank k of rho.  No D x D array is allocated per outcome."""
+    ok, residual = _factor_twin_test(state, pair)
     if not ok:
         raise ValueError(f"not a twin pair for this state (residual {residual:.3e})")
     sp, sm = _pair_spectra(pair, state)
@@ -280,15 +288,18 @@ def distant_measurement_report(state: BipartiteState,
 
 def _max_collapse_gap(Y_plus: np.ndarray, Y_minus: np.ndarray) -> float:
     """max_i ||Y+_i Y+_i† - Y-_i Y-_i†||_max over stacked (n, D, k) factors,
-    each difference formed as [Y+ Y-] [Y+ -Y-]† into one D x D buffer."""
+    each difference formed as [Y+ Y-] [Y+ -Y-]† into one D x D buffer and
+    its moduli into one float buffer, both reused across outcomes."""
     if not len(Y_plus):
         return 0.0
     left = np.concatenate([Y_plus, Y_minus], axis=2)
-    right = np.concatenate([Y_plus, -Y_minus], axis=2).conj().transpose(0, 2, 1)
+    right = np.concatenate([Y_plus, -Y_minus], axis=2)
+    right = np.conj(right, out=right).transpose(0, 2, 1)
     D = Y_plus.shape[1]
     buf = np.empty((D, D), dtype=left.dtype)
+    modulus = np.empty((D, D))
     gap = 0.0
     for a, b in zip(left, right):
         np.matmul(a, b, out=buf)
-        gap = max(gap, max_norm(buf))
+        gap = max(gap, float(np.abs(buf, out=modulus).max()))
     return gap

@@ -99,20 +99,39 @@ def is_twin_pair(state: BipartiteState, pair: ObservablePair):
     Returns (verdict, residual) with residual the max-norm of
     (A_plus ⊗ 1 - 1 ⊗ A_minus) rho.
     """
+    _check_dims(state, pair)
+    residual = max_norm(_twin_image(pair, state, state.rho))
+    return residual <= state.tol.residual_tol, residual
+
+
+def _factor_twin_test(state: BipartiteState, pair: ObservablePair):
+    """The twin test on the rank cut C C† of rho, C its factor: (verdict,
+    witness) of the max-norm of Z C† against residual_tol, Z = (A_plus ⊗ 1
+    - 1 ⊗ A_minus) C (D x k), by ``linops.product_max_norm_within``, so
+    the D x D product Z C† is formed only when the row-norm bound does
+    not decide.  When the verdict is False the witness is that max-norm,
+    which differs from the residual of ``is_twin_pair`` by at most the
+    image of rho - C C† (``state.cut_error``)."""
+    _check_dims(state, pair)
+    C = state.factor
+    return linops.product_max_norm_within(_twin_image(pair, state, C), C,
+                                          state.tol.residual_tol)
+
+
+def _check_dims(state: BipartiteState, pair: ObservablePair) -> None:
     if pair.d_plus != state.d_plus or pair.d_minus != state.d_minus:
         raise DimensionMismatchError(
             f"pair dims ({pair.d_plus},{pair.d_minus}) do not match state "
             f"({state.d_plus},{state.d_minus})"
         )
-    residual = max_norm(_twin_image(pair, state, state.rho))
-    return residual <= state.tol.residual_tol, residual
 
 
 def _twin_image(pair: ObservablePair, state: BipartiteState, V: np.ndarray) -> np.ndarray:
     """(A_plus ⊗ 1 - 1 ⊗ A_minus) V for columns V on the space of state."""
     dims = state.d_plus, state.d_minus
-    return (linops.apply_local(pair.a_plus, V, *dims, "+")
-            - linops.apply_local(pair.a_minus, V, *dims, "-"))
+    image = linops.apply_local(pair.a_plus, V, *dims, "+")
+    image -= linops.apply_local(pair.a_minus, V, *dims, "-")
+    return image
 
 
 def _constraint_matrix(state: BipartiteState, columns: np.ndarray,
@@ -379,10 +398,12 @@ def twins_restrict_to_range_vectors(
 def states_admitting_twins(pair: ObservablePair, candidate_state: BipartiteState) -> bool:
     """True iff range(rho) lies in the kernel of A_plus ⊗ 1 - 1 ⊗ A_minus,
     which is equivalent to the twin property (C4): for Z = (A_plus ⊗ 1 -
-    1 ⊗ A_minus) V, V the cached range basis of rho, the max-norm of Z V^dagger
-    and every column norm of Z must be within residual_tol."""
+    1 ⊗ A_minus) V, V the cached range basis of rho, every column norm of
+    Z and the max-norm of Z V^dagger must be within residual_tol.  The
+    max-norm is decided by ``linops.product_max_norm_within``, so Z V^dagger
+    (D x D) is formed only when its row-norm bound exceeds the tolerance."""
     V = candidate_state.range_basis()
     Z = _twin_image(pair, candidate_state, V)
     tol = candidate_state.tol.residual_tol
-    return bool(max_norm(Z @ V.conj().T) <= tol
-                and np.all(np.linalg.norm(Z, axis=0) <= tol))
+    return bool(np.all(np.linalg.norm(Z, axis=0) <= tol)
+                and linops.product_max_norm_within(Z, V, tol)[0])

@@ -20,6 +20,19 @@ def random_state(rng, d_plus, d_minus, rank=None):
     return BipartiteState(d_plus=d_plus, d_minus=d_minus, rho=rho)
 
 
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated while call() runs
+    (NumPy reports its array buffers to tracemalloc)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def random_hermitian(rng, d):
     M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (M + M.conj().T) / 2

@@ -10,6 +10,7 @@ import pytest
 from twinobs import (
     BipartiteState,
     ObservablePair,
+    SCENARIO_NAMES,
     SpinScenario,
     build_scenario,
     serialize,
@@ -354,6 +355,31 @@ def test_solve_and_example_load_no_spectral_module(command, cli_files):
     code, names = _loaded_modules(argv)
     assert code == EXIT_OK and "twinobs.serialize" in names
     assert not names & {"twinobs.spectral", "twinobs.measurement", "twinobs.schmidt"}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "analyze", "measure", "schmidt"])
+def test_only_example_loads_spin(command, cli_files):
+    """The example parser's scenario choices come from spin, which is
+    loaded only when that parser parses."""
+    state, pair = cli_files
+    argv = {"solve": [state], "verify": [state, pair], "analyze": [state],
+            "measure": [state, pair], "schmidt": [state]}[command]
+    code, names = _loaded_modules([command, *argv])
+    assert code == EXIT_OK and "twinobs.serialize" in names
+    assert "twinobs.spin" not in names
+
+
+def test_example_loads_spin():
+    code, names = _loaded_modules(["example", "example2_ms0"])
+    assert code == EXIT_OK and "twinobs.spin" in names
+
+
+@pytest.mark.parametrize("argv", [["example", "nope"], ["example"], ["example", "--help"]])
+def test_example_parser_errors_and_help_list_the_scenarios(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    out = capsys.readouterr()
+    assert "{" + ",".join(SCENARIO_NAMES) + "}" in out.out + out.err
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "analyze", "measure", "schmidt",

@@ -7,7 +7,7 @@ from twinobs.errors import DimensionMismatchError, NonHermitianError, NotPositiv
 from twinobs.twins import _constraint_matrix, subspace_distance
 
 import reference
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian, random_state, traced_peak
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -43,6 +43,107 @@ class TestEigh:
         recon = vecs @ np.diag(vals) @ vecs.conj().T
         assert linops.max_norm(recon - H) <= 1e-10 * d * max(1.0, linops.max_norm(H))
         assert linops.max_norm(vecs.conj().T @ vecs - np.eye(d)) <= 1e-10
+
+
+# D = 144, the largest composite dimension of the benchmark's pipeline
+# classes; a D x D complex array is 16 D^2 bytes
+D_BIG = 144
+DD_BYTES = 16 * D_BIG ** 2
+
+
+class TestHermitize:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bitwise_equal_to_the_symmetrized_sum(self, order):
+        rng = np.random.default_rng(31)
+        M = random_hermitian(rng, 7) + 1e-10 * rng.standard_normal((7, 7))
+        M = np.asarray(M, order=order)
+        ref = (M + np.conj(M.T, order="C")) / 2
+        assert linops.hermitize(M).tobytes() == ref.tobytes()
+
+    def test_real_input_is_made_complex(self):
+        H = linops.hermitize([[1.0, 2.0], [2.0, 3.0]])
+        assert H.dtype == complex and H.flags.c_contiguous
+
+    def test_input_is_not_written(self):
+        M = random_hermitian(np.random.default_rng(32), 5)
+        M.flags.writeable = False
+        assert linops.hermitize(M) is not M
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+    def test_non_finite_entry_raises_value_error(self, value, where):
+        M = np.eye(3, dtype=complex)
+        M[where] = value
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            linops.hermitize(M)
+
+    def test_symmetric_infinities_raise_value_error(self):
+        M = np.eye(3, dtype=complex)
+        M[0, 1] = M[1, 0] = np.inf
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            linops.hermitize(M)
+
+    def test_finite_overflow_of_the_deviation_is_non_hermitian(self):
+        M = np.eye(2, dtype=complex)
+        M[0, 1], M[1, 0] = 1e308, -1e308
+        with pytest.raises(NonHermitianError, match="inf"):
+            linops.hermitize(M)
+
+    def test_non_square_checks_finiteness_first(self):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            linops.hermitize(np.full((2, 3), np.nan))
+        with pytest.raises(DimensionMismatchError, match="square"):
+            linops.hermitize(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatchError, match="ndim"):
+            linops.hermitize(np.ones(4))
+
+    def test_empty_matrix(self):
+        assert linops.hermitize(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_allocates_the_result_and_one_modulus_array(self):
+        M = random_hermitian(np.random.default_rng(33), D_BIG)
+        # result (16 D^2) and the moduli of M - M† (8 D^2)
+        assert traced_peak(lambda: linops.hermitize(M)) <= 1.75 * DD_BYTES
+
+
+class TestProductMaxNormWithin:
+    def test_bound_decides_within_tolerance(self):
+        Z = np.array([[1e-9, 0.0], [0.0, 2e-9]])
+        F = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert linops.product_max_norm_within(Z, F, 1e-8) == (True, 2e-9)
+
+    def test_exact_max_norm_when_the_bound_fails(self):
+        # rows of Z orthogonal to rows of F: Z F† = 0, the bound is 1
+        Z = np.array([[1.0, 0.0], [0.0, 0.0]])
+        F = np.array([[0.0, 1.0], [0.0, 1.0]])
+        assert linops.product_max_norm_within(Z, F, 1e-8) == (True, 0.0)
+        Z[1, 1] = 0.5
+        assert linops.product_max_norm_within(Z, F, 1e-8) == (False, 0.5)
+
+    def test_verdict_is_that_of_the_dense_max_norm(self):
+        rng = np.random.default_rng(34)
+        for _ in range(50):
+            k = int(rng.integers(1, 4))
+            Z = rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k))
+            F = rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k))
+            dense = linops.max_norm(Z @ F.conj().T)
+            tol = dense * rng.uniform(0.5, 1.5)
+            ok, witness = linops.product_max_norm_within(Z, F, tol)
+            assert ok is (dense <= tol)
+            if not ok:
+                assert witness == dense
+
+    def test_empty_rows(self):
+        assert linops.product_max_norm_within(np.zeros((0, 2)), np.zeros((0, 2)), 0.0)[0]
+
+
+def test_low_rank_cut_forms_one_d_by_d_array():
+    rng = np.random.default_rng(35)
+    v = rng.standard_normal((D_BIG, 2)) + 1j * rng.standard_normal((D_BIG, 2))
+    rho = linops.hermitize(v @ v.conj().T / np.linalg.norm(v) ** 2)
+    assert linops.low_rank_cut(rho, 1e-10, D_BIG // 8) is not None
+    # the residual rho - C C† in place of the product C C†
+    assert traced_peak(lambda: linops.low_rank_cut(rho, 1e-10, D_BIG // 8)) <= 1.5 * DD_BYTES
 
 
 class TestKernelBasis:

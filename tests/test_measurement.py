@@ -7,15 +7,18 @@ from twinobs import (
     EventPair,
     ObservablePair,
     certainty_test,
+    Tolerances,
     distant_measurement_report,
     event_equivalence,
+    from_pure,
     luders_collapse,
     solve_twin_space,
 )
 from twinobs.errors import DimensionMismatchError, NotProjectorError
 from twinobs.linops import kron, max_norm
 
-from conftest import random_hermitian, random_state
+import reference
+from conftest import random_hermitian, random_state, traced_peak
 
 SZ_HALF = np.diag([0.5, -0.5]).astype(complex)
 SZ_ONE = np.diag([1.0, 0.0, -1.0]).astype(complex)
@@ -205,6 +208,55 @@ class TestDistantMeasurement:
     def test_rejects_non_twin(self, example1):
         with pytest.raises(ValueError):
             distant_measurement_report(example1, ObservablePair(SZ_HALF, SZ_HALF))
+
+    def test_non_twin_error_gives_the_residual_on_the_factor(self, example1):
+        pair = ObservablePair(SZ_HALF, SZ_HALF)
+        C = example1.factor
+        residual = max_norm(reference.difference_operator(pair) @ C @ C.conj().T)
+        with pytest.raises(ValueError, match=f"not a twin pair .*residual {residual:.3e}"):
+            distant_measurement_report(example1, pair)
+
+    def test_rejects_mismatched_dims(self, example1):
+        with pytest.raises(DimensionMismatchError):
+            distant_measurement_report(example1, ObservablePair(SZ_ONE, SZ_HALF))
+
+    def test_accepts_a_pair_the_row_norm_bound_cannot_decide(self):
+        """The guard forms Z C† when max ||Z_i|| max ||C_j|| exceeds
+        residual_tol, and accepts the pair when the exact max-norm of
+        Z C† is within it: here the scalar pair of a rank-2 state nudged
+        by 1e-7 on the plus side."""
+        rho = random_state(np.random.default_rng(53), 2, 2, rank=2).rho
+        pair = ObservablePair(np.eye(2) + 1e-7 * random_hermitian(np.random.default_rng(153), 2),
+                              np.eye(2))
+        C = BipartiteState(2, 2, rho).factor
+        Z = reference.difference_operator(pair) @ C
+        exact = max_norm(Z @ C.conj().T)
+        bound = np.linalg.norm(Z, axis=1).max() * np.linalg.norm(C, axis=1).max()
+        assert exact < 0.9 * bound
+        # cluster_tol above the nudge, so the spectra of the sides match
+        between = BipartiteState(2, 2, rho, Tolerances(residual_tol=(exact + bound) / 2,
+                                                       cluster_tol=1e-5))
+        assert distant_measurement_report(between, pair).outcomes
+        below = BipartiteState(2, 2, rho, Tolerances(residual_tol=exact * 0.99,
+                                                     cluster_tol=1e-5))
+        with pytest.raises(ValueError, match="not a twin pair"):
+            distant_measurement_report(below, pair)
+
+    def test_forms_no_d_by_d_array_per_outcome(self):
+        """At D = 144 the report allocates one D x D complex buffer and its
+        float moduli for the collapse gap, and no D x D product for the
+        twin test: the pair is checked on the factor."""
+        d = 12
+        rng = np.random.default_rng(41)
+        U, W = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+                for _ in range(2))
+        lam = np.arange(1, d + 1.0) / np.linalg.norm(np.arange(1, d + 1.0))
+        st = from_pure(((U * lam) @ W.T).ravel(), d, d)
+        x = np.repeat([0.0, 1.0], d // 2)
+        pair = ObservablePair((U * x) @ U.conj().T, (W * x) @ W.conj().T)
+        st.factor
+        peak = traced_peak(lambda: distant_measurement_report(st, pair))
+        assert peak <= 2 * 16 * (d * d) ** 2
 
     def test_holds_across_solved_spaces(self):
         rng = np.random.default_rng(7)

@@ -1,8 +1,8 @@
 """Smoke tests of the scripts under scripts/: each runs as a subprocess
 and exits 0, the survey prints the rows the theory fixes, and the
-per-class timing prints a row per input class.  The aggregation of
-bench_pairs.py is tested on synthetic run records, without running the
-benchmark."""
+per-class timing prints a row per input class, with its minor page
+faults per op.  The aggregation of bench_pairs.py is tested on
+synthetic run records, without running the benchmark."""
 
 import importlib.util
 import json
@@ -71,9 +71,17 @@ def test_class_ab_tiny():
     out = run_script("class_ab.py", "--parent", str(ROOT), "--change", str(ROOT),
                      "--workload", "solve-highrank", "--tiny", "--repeats", "2")
     assert "failed ops parent 0 change 0" in out
-    labels = [line.split("  ")[0] for line in out.splitlines()[2:]]
+    lines = out.splitlines()
+    labels = [line.split("  ")[0] for line in lines[2:]]
     assert labels[:3] == ["generic d=3 r=3", "block d=3 r=3", "embedded d=3 r=2"]
-    assert any(line.startswith("weighted p90") for line in out.splitlines())
+    assert any(line.startswith("weighted p90") for line in lines)
+    # minor page faults per op, each side's median per class and the cycle mean
+    assert lines[1].split()[-4:] == ["flt", "par", "flt", "chg"]
+    for row in lines[2:5]:
+        faults = [float(x) for x in row.split()[-2:]]
+        assert all(f >= 0 for f in faults)
+    summary = [line for line in lines if line.startswith("minor faults/op")]
+    assert len(summary) == 1 and len(summary[0].split()[2:]) == 2
 
 
 def test_class_ab_cli_spin_tiny():
@@ -82,8 +90,11 @@ def test_class_ab_cli_spin_tiny():
     out = run_script("class_ab.py", "--parent", str(ROOT), "--change", str(ROOT),
                      "--workload", "cli-spin", "--tiny", "--repeats", "1")
     assert "failed ops parent 0 change 0" in out
-    labels = [line.split()[0] for line in out.splitlines()[2:7]]
-    assert labels == ["example", "solve", "analyze", "schmidt", "measure"]
+    rows = out.splitlines()[2:7]
+    assert [row.split()[0] for row in rows] == ["example", "solve", "analyze", "schmidt",
+                                                "measure"]
+    # a child's faults count: no interpreter starts without faulting
+    assert all(float(row.split()[-1]) > 0 for row in rows)
 
 
 def load_bench_pairs():

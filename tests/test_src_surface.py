@@ -23,6 +23,7 @@ SRC = Path(twinobs.__file__).parent
 ALLOWED = {
     "__init__.__getattr__": "PEP 562 hook: the interpreter calls it to load an exported name lazily",
     "__init__.__dir__": "PEP 562 hook: dir(twinobs) lists the lazily loaded names",
+    "cli._Parser.parse_known_args": "argparse override: parse_args and the subparsers action call it",
     "linops.range_basis": "perfbench traces it, and perfbench/test_perfbench.py calls it",
     "measurement.CriteriaReport.coherent": "verdict of the event_equivalence report",
     "measurement.MeasurementOutcome.post_state_plus": "Lüders state of an exported report outcome",

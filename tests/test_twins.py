@@ -17,7 +17,8 @@ from twinobs.linops import hermitian_basis, kron, pair_to_coords
 from twinobs.spin import coupled_basis, spin_z
 from twinobs.twins import _constraint_matrix, subspace_distance
 
-from conftest import oracle_twin_coords, random_state
+import reference
+from conftest import oracle_twin_coords, random_hermitian, random_state
 
 SZ_HALF = np.diag([0.5, -0.5]).astype(complex)
 SZ_ONE = np.diag([1.0, 0.0, -1.0]).astype(complex)
@@ -309,3 +310,45 @@ class TestStatesAdmittingTwins:
         assert states_admitting_twins(pair, st) is admitted
         # is_twin_pair reads the max-norm of D rho only, and admits both
         assert is_twin_pair(st, pair)[0]
+
+
+def dense_admits(pair, state) -> bool:
+    """The C4 test with Z V† formed: every column norm of Z and the
+    max-norm of Z V† within residual_tol, Z the image of the range basis V."""
+    V = state.range_basis()
+    Z = reference.difference_operator(pair) @ V
+    tol = state.tol.residual_tol
+    return bool(np.max(np.abs(Z @ V.conj().T)) <= tol
+                and np.all(np.linalg.norm(Z, axis=0) <= tol))
+
+
+class TestStatesAdmittingTwinsMatchesTheDenseTest:
+    """The max-norm of Z V† is decided by its row-norm bound first, and
+    Z V† is formed only when the bound fails: the verdict stays that of
+    the dense formula."""
+
+    def test_on_twins(self):
+        rng = np.random.default_rng(79)
+        for _ in range(6):
+            st = random_state(rng, 2, 3, rank=int(rng.integers(1, 4)))
+            for pair in solve_twin_space(st).basis:
+                assert states_admitting_twins(pair, st) is dense_admits(pair, st) is True
+
+    def test_on_non_twins(self):
+        rng = np.random.default_rng(80)
+        verdicts = set()
+        for _ in range(6):
+            st = random_state(rng, 2, 3, rank=int(rng.integers(1, 4)))
+            for scale in (1.0, 1e-7, 1e-9):
+                pair = ObservablePair(np.eye(2) + scale * random_hermitian(rng, 2), np.eye(3))
+                verdicts.add(states_admitting_twins(pair, st))
+                assert states_admitting_twins(pair, st) is dense_admits(pair, st)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-8, 2e-8, 3e-8, 1e-7, 2e-7])
+    def test_on_the_band_of_an_eps_e00_pair(self, eps):
+        st = from_pure(np.full(16, 0.25, dtype=complex), 4, 4)
+        E00 = np.zeros((4, 4), dtype=complex)
+        E00[0, 0] = eps
+        pair = ObservablePair(E00, np.zeros((4, 4)))
+        assert states_admitting_twins(pair, st) is dense_admits(pair, st)
