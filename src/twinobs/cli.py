@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from . import serialize
-from .errors import InputError, TwinObsError
+from .errors import InputError, NotTwinPairError, TwinObsError
 from .linops import Tolerances
 from .states import verify_subspace_geometry
 from .twins import is_twin_pair, solve_twin_space
@@ -180,10 +180,13 @@ def cmd_measure(state, args):
     from .measurement import distant_measurement_report
 
     pair = _load_pair(args.pair, state)
-    verdict, residual = is_twin_pair(state, pair)
-    if not verdict:
+    try:
+        rep = distant_measurement_report(state, pair)
+    except NotTwinPairError:  # print the residual on rho, as `verify` does
+        verdict, residual = is_twin_pair(state, pair)
+        if verdict:
+            raise
         return {"twin": False, "residual": residual}, EXIT_VERIFICATION
-    rep = distant_measurement_report(state, pair)
     report = {
         "expectation_plus": rep.expectation_plus,
         "expectation_minus": rep.expectation_minus,

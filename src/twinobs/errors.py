@@ -37,6 +37,10 @@ class NotPureError(TwinObsError):
     pass
 
 
+class NotTwinPairError(TwinObsError, ValueError):
+    """A pair used where a twin pair of the state is required."""
+
+
 class NotReducibleError(TwinObsError):
     pass
 

@@ -21,11 +21,27 @@ from .errors import (
 
 
 class Record:
-    """Base of the package's records: __init__ sets the fields through
-    the instance dict, and they are read-only afterwards.  A record
-    compares and hashes by identity."""
+    """Base of the package's records.  A record declares its fields once,
+    as the tuple of names FIELDS; this __init__, the one that stores them,
+    takes a value for each, by position in FIELDS order or by name.  A
+    record that validates its input stores through it from its own
+    __init__.  Fields are read-only; a record compares and hashes by identity."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.FIELDS
+        values = self.__dict__
+        values.update(zip(fields, args))
+        for name in fields[len(args):]:
+            if name not in kwargs:
+                break
+            values[name] = kwargs[name]
+        else:
+            if len(args) + len(kwargs) == len(fields):
+                return
+        raise TypeError(f"{type(self).__name__} takes the fields {fields}, got "
+                        f"{len(args)} by position and {sorted(kwargs)} by name")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
@@ -63,8 +79,7 @@ class Tolerances(ValueRecord):
 
     def __init__(self, rank_tol: float = 1e-10, residual_tol: float = 1e-8,
                  cluster_tol: float = 1e-8, herm_tol: float = 1e-8):
-        self.__dict__.update(rank_tol=rank_tol, residual_tol=residual_tol,
-                             cluster_tol=cluster_tol, herm_tol=herm_tol)
+        super().__init__(rank_tol, residual_tol, cluster_tol, herm_tol)
         for name, value in vars(self).items():
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")

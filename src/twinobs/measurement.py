@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linops
-from .errors import DimensionMismatchError, NonHermitianError, NotProjectorError
+from .errors import DimensionMismatchError, NonHermitianError, NotProjectorError, NotTwinPairError
 from .linops import Record, ValueRecord, max_norm
 from .spectral import _lift, _pair_spectra, spectral_data
 from .states import BipartiteState
@@ -42,11 +42,13 @@ class EventPair(Record):
     """Two events (projectors) on the composite space; commuting is
     computed from them."""
 
+    FIELDS = ("E", "F", "commuting")
+
     def __init__(self, E, F):
         E = _check_projector(E)
         F = _check_projector(F)
         _check_shape(F, len(E), "F")
-        self.__dict__.update(E=E, F=F, commuting=max_norm(E @ F - F @ E) <= 1e-10)
+        super().__init__(E, F, max_norm(E @ F - F @ E) <= 1e-10)
 
 
 def luders_collapse(rho: np.ndarray, P, rank_tol: float = linops.DEFAULT_TOL.rank_tol):
@@ -73,11 +75,7 @@ class CriteriaReport(ValueRecord):
     and Tr(E F rho F)/Tr(F rho) when applicable (commuting events with
     positive probabilities), else None."""
 
-    def __init__(self, collapse_residual: float, algebraic_residual: float,
-                 implication_values: tuple | None, tolerance: float):
-        self.__dict__.update(collapse_residual=collapse_residual,
-                             algebraic_residual=algebraic_residual,
-                             implication_values=implication_values, tolerance=tolerance)
+    FIELDS = ("collapse_residual", "algebraic_residual", "implication_values", "tolerance")
 
     @property
     def collapse_verdict(self) -> bool:
@@ -117,12 +115,7 @@ def event_equivalence(state: BipartiteState, events: EventPair) -> CriteriaRepor
                 float(np.real(np.trace(F @ E @ rho @ E))) / pE,
                 float(np.real(np.trace(E @ F @ rho @ F))) / pF,
             )
-    return CriteriaReport(
-        collapse_residual=collapse,
-        algebraic_residual=algebraic,
-        implication_values=implication,
-        tolerance=state.tol.residual_tol,
-    )
+    return CriteriaReport(collapse, algebraic, implication, state.tol.residual_tol)
 
 
 def certainty_test(state: BipartiteState, A):
@@ -155,11 +148,7 @@ class MeasurementOutcome(Record):
     array from them on each read: the post state is Y Y† (D x D) and
     the conditional state of the other side a partial trace of it."""
 
-    def __init__(self, value: float, probability_plus: float, probability_minus: float,
-                 factor_plus, factor_minus):
-        self.__dict__.update(value=value, probability_plus=probability_plus,
-                             probability_minus=probability_minus,
-                             factor_plus=factor_plus, factor_minus=factor_minus)
+    FIELDS = ("value", "probability_plus", "probability_minus", "factor_plus", "factor_minus")
 
     @staticmethod
     def _gram(Y: np.ndarray) -> np.ndarray:
@@ -188,12 +177,8 @@ class MeasurementOutcome(Record):
 
 
 class DistantMeasurementReport(Record):
-    def __init__(self, outcomes: tuple, expectation_plus: float, expectation_minus: float,
-                 max_probability_gap: float, max_collapse_gap: float, tolerance: float):
-        self.__dict__.update(outcomes=outcomes, expectation_plus=expectation_plus,
-                             expectation_minus=expectation_minus,
-                             max_probability_gap=max_probability_gap,
-                             max_collapse_gap=max_collapse_gap, tolerance=tolerance)
+    FIELDS = ("outcomes", "expectation_plus", "expectation_minus", "max_probability_gap",
+              "max_collapse_gap", "tolerance")
 
     @property
     def passed(self) -> bool:
@@ -216,7 +201,8 @@ def distant_measurement_report(state: BipartiteState,
     bound max_i ||Z_i|| max_j ||C_j|| over rows when that is within
     residual_tol; Z C† is formed only when the bound fails.  Pair dims
     that do not match the state raise DimensionMismatchError, and a pair
-    that is not a twin raises ValueError with its residual.
+    that is not a twin raises NotTwinPairError, a ValueError, with its
+    residual.
 
     The event for value a is the cluster eigenprojector of the detectable
     part A'_s at a, lifted by the range basis of rho_s.  The spectral
@@ -247,7 +233,7 @@ def distant_measurement_report(state: BipartiteState,
     for rank k of rho.  No D x D array is allocated per outcome."""
     ok, residual = _factor_twin_test(state, pair)
     if not ok:
-        raise ValueError(f"not a twin pair for this state (residual {residual:.3e})")
+        raise NotTwinPairError(f"not a twin pair for this state (residual {residual:.3e})")
     sp, sm = _pair_spectra(pair, state)
     sub = state.subsystems
     dp, dm = state.d_plus, state.d_minus
@@ -265,16 +251,8 @@ def distant_measurement_report(state: BipartiteState,
     Y_plus = X_plus[keep] / np.sqrt(prob_plus)[:, None, None, None]
     Y_minus = X_minus[keep] / np.sqrt(prob_minus)[:, None, None, None]
     values = ((sp.values + sm.values) / 2)[keep]
-    outcomes = tuple(
-        MeasurementOutcome(
-            value=float(values[i]),
-            probability_plus=float(prob_plus[i]),
-            probability_minus=float(prob_minus[i]),
-            factor_plus=Y_plus[i],
-            factor_minus=Y_minus[i],
-        )
-        for i in range(len(values))
-    )
+    outcomes = tuple(map(MeasurementOutcome, values.tolist(), prob_plus.tolist(),
+                         prob_minus.tolist(), Y_plus, Y_minus))
     return DistantMeasurementReport(
         outcomes=outcomes,
         expectation_plus=float(np.real(np.trace(pair.a_plus @ sub.rho_plus))),

@@ -22,8 +22,7 @@ from .twins import ObservablePair
 
 
 class SparsityReport(ValueRecord):
-    def __init__(self, max_forbidden: float, tolerance: float):
-        self.__dict__.update(max_forbidden=max_forbidden, tolerance=tolerance)
+    FIELDS = ("max_forbidden", "tolerance")
 
     @property
     def passed(self) -> bool:
@@ -109,8 +108,7 @@ class GeneralizedSchmidtExpansion(Record):
     product basis |a>|a>, n_components x r, plus the induced subsystem
     eigenvalues |alpha|^2 of the same shape."""
 
-    def __init__(self, alphas, subsystem_eigenvalues):
-        self.__dict__.update(alphas=alphas, subsystem_eigenvalues=subsystem_eigenvalues)
+    FIELDS = ("alphas", "subsystem_eigenvalues")
 
 
 def simultaneous_expansion(dec: PureDecomposition, mb: MatchedBases,
@@ -130,9 +128,7 @@ def simultaneous_expansion(dec: PureDecomposition, mb: MatchedBases,
     if leaking.size:
         i = leaking[0]
         raise OffDiagonalLeakError(f"component {i} leaks {leaks[i]:.3e} outside the diagonal span")
-    return GeneralizedSchmidtExpansion(
-        alphas=alphas, subsystem_eigenvalues=np.abs(alphas) ** 2
-    )
+    return GeneralizedSchmidtExpansion(alphas, np.abs(alphas) ** 2)
 
 
 def compatibility_report(dec: PureDecomposition, mb: MatchedBases,

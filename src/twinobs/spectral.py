@@ -33,9 +33,7 @@ class SpectralData(Record):
     and characteristic projectors, and the eigenvector matrix (columns in
     ascending eigenvalue order, phases as in linops.eigh) they came from."""
 
-    def __init__(self, values, multiplicities, projectors: tuple, vectors):
-        self.__dict__.update(values=values, multiplicities=multiplicities,
-                             projectors=projectors, vectors=vectors)
+    FIELDS = ("values", "multiplicities", "projectors", "vectors")
 
 
 def spectral_data(H, cluster_tol: float = linops.DEFAULT_TOL.cluster_tol) -> SpectralData:
@@ -82,13 +80,8 @@ class DetectableSplit(Record):
     of the subsystem states: primed blocks act on the ranges, double
     primed blocks on the null spaces."""
 
-    def __init__(self, a_prime_plus, a_prime_minus, a_dprime_plus, a_dprime_minus,
-                 range_basis_plus, range_basis_minus, null_basis_plus, null_basis_minus):
-        self.__dict__.update(
-            a_prime_plus=a_prime_plus, a_prime_minus=a_prime_minus,
-            a_dprime_plus=a_dprime_plus, a_dprime_minus=a_dprime_minus,
-            range_basis_plus=range_basis_plus, range_basis_minus=range_basis_minus,
-            null_basis_plus=null_basis_plus, null_basis_minus=null_basis_minus)
+    FIELDS = ("a_prime_plus", "a_prime_minus", "a_dprime_plus", "a_dprime_minus",
+              "range_basis_plus", "range_basis_minus", "null_basis_plus", "null_basis_minus")
 
     def reassemble(self):
         """Embed the blocks back: must reproduce the original pair."""
@@ -256,9 +249,7 @@ class MatchedBases(Record):
     basis_minus (d_minus x r) belongs to sigma_prime[a].  Vectors live
     on the full subsystem spaces and span the subsystem ranges."""
 
-    def __init__(self, sigma_prime, basis_plus, basis_minus):
-        self.__dict__.update(sigma_prime=sigma_prime, basis_plus=basis_plus,
-                             basis_minus=basis_minus)
+    FIELDS = ("sigma_prime", "basis_plus", "basis_minus")
 
 
 def matched_bases_from_pair(pair: ObservablePair, state: BipartiteState) -> MatchedBases:

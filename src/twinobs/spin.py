@@ -96,6 +96,8 @@ class SpinScenario(ValueRecord):
     """A named mixture of coupled two-spin states; weights None means
     equal weights."""
 
+    FIELDS = ("name", "weights")
+
     def __init__(self, name: str, weights=None):
         if name not in _SCENARIO_TABLE:
             raise UnsupportedSpinError(
@@ -108,7 +110,7 @@ class SpinScenario(ValueRecord):
                 raise WeightError(f"scenario {name} needs {n} weights")
             if not all(x > 0 for x in weights) or abs(sum(weights) - 1.0) > 1e-10:
                 raise WeightError("weights must be positive and sum to 1")
-        self.__dict__.update(name=name, weights=weights)
+        super().__init__(name, weights)
 
 
 def scenario_decomposition(s: SpinScenario) -> tuple[PureDecomposition, int, int]:

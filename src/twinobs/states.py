@@ -48,6 +48,8 @@ class BipartiteState(Record):
     ``spectrum`` is first read.
     """
 
+    FIELDS = ("d_plus", "d_minus", "rho", "tol", "_cut")
+
     def __init__(self, d_plus: int, d_minus: int, rho, tol: Tolerances = DEFAULT_TOL):
         dim = d_plus * d_minus
         rho = linops.hermitize(rho, tol.herm_tol)
@@ -73,7 +75,7 @@ class BipartiteState(Record):
         else:
             cut = (*_read_only(*cut[:2]), None, cut[2])
         rho.flags.writeable = False
-        self.__dict__.update(d_plus=d_plus, d_minus=d_minus, rho=rho, tol=tol, _cut=cut)
+        super().__init__(d_plus, d_minus, rho, tol, cut)
 
     @property
     def dim(self) -> int:
@@ -133,23 +135,19 @@ class SubsystemPair(Record):
     """Reduced states with the eigenvalues (ascending) and orthonormal
     range/null bases of each, cut at rank_tol."""
 
-    def __init__(self, rho_plus, rho_minus, values_plus, range_plus, null_plus,
-                 values_minus, range_minus, null_minus):
-        self.__dict__.update(
-            rho_plus=rho_plus, rho_minus=rho_minus, values_plus=values_plus,
-            range_plus=range_plus, null_plus=null_plus, values_minus=values_minus,
-            range_minus=range_minus, null_minus=null_minus)
+    FIELDS = ("rho_plus", "rho_minus", "values_plus", "range_plus", "null_plus", "values_minus",
+              "range_minus", "null_minus")
 
 
 class SubspaceProjectors(Record):
-    def __init__(self, R, N, R_plus, N_plus, R_minus, N_minus):
-        self.__dict__.update(R=R, N=N, R_plus=R_plus, N_plus=N_plus,
-                             R_minus=R_minus, N_minus=N_minus)
+    FIELDS = ("R", "N", "R_plus", "N_plus", "R_minus", "N_minus")
 
 
 class PureDecomposition(Record):
     """A convex decomposition rho = sum_i w_i |phi_i><phi_i| over unit
     vectors on the composite space."""
+
+    FIELDS = ("weights", "vectors")
 
     def __init__(self, weights, vectors):
         w = np.asarray(weights, dtype=float)
@@ -163,7 +161,7 @@ class PureDecomposition(Record):
         for n in map(np.linalg.norm, vecs):
             if abs(n - 1.0) > 1e-10:
                 raise NotNormalizedError(f"component norm {n}, not 1 within 1e-10")
-        self.__dict__.update(weights=tuple(float(x) for x in w), vectors=tuple(vecs))
+        super().__init__(tuple(float(x) for x in w), tuple(vecs))
 
 
 def from_pure(phi, d_plus: int, d_minus: int, tol: Tolerances = DEFAULT_TOL) -> BipartiteState:
@@ -196,8 +194,7 @@ class GeometryReport(ValueRecord):
     """Max-norm residuals of the range/null-space relations between the
     composite state and its reductions."""
 
-    def __init__(self, residuals: dict, tolerance: float):
-        self.__dict__.update(residuals=residuals, tolerance=tolerance)
+    FIELDS = ("residuals", "tolerance")
 
     @property
     def max_residual(self) -> float:
@@ -235,9 +232,7 @@ class RelevantRestriction(Record):
     with the embedding bases in both directions: basis_plus is d_plus x
     r_plus and basis_minus d_minus x r_minus, orthonormal columns."""
 
-    def __init__(self, rho_prime, basis_plus, basis_minus):
-        self.__dict__.update(rho_prime=rho_prime, basis_plus=basis_plus,
-                             basis_minus=basis_minus)
+    FIELDS = ("rho_prime", "basis_plus", "basis_minus")
 
     @property
     def composite_basis(self) -> np.ndarray:

@@ -8,6 +8,9 @@ Hilbert-Schmidt-orthonormal Hermitian operator basis of both sides.
 
 from __future__ import annotations
 
+import operator
+import random
+
 import numpy as np
 
 from . import linops
@@ -24,9 +27,10 @@ class ObservablePair(Record):
     detectable spectra of the last pair it was asked about (see
     ``spectral.matched_bases_from_pair``)."""
 
+    FIELDS = ("a_plus", "a_minus")
+
     def __init__(self, a_plus, a_minus):
-        a_plus, a_minus = _read_only(linops.hermitize(a_plus), linops.hermitize(a_minus))
-        self.__dict__.update(a_plus=a_plus, a_minus=a_minus)
+        super().__init__(*_read_only(linops.hermitize(a_plus), linops.hermitize(a_minus)))
 
     @classmethod
     def _trusted(cls, a_plus: np.ndarray, a_minus: np.ndarray) -> "ObservablePair":
@@ -44,7 +48,7 @@ class ObservablePair(Record):
         pairs = []
         for ap, am in zip(a_plus, a_minus):
             pair = object.__new__(cls)
-            pair.__dict__.update(a_plus=ap, a_minus=am)
+            Record.__init__(pair, ap, am)
             pairs.append(pair)
         return tuple(pairs)
 
@@ -81,11 +85,8 @@ class TwinSpace(Record):
     null space are twins regardless of the other side.
     """
 
-    def __init__(self, basis: tuple, dim_total: int, dim_detectable: int,
-                 dim_undetectable_plus: int, dim_undetectable_minus: int):
-        self.__dict__.update(basis=basis, dim_total=dim_total, dim_detectable=dim_detectable,
-                             dim_undetectable_plus=dim_undetectable_plus,
-                             dim_undetectable_minus=dim_undetectable_minus)
+    FIELDS = ("basis", "dim_total", "dim_detectable", "dim_undetectable_plus",
+              "dim_undetectable_minus")
 
     def coordinate_matrix(self) -> np.ndarray:
         """Columns are hermitian_basis coordinates of the basis pairs."""
@@ -359,9 +360,7 @@ class ConsequenceReport(ValueRecord):
     twin of every pure state in the range (C1), and a second state with
     the same range has the same twin space (C3)."""
 
-    def __init__(self, c1_max_residual: float, c3_subspace_distance: float, tolerance: float):
-        self.__dict__.update(c1_max_residual=c1_max_residual,
-                             c3_subspace_distance=c3_subspace_distance, tolerance=tolerance)
+    FIELDS = ("c1_max_residual", "c3_subspace_distance", "tolerance")
 
     @property
     def passed(self) -> bool:
@@ -376,23 +375,20 @@ def twins_restrict_to_range_vectors(
 ) -> ConsequenceReport:
     """C1: the largest twin residual of a pair on a pure state |v><v|, v a
     range vector: the max-norm of z v† is max|z| * max|v| for z = (A_plus
-    ⊗ 1 - 1 ⊗ A_minus) v.  C3: the twin space of fresh weights on V."""
+    ⊗ 1 - 1 ⊗ A_minus) v.  C3: the twin space of fresh weights on V,
+    drawn uniform on [0.2, 1] from ``random.Random(seed)`` and normalized."""
     V = state.range_basis()
     v_max = np.max(np.abs(V), axis=0)
     c1 = max((float(np.max(np.max(np.abs(_twin_image(pair, state, V)), axis=0) * v_max))
               for pair in twin_space.basis), default=0.0)
 
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.2, 1.0, size=V.shape[1])
+    rng = random.Random(operator.index(seed))
+    w = np.array([rng.uniform(0.2, 1.0) for _ in range(V.shape[1])])
     w /= w.sum()
     state2 = BipartiteState(state.d_plus, state.d_minus, (V * w) @ V.conj().T, state.tol)
     space2 = solve_twin_space(state2)
     c3 = subspace_distance(twin_space.coordinate_matrix(), space2.coordinate_matrix())
-    return ConsequenceReport(
-        c1_max_residual=c1,
-        c3_subspace_distance=c3,
-        tolerance=state.tol.residual_tol,
-    )
+    return ConsequenceReport(c1, c3, state.tol.residual_tol)
 
 
 def states_admitting_twins(pair: ObservablePair, candidate_state: BipartiteState) -> bool:

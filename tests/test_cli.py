@@ -163,6 +163,23 @@ class TestCli:
     def test_measure_non_twin_exit_1(self, state_file, non_twin_pair_file, capsys):
         assert main(["measure", state_file, non_twin_pair_file]) == EXIT_VERIFICATION
 
+    def test_measure_leaves_the_twin_test_to_the_report(self, state_file, twin_pair_file,
+                                                         monkeypatch, capsys):
+        from twinobs import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "is_twin_pair", lambda *args: calls.append(args))
+        assert main(["measure", state_file, twin_pair_file]) == EXIT_OK
+        assert calls == []
+
+    def test_measure_non_twin_prints_the_residual_on_rho(self, example1, state_file,
+                                                         non_twin_pair_file, capsys):
+        from twinobs import is_twin_pair
+
+        assert main(["measure", state_file, non_twin_pair_file]) == EXIT_VERIFICATION
+        residual = is_twin_pair(example1, ObservablePair(SZ_HALF, SZ_HALF))[1]
+        assert json.loads(capsys.readouterr().out) == {"twin": False, "residual": residual}
+
     def test_schmidt(self, state_file, capsys):
         assert main(["schmidt", state_file]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)

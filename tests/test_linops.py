@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -368,3 +370,80 @@ class TestHermitianBasis:
         assert bp.shape == (4, 2, 2) and bm.shape == (4, 3, 3)
         np.testing.assert_allclose(bp, [ap for ap, _ in pairs], atol=1e-12)
         np.testing.assert_allclose(bm, [am for _, am in pairs], atol=1e-12)
+
+
+def _stores_only_records() -> list:
+    """The records whose only constructor is Record.__init__."""
+    from twinobs import measurement, schmidt, spectral, states, twins
+    return [measurement.CriteriaReport, measurement.MeasurementOutcome,
+            measurement.DistantMeasurementReport, schmidt.SparsityReport,
+            schmidt.GeneralizedSchmidtExpansion, spectral.SpectralData,
+            spectral.DetectableSplit, spectral.MatchedBases, states.SubsystemPair,
+            states.SubspaceProjectors, states.GeometryReport, states.RelevantRestriction,
+            twins.TwinSpace, twins.ConsequenceReport]
+
+
+class TestRecordConstructor:
+    @pytest.mark.parametrize("cls", _stores_only_records(), ids=lambda c: c.__name__)
+    def test_positional_keyword_and_mixed_fill_the_fields_in_order(self, cls):
+        assert "__init__" not in vars(cls)
+        values = [object() for _ in cls.FIELDS]
+        expected = dict(zip(cls.FIELDS, values))
+        half = len(values) // 2
+        # names given in reverse: the dict still follows FIELDS
+        by_name = dict(reversed(expected.items()))
+        rest = dict(reversed(list(expected.items())[half:]))
+        records = [cls(*values), cls(**by_name), cls(*values[:half], **rest)]
+        for record in records:
+            assert vars(record) == expected
+            assert list(vars(record)) == list(cls.FIELDS)
+
+    @pytest.mark.parametrize("cls", _stores_only_records(), ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("case", ["too many", "too few", "unknown name",
+                                      "missing name", "name twice"])
+    def test_bad_arguments_raise_type_error_naming_the_class(self, cls, case):
+        values = list(range(len(cls.FIELDS)))
+        by_name = dict(zip(cls.FIELDS, values))
+        first = cls.FIELDS[0]
+        args, kwargs = {
+            "too many": (values + [0], {}),
+            "too few": (values[:-1], {}),
+            "unknown name": ([], {**by_name, "no_such_field": 0}),
+            "missing name": ([], {k: v for k, v in by_name.items() if k != first}),
+            "name twice": (values, {first: 0}),
+        }[case]
+        with pytest.raises(TypeError, match=rf"^{cls.__name__} takes the fields \("):
+            cls(*args, **kwargs)
+
+    def test_type_error_lists_the_fields_and_what_was_given(self):
+        from twinobs.schmidt import SparsityReport
+        with pytest.raises(TypeError, match=re.escape(
+                "SparsityReport takes the fields ('max_forbidden', 'tolerance'), "
+                "got 1 by position and ['max_forbidden'] by name")):
+            SparsityReport(0.0, max_forbidden=1.0)
+
+    def test_fields_are_read_only(self):
+        from twinobs.schmidt import SparsityReport
+        report = SparsityReport(0.0, 1e-8)
+        with pytest.raises(AttributeError, match="SparsityReport is read-only"):
+            report.tolerance = 1.0
+
+    def test_value_records_keep_equality_hash_and_repr(self):
+        from twinobs.measurement import CriteriaReport
+        from twinobs.spin import SpinScenario
+        tol = linops.Tolerances(rank_tol=1e-6)
+        assert tol == linops.Tolerances(1e-6, 1e-8, 1e-8, 1e-8) != linops.DEFAULT_TOL
+        assert hash(tol) == hash(linops.Tolerances(1e-6))
+        assert repr(tol) == ("Tolerances(rank_tol=1e-06, residual_tol=1e-08, "
+                             "cluster_tol=1e-08, herm_tol=1e-08)")
+        spin = SpinScenario("example1_range10_00", [0.25, 0.75])
+        assert spin == SpinScenario(weights=(0.25, 0.75), name="example1_range10_00")
+        assert hash(spin) == hash(SpinScenario("example1_range10_00", (0.25, 0.75)))
+        assert repr(spin) == "SpinScenario(name='example1_range10_00', weights=(0.25, 0.75))"
+        report = CriteriaReport(0.0, 1.0, None, 1e-8)
+        same = CriteriaReport(tolerance=1e-8, implication_values=None,
+                              algebraic_residual=1.0, collapse_residual=0.0)
+        assert report == same and hash(report) == hash(same)
+        assert report != CriteriaReport(0.0, 1.0, (1.0, 1.0), 1e-8)
+        assert repr(same) == ("CriteriaReport(collapse_residual=0.0, algebraic_residual=1.0, "
+                              "implication_values=None, tolerance=1e-08)")

@@ -11,6 +11,11 @@ A module-level function counts as named where its module uses it by
 name, or where another module imports it or reads it as an attribute of
 its module; a method counts as named wherever an attribute of that name
 is read.  The re-exports of ``__init__`` count only through ``__all__``.
+
+The same scan keeps two rules of the package's code: every record
+declares its fields once, in FIELDS, with ``linops.Record.__init__`` the
+only code that stores them, and every random draw comes from the
+standard library's ``random``.
 """
 
 import ast
@@ -46,9 +51,9 @@ def _modules() -> dict:
     return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
-def _definitions(modules: dict) -> list:
+def _definitions(modules: dict, dunders: bool = False) -> list:
     """(qualified name, module, class or None, def node) of every
-    module-level function and non-dunder method."""
+    module-level function and method, dunder methods only if asked."""
     out = []
     for mod, tree in modules.items():
         for node in tree.body:
@@ -57,7 +62,8 @@ def _definitions(modules: dict) -> list:
             elif isinstance(node, ast.ClassDef):
                 out.extend((f"{mod}.{node.name}.{item.name}", mod, node.name, item)
                            for item in node.body
-                           if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name))
+                           if isinstance(item, ast.FunctionDef)
+                           and (dunders or not _is_dunder(item.name)))
     return out
 
 
@@ -111,3 +117,85 @@ def test_allowlist_names_only_uncalled_definitions():
     # an entry whose definition is gone or has gained a caller leaves the list
     stale = sorted(set(ALLOWED) - _orphans())
     assert not stale, f"ALLOWED entries that are gone or have a caller: {stale}"
+
+
+# Records declare their fields once, in FIELDS, and linops.Record.__init__
+# stores them.  The only other writes to an instance dict are the memo of
+# a pair's spectra, which a state keeps beside its fields.
+RECORD_BASES = {"Record", "ValueRecord"}
+DICT_WRITERS = {"linops.Record.__init__", "spectral._pair_spectra",
+                "spectral.find_complete_twins"}
+# a __dict__ that is the receiver of one of these calls is written
+_DICT_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__",
+                  "__delitem__"}
+
+
+def _records(modules: dict) -> dict:
+    """qualified name -> ClassDef of every subclass of linops.Record,
+    the abstract RECORD_BASES left out."""
+    classes = {node.name: (mod, node) for mod, tree in modules.items() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+
+    def is_record(name: str) -> bool:
+        return name == "Record" or any(
+            isinstance(b, ast.Name) and b.id in classes and is_record(b.id)
+            for b in classes[name][1].bases)
+
+    return {f"{mod}.{name}": node for name, (mod, node) in classes.items()
+            if name not in RECORD_BASES and is_record(name)}
+
+
+def _dict_writes(tree: ast.Module):
+    """The __dict__ attributes of one module that are written through:
+    assigned or deleted by subscript, the receiver of a mutating call, or
+    bound to a name (an alias that may be written later)."""
+    parents = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr == "__dict__"):
+            continue
+        parent = parents[id(node)]
+        if (isinstance(parent, ast.Subscript) and not isinstance(parent.ctx, ast.Load)
+                or isinstance(parent, ast.Attribute) and parent.attr in _DICT_MUTATORS
+                or isinstance(parent, (ast.Assign, ast.NamedExpr, ast.AnnAssign))):
+            yield node
+
+
+def test_every_record_declares_distinct_fields():
+    records = _records(_modules())
+    assert "linops.Tolerances" in records and "twins.ObservablePair" in records
+    bad = {}
+    for qualname, node in records.items():
+        fields = [ast.literal_eval(item.value) for item in node.body
+                  if isinstance(item, ast.Assign)
+                  and [getattr(t, "id", None) for t in item.targets] == ["FIELDS"]]
+        if not (len(fields) == 1 and isinstance(fields[0], tuple) and fields[0]
+                and all(isinstance(f, str) for f in fields[0])
+                and len(set(fields[0])) == len(fields[0])):
+            bad[qualname] = fields
+    assert not bad, f"records without one non-empty FIELDS tuple of distinct names: {bad}"
+
+
+def test_instance_dicts_are_written_only_by_the_record_constructor_and_the_memo():
+    modules = _modules()
+    writes = {id(node): f"{mod}.py:{node.lineno}"
+              for mod, tree in modules.items() for node in _dict_writes(tree)}
+    writers = set()
+    for qualname, _, _, node in _definitions(modules, dunders=True):
+        inside = {id(n) for n in ast.walk(node)} & writes.keys()
+        if inside:
+            writers.add(qualname)
+            for key in inside:
+                del writes[key]
+    assert writers | set(writes.values()) == DICT_WRITERS, (
+        f"instance dict written by {sorted(writers)} and at {sorted(writes.values())}")
+
+
+def test_draws_come_from_random_not_numpy_random():
+    # one draw rule: a seeded random.Random, as find_complete_twins uses
+    uses = sorted(
+        f"{mod}.py:{node.lineno}" for mod, tree in _modules().items() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "random"
+        and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}
+        or isinstance(node, (ast.Import, ast.ImportFrom))
+        and any("numpy.random" in f"{getattr(node, 'module', None)}.{a.name}" for a in node.names))
+    assert not uses, f"numpy.random used at {uses}"
