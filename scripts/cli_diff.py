@@ -15,6 +15,8 @@ temporary directory, from the change checkout's perfbench/workloads.py
 
 - the argv of ``cli_calls`` in perfbench/workloads.py for two seeds
 - the five commands of that list under ``--format text``
+- ``verify`` with each scenario's twin pair, so that a change in the
+  twin test's witness shows up
 - ``verify`` and ``measure`` with a pair that is not a twin pair
 - ``schmidt --decomposition`` with the eigen-decomposition of each state
 - ``analyze`` and ``schmidt`` on each scenario under ``--seed`` 0-3, so
@@ -27,7 +29,9 @@ temporary directory, from the change checkout's perfbench/workloads.py
   that leaks outside the diagonal span (an error of the computation)
 
 Each differing case is printed with both sides' exit code and first
-stderr line; cases whose stderr alone differs are listed apart, as
+stderr line, and the first place where the two stdouts differ: the
+JSON path and both values when both parse as JSON, else the first
+differing line.  Cases whose stderr alone differs are listed apart, as
 changed wordings.  Exits 1 when a stdout or an exit code differs.
 """
 
@@ -78,6 +82,8 @@ def cases(workloads, tmp: Path) -> list:
     scenarios = workloads.spin_scenarios(SEEDS[0])
     states = {sc.name: str(tmp / f"seed{SEEDS[0]}" / f"{sc.name}.state.json") for sc in scenarios}
     for sc in scenarios:
+        twin = str(tmp / f"seed{SEEDS[0]}" / f"{sc.name}.pair.json")
+        out.append((f"twin pair: verify {sc.name}", ["verify", states[sc.name], twin]))
         A = np.diag(np.arange(sc.d, dtype=float))
         pair = write(tmp / f"{sc.name}.nontwin.json", {"a_plus": matrix_json(A),
                                                         "a_minus": matrix_json(A)})
@@ -128,6 +134,50 @@ def cases(workloads, tmp: Path) -> list:
     return out
 
 
+def first_json_difference(a, b, path="$"):
+    """(path, a's value, b's value) at the first place, in document
+    order, where two JSON values differ; None when they do not."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            if key not in a or key not in b:
+                return f"{path}.{key}", a.get(key, "<absent>"), b.get(key, "<absent>")
+            found = first_json_difference(a[key], b[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_json_difference(x, y, f"{path}[{i}]")
+            if found:
+                return found
+        return None if len(a) == len(b) else (f"{path} length", len(a), len(b))
+    # compared as text, so that 1 and 1.0 differ and NaN equals NaN
+    return None if json.dumps(a) == json.dumps(b) else (path, a, b)
+
+
+def first_difference(out_a: str, out_b: str) -> str:
+    """Where two stdouts first differ: a JSON path with both values, or
+    the first differing line when either side is not JSON."""
+    try:
+        found = first_json_difference(json.loads(out_a), json.loads(out_b))
+    except ValueError:
+        found = None
+        lines_a, lines_b = out_a.splitlines(), out_b.splitlines()
+        for i in range(max(len(lines_a), len(lines_b))):
+            a, b = (lines[i] if i < len(lines) else "<absent>" for lines in (lines_a, lines_b))
+            if a != b:
+                return f"line {i + 1}: {a!r} | {b!r}"
+    if found is None:
+        return "same values, different text" if out_a != out_b else "same stdout"
+    path, a, b = found
+    return f"{path}: {clip(a)} | {clip(b)}"
+
+
+def clip(value, width: int = 60) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
 def run(cli, argv: list) -> tuple:
     """(exit code, stdout, first stderr line) of one cli.main call."""
     out, err = io.StringIO(), io.StringIO()
@@ -169,6 +219,8 @@ def main(argv=None) -> int:
             for side in SIDES:
                 code, _, err = got[side]
                 print(f"  {side:<6} exit {code}  {err}")
+            if title == "differ":
+                print(f"  stdout {first_difference(got['parent'][1], got['change'][1])}")
     return 1 if differ else 0
 
 

@@ -182,11 +182,8 @@ def cmd_measure(state, args):
     pair = _load_pair(args.pair, state)
     try:
         rep = distant_measurement_report(state, pair)
-    except NotTwinPairError:  # print the residual on rho, as `verify` does
-        verdict, residual = is_twin_pair(state, pair)
-        if verdict:
-            raise
-        return {"twin": False, "residual": residual}, EXIT_VERIFICATION
+    except NotTwinPairError:  # print the witness, as `verify` does
+        return {"twin": False, "residual": is_twin_pair(state, pair)[1]}, EXIT_VERIFICATION
     report = {
         "expectation_plus": rep.expectation_plus,
         "expectation_minus": rep.expectation_minus,

@@ -10,25 +10,28 @@ from .errors import DimensionMismatchError, NonHermitianError, NotProjectorError
 from .linops import Record, ValueRecord, max_norm
 from .spectral import _lift, _pair_spectra, spectral_data
 from .states import BipartiteState
-from .twins import ObservablePair, _factor_twin_test
+from .twins import ObservablePair, is_twin_pair
+
+# Hermiticity, idempotence and commuting of events are judged within this.
+_PROJECTOR_TOL = 1e-10
 
 
-def _check_projector(P, tol: float = 1e-10) -> np.ndarray:
-    P = linops.hermitize(P, tol)
-    if max_norm(P @ P - P) > tol:
+def _check_projector(P) -> np.ndarray:
+    P = linops.hermitize(P, _PROJECTOR_TOL)
+    if max_norm(P @ P - P) > _PROJECTOR_TOL:
         raise NotProjectorError("operator is not idempotent")
     return P
 
 
-def _check_projectors(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _check_projectors(P: np.ndarray) -> np.ndarray:
     """A stack (n, d, d) of projectors symmetrized, after checking in one
-    pass that every member is Hermitian and idempotent within tol."""
+    pass that every member is Hermitian and idempotent within _PROJECTOR_TOL."""
     PH = np.swapaxes(P, 1, 2).conj()
     dev = max_norm(P - PH)
-    if dev > tol:
-        raise NonHermitianError(f"Hermiticity deviation {dev:.3e} > {tol:.3e}")
+    if dev > _PROJECTOR_TOL:
+        raise NonHermitianError(f"Hermiticity deviation {dev:.3e} > {_PROJECTOR_TOL:.3e}")
     P = (P + PH) / 2
-    if max_norm(P @ P - P) > tol:
+    if max_norm(P @ P - P) > _PROJECTOR_TOL:
         raise NotProjectorError("operator is not idempotent")
     return P
 
@@ -48,7 +51,7 @@ class EventPair(Record):
         E = _check_projector(E)
         F = _check_projector(F)
         _check_shape(F, len(E), "F")
-        super().__init__(E, F, max_norm(E @ F - F @ E) <= 1e-10)
+        super().__init__(E, F, max_norm(E @ F - F @ E) <= _PROJECTOR_TOL)
 
 
 def luders_collapse(rho: np.ndarray, P, rank_tol: float = linops.DEFAULT_TOL.rank_tol):
@@ -195,14 +198,10 @@ def distant_measurement_report(state: BipartiteState,
     measurement: per detectable value, equal probabilities and equal
     Lüders-collapsed states, plus equal expectation values.
 
-    The pair is first checked to be a twin of the rank cut C C† of rho
-    (``BipartiteState.factor``): Z = (A_plus ⊗ 1 - 1 ⊗ A_minus) C is
-    D x k, and the max-norm of Z C† is accepted from the Cauchy-Schwarz
-    bound max_i ||Z_i|| max_j ||C_j|| over rows when that is within
-    residual_tol; Z C† is formed only when the bound fails.  Pair dims
-    that do not match the state raise DimensionMismatchError, and a pair
-    that is not a twin raises NotTwinPairError, a ValueError, with its
-    residual.
+    The pair is first checked by ``twins.is_twin_pair``, the twin test on
+    the factor C of rho: pair dims that do not match the state raise
+    DimensionMismatchError, and a pair that is not a twin raises
+    NotTwinPairError, a ValueError, with the test's witness.
 
     The event for value a is the cluster eigenprojector of the detectable
     part A'_s at a, lifted by the range basis of rho_s.  The spectral
@@ -231,7 +230,7 @@ def distant_measurement_report(state: BipartiteState,
     outcome at a time as [Y+ Y-] [Y+ -Y-]† into one reused D x D buffer,
     its moduli into one reused float buffer, about 2 D^2 k per outcome
     for rank k of rho.  No D x D array is allocated per outcome."""
-    ok, residual = _factor_twin_test(state, pair)
+    ok, residual = is_twin_pair(state, pair)
     if not ok:
         raise NotTwinPairError(f"not a twin pair for this state (residual {residual:.3e})")
     sp, sm = _pair_spectra(pair, state)

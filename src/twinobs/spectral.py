@@ -24,8 +24,8 @@ from .errors import (
     SpectraMismatchError,
 )
 from .linops import Record, max_norm
-from .states import BipartiteState, restrict_to_relevant
-from .twins import ObservablePair, TwinSpace
+from .states import BipartiteState, _compressed_factor
+from .twins import ObservablePair, TwinSpace, _twin_witness
 
 
 class SpectralData(Record):
@@ -169,17 +169,18 @@ def characteristic_projector_twins(split: DetectableSplit, state: BipartiteState
     eigenprojectors of A'_plus and A'_minus, paired by index over the
     common spectrum; each projector pair is itself a twin pair for rho'.
 
-    Returns a list of (value, P'_plus, P'_minus, twin_residual).
+    Returns a list of (value, P'_plus, P'_minus, twin_witness), the
+    witness that of the twin test of ``twins.is_twin_pair`` on the factor
+    Y = (B_plus ⊗ B_minus)† C of rho' = Y Y†, B_s the split's range
+    bases: rho' is not formed.
     """
     sp, sm = _detectable_data(split, state.tol.cluster_tol)
-    rho_prime = restrict_to_relevant(state).rho_prime
-    rp = split.a_prime_plus.shape[0]
-    rm = split.a_prime_minus.shape[0]
+    Y = _compressed_factor(state, split.range_basis_plus, split.range_basis_minus)
+    Y = Y.reshape(-1, Y.shape[-1])
     out = []
     for a, Pp, Pm in zip((sp.values + sm.values) / 2, sp.projectors, sm.projectors):
-        residual = max_norm(linops.apply_local(Pp, rho_prime, rp, rm, "+")
-                            - linops.apply_local(Pm, rho_prime, rp, rm, "-"))
-        out.append((float(a), Pp, Pm, residual))
+        witness = _twin_witness(Pp, Pm, Y, state.tol.residual_tol)[1]
+        out.append((float(a), Pp, Pm, witness))
     return out
 
 

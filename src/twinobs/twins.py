@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linops
 from .errors import DimensionMismatchError
-from .linops import Record, ValueRecord, max_norm
+from .linops import Record, ValueRecord
 from .states import BipartiteState, _read_only
 
 
@@ -95,43 +95,37 @@ class TwinSpace(Record):
 
 
 def is_twin_pair(state: BipartiteState, pair: ObservablePair):
-    """Residual test of the twin relation A_plus rho = A_minus rho.
+    """The twin test A_plus rho = A_minus rho, on the factor C of the rank
+    cut C C† of rho: twins depend only on range(rho).
 
-    Returns (verdict, residual) with residual the max-norm of
-    (A_plus ⊗ 1 - 1 ⊗ A_minus) rho.
+    Returns (verdict, witness) of ``_twin_witness``: the verdict is that of
+    the max-norm of Z C† against residual_tol, Z = (A_plus ⊗ 1 - 1 ⊗
+    A_minus) C (D x k).  A pair that passes has as witness the
+    Cauchy-Schwarz bound max_i ||Z_i|| max_j ||C_j|| and forms no D x D
+    array; one that fails has the max-norm of Z C†, within the image of
+    rho - C C† (``state.cut_error``) of that of (A_plus ⊗ 1 - 1 ⊗ A_minus)
+    rho.  Pair dims that do not match the state raise DimensionMismatchError.
     """
-    _check_dims(state, pair)
-    residual = max_norm(_twin_image(pair, state, state.rho))
-    return residual <= state.tol.residual_tol, residual
-
-
-def _factor_twin_test(state: BipartiteState, pair: ObservablePair):
-    """The twin test on the rank cut C C† of rho, C its factor: (verdict,
-    witness) of the max-norm of Z C† against residual_tol, Z = (A_plus ⊗ 1
-    - 1 ⊗ A_minus) C (D x k), by ``linops.product_max_norm_within``, so
-    the D x D product Z C† is formed only when the row-norm bound does
-    not decide.  When the verdict is False the witness is that max-norm,
-    which differs from the residual of ``is_twin_pair`` by at most the
-    image of rho - C C† (``state.cut_error``)."""
-    _check_dims(state, pair)
-    C = state.factor
-    return linops.product_max_norm_within(_twin_image(pair, state, C), C,
-                                          state.tol.residual_tol)
-
-
-def _check_dims(state: BipartiteState, pair: ObservablePair) -> None:
     if pair.d_plus != state.d_plus or pair.d_minus != state.d_minus:
         raise DimensionMismatchError(
             f"pair dims ({pair.d_plus},{pair.d_minus}) do not match state "
             f"({state.d_plus},{state.d_minus})"
         )
+    return _twin_witness(pair.a_plus, pair.a_minus, state.factor, state.tol.residual_tol)
 
 
-def _twin_image(pair: ObservablePair, state: BipartiteState, V: np.ndarray) -> np.ndarray:
-    """(A_plus ⊗ 1 - 1 ⊗ A_minus) V for columns V on the space of state."""
-    dims = state.d_plus, state.d_minus
-    image = linops.apply_local(pair.a_plus, V, *dims, "+")
-    image -= linops.apply_local(pair.a_minus, V, *dims, "-")
+def _twin_witness(a_plus: np.ndarray, a_minus: np.ndarray, C: np.ndarray, tol: float):
+    """(max|Z C†| <= tol, witness) for Z = (A_plus ⊗ 1 - 1 ⊗ A_minus) C,
+    by ``linops.product_max_norm_within``: the one twin test of the package."""
+    return linops.product_max_norm_within(_twin_image(a_plus, a_minus, C), C, tol)
+
+
+def _twin_image(a_plus: np.ndarray, a_minus: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """(A_plus ⊗ 1 - 1 ⊗ A_minus) V for columns V on the product of the
+    spaces A_plus and A_minus act on."""
+    dims = a_plus.shape[0], a_minus.shape[0]
+    image = linops.apply_local(a_plus, V, *dims, "+")
+    image -= linops.apply_local(a_minus, V, *dims, "-")
     return image
 
 
@@ -379,8 +373,8 @@ def twins_restrict_to_range_vectors(
     drawn uniform on [0.2, 1] from ``random.Random(seed)`` and normalized."""
     V = state.range_basis()
     v_max = np.max(np.abs(V), axis=0)
-    c1 = max((float(np.max(np.max(np.abs(_twin_image(pair, state, V)), axis=0) * v_max))
-              for pair in twin_space.basis), default=0.0)
+    c1 = max((float(np.max(np.max(np.abs(_twin_image(p.a_plus, p.a_minus, V)), axis=0) * v_max))
+              for p in twin_space.basis), default=0.0)
 
     rng = random.Random(operator.index(seed))
     w = np.array([rng.uniform(0.2, 1.0) for _ in range(V.shape[1])])
@@ -399,7 +393,7 @@ def states_admitting_twins(pair: ObservablePair, candidate_state: BipartiteState
     max-norm is decided by ``linops.product_max_norm_within``, so Z V^dagger
     (D x D) is formed only when its row-norm bound exceeds the tolerance."""
     V = candidate_state.range_basis()
-    Z = _twin_image(pair, candidate_state, V)
+    Z = _twin_image(pair.a_plus, pair.a_minus, V)
     tol = candidate_state.tol.residual_tol
     return bool(np.all(np.linalg.norm(Z, axis=0) <= tol)
                 and linops.product_max_norm_within(Z, V, tol)[0])

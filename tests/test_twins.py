@@ -18,7 +18,7 @@ from twinobs.spin import coupled_basis, spin_z
 from twinobs.twins import _constraint_matrix, subspace_distance
 
 import reference
-from conftest import oracle_twin_coords, random_hermitian, random_state
+from conftest import oracle_twin_coords, random_hermitian, random_state, traced_peak
 
 SZ_HALF = np.diag([0.5, -0.5]).astype(complex)
 SZ_ONE = np.diag([1.0, 0.0, -1.0]).astype(complex)
@@ -352,3 +352,55 @@ class TestStatesAdmittingTwinsMatchesTheDenseTest:
         E00[0, 0] = eps
         pair = ObservablePair(E00, np.zeros((4, 4)))
         assert states_admitting_twins(pair, st) is dense_admits(pair, st)
+
+
+def block_state(rng):
+    """0.6 and 0.4 times random states on the blocks (a < 2, c < 2) and
+    (a >= 2, c >= 2) of 4 x 4, a and c the basis indices of the sides."""
+    a, c = np.divmod(np.arange(16), 4)
+    rho = np.zeros((16, 16), dtype=complex)
+    for block, w in (((a < 2) & (c < 2), 0.6), ((a >= 2) & (c >= 2), 0.4)):
+        idx = np.flatnonzero(block)
+        rho[np.ix_(idx, idx)] = w * random_state(rng, 2, 2).rho
+    return BipartiteState(4, 4, rho)
+
+
+class TestIsTwinPairOnTheFactor:
+    """is_twin_pair tests the twin relation on the factor C of rho, not on
+    the D x D rho."""
+
+    def test_verdict_is_that_of_the_dense_residual_on_rho(self):
+        rng = np.random.default_rng(81)
+        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        states = [random_state(rng, 2, 3), random_state(rng, 3, 3, rank=2),
+                  from_pure(v / np.linalg.norm(v), 3, 4),
+                  from_pure(np.full(16, 0.25, dtype=complex), 4, 4), block_state(rng)]
+        checked, verdicts = 0, set()
+        for st in states:
+            dp, dm = st.d_plus, st.d_minus
+            pairs = list(solve_twin_space(st).basis)
+            pairs += [ObservablePair(np.eye(dp) + scale * random_hermitian(rng, dp), np.eye(dm))
+                      for scale in (1.0, 1e-7, 1e-8, 1e-9, 1e-10)]
+            for eps in (1e-9, 3e-8, 1e-6):
+                E00 = np.zeros((dp, dp), dtype=complex)
+                E00[0, 0] = eps
+                pairs.append(ObservablePair(E00, np.zeros((dm, dm))))
+            tol = st.tol.residual_tol
+            for pair in pairs:
+                dense = np.max(np.abs(reference.difference_operator(pair) @ st.rho))
+                if tol / 2 <= dense <= 2 * tol:
+                    continue
+                verdict = is_twin_pair(st, pair)[0]
+                assert verdict == (dense <= tol)
+                checked += 1
+                verdicts.add(bool(verdict))
+        assert checked >= 60 and verdicts == {True, False}
+
+    def test_a_pure_twin_pair_forms_no_dxd_array(self):
+        d = 12
+        st = from_pure(np.eye(d, dtype=complex).ravel() / np.sqrt(d), d, d)
+        A = random_hermitian(np.random.default_rng(82), d)
+        pair = ObservablePair(A, A.T)  # (A ⊗ 1) Φ = (1 ⊗ A^T) Φ for the maximally entangled Φ
+        assert is_twin_pair(st, pair)[0]
+        peak = traced_peak(lambda: is_twin_pair(st, pair))
+        assert peak < 0.1 * 16 * (d * d) ** 2
