@@ -42,7 +42,7 @@ def run_scenario(name: str, seed: int) -> None:
     rep = distant_measurement_report(state, pair)
     print(f"  distant measurement: expectation {rep.expectation_plus:+.6f} on both sides, "
           f"max probability gap {rep.max_probability_gap:.2e}, "
-          f"max collapse gap {rep.max_collapse_gap:.2e}")
+          f"collapse gap witness {rep.max_collapse_gap:.2e} (a bound when within tolerance)")
     for o in sorted(rep.outcomes, key=lambda o: o.value):
         print(f"    value {o.value:+.4f}: p+ = {o.probability_plus:.6f}, "
               f"p- = {o.probability_minus:.6f}")

@@ -182,8 +182,8 @@ def cmd_measure(state, args):
     pair = _load_pair(args.pair, state)
     try:
         rep = distant_measurement_report(state, pair)
-    except NotTwinPairError:  # print the witness, as `verify` does
-        return {"twin": False, "residual": is_twin_pair(state, pair)[1]}, EXIT_VERIFICATION
+    except NotTwinPairError as exc:  # print the report's witness, as `verify` does
+        return {"twin": False, "residual": exc.residual}, EXIT_VERIFICATION
     report = {
         "expectation_plus": rep.expectation_plus,
         "expectation_minus": rep.expectation_minus,

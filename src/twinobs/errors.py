@@ -38,7 +38,12 @@ class NotPureError(TwinObsError):
 
 
 class NotTwinPairError(TwinObsError, ValueError):
-    """A pair used where a twin pair of the state is required."""
+    """A pair used where a twin pair of the state is required; residual
+    is the twin test's witness, when the raiser has one."""
+
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class NotReducibleError(TwinObsError):

@@ -172,13 +172,26 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     return V
 
 
+class _Hermitian(np.ndarray):
+    """A view that marks an operator as bitwise Hermitian by construction:
+    a rho that ``BipartiteState`` has symmetrized, or a partial trace of
+    one, which sums conjugate pairs in the same order.  ``eigh`` (and so
+    ``range_null_bases``) decomposes such a view as it is, since
+    symmetrizing it again would return it bitwise unchanged; the trusted
+    entry for the state's own operators, as ``ObservablePair._trusted``
+    is for pairs."""
+
+    __slots__ = ()
+
+
 def eigh(H):
-    """Eigendecomposition of a Hermitian operator.
+    """Eigendecomposition of a Hermitian operator, symmetrized first by
+    ``hermitize`` unless it is a ``_Hermitian`` view.
 
     Returns (eigenvalues ascending, eigenvector matrix) with a
     deterministic phase convention for the eigenvectors.
     """
-    H = hermitize(H)
+    H = H.view(np.ndarray) if isinstance(H, _Hermitian) else hermitize(H)
     try:
         vals, vecs = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -68,7 +68,7 @@ class BipartiteState(Record):
         # path, cut_error) of the rank cut of rho, all arrays read-only
         cut = linops.low_rank_cut(rho, tol.rank_tol, dim // 8)
         if cut is None:
-            vals, V, N = linops.range_null_bases(rho, tol.rank_tol)
+            vals, V, N = linops.range_null_bases(rho.view(linops._Hermitian), tol.rank_tol)
             if vals[0] < -tol.rank_tol * max(vals[-1], 1.0):
                 raise NotPositiveError(f"rho has negative eigenvalue {vals[0]:.3e}")
             cut = (*_read_only(vals, V, N), np.max(np.abs(vals[:N.shape[1]]), initial=0.0))
@@ -109,8 +109,8 @@ class BipartiteState(Record):
         rm = linops.partial_trace(self.rho, self.d_plus, self.d_minus, "+")
         return SubsystemPair(*_read_only(
             rp, rm,
-            *linops.range_null_bases(rp, self.tol.rank_tol),
-            *linops.range_null_bases(rm, self.tol.rank_tol),
+            *linops.range_null_bases(rp.view(linops._Hermitian), self.tol.rank_tol),
+            *linops.range_null_bases(rm.view(linops._Hermitian), self.tol.rank_tol),
         ))
 
     def projectors(self) -> "SubspaceProjectors":

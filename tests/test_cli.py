@@ -172,6 +172,17 @@ class TestCli:
         assert main(["measure", state_file, twin_pair_file]) == EXIT_OK
         assert calls == []
 
+    def test_measure_non_twin_tests_the_pair_once(self, state_file, non_twin_pair_file,
+                                                  monkeypatch, capsys):
+        from twinobs import twins
+
+        calls = []
+        witness = twins._twin_witness
+        monkeypatch.setattr(twins, "_twin_witness",
+                            lambda *args: calls.append(1) or witness(*args))
+        assert main(["measure", state_file, non_twin_pair_file]) == EXIT_VERIFICATION
+        assert len(calls) == 1
+
     def test_measure_non_twin_prints_the_residual_on_rho(self, example1, state_file,
                                                          non_twin_pair_file, capsys):
         from twinobs import is_twin_pair

@@ -14,6 +14,7 @@ from twinobs import (
     luders_collapse,
     solve_twin_space,
 )
+from twinobs import measurement
 from twinobs.errors import DimensionMismatchError, NotProjectorError
 from twinobs.linops import kron, max_norm
 
@@ -216,6 +217,19 @@ class TestDistantMeasurement:
         with pytest.raises(ValueError, match=f"not a twin pair .*residual {residual:.3e}"):
             distant_measurement_report(example1, pair)
 
+    def test_non_twin_error_carries_the_witness(self, example1):
+        from twinobs import is_twin_pair
+        from twinobs.errors import NotTwinPairError
+
+        pair = ObservablePair(SZ_HALF, SZ_HALF)
+        with pytest.raises(NotTwinPairError) as info:
+            distant_measurement_report(example1, pair)
+        assert info.value.residual == is_twin_pair(example1, pair)[1]
+
+    def test_tolerance_is_the_named_constant(self, example1):
+        rep = distant_measurement_report(example1, ObservablePair(SZ_HALF, -SZ_HALF))
+        assert rep.tolerance == measurement._COLLAPSE_TOL == 1e-9
+
     def test_rejects_mismatched_dims(self, example1):
         with pytest.raises(DimensionMismatchError):
             distant_measurement_report(example1, ObservablePair(SZ_ONE, SZ_HALF))
@@ -258,6 +272,24 @@ class TestDistantMeasurement:
         peak = traced_peak(lambda: distant_measurement_report(st, pair))
         assert peak <= 2 * 16 * (d * d) ** 2
 
+    def test_decides_the_collapse_gap_without_a_d_by_d_array(self):
+        """A pure d = 12 twin pair with 12 distinct values: every outcome's
+        collapse gap is decided by the row-norm bound, so the report peaks
+        below one D x D complex array at D = 144 (forming the gap per
+        outcome takes a complex and a float D x D buffer, 1.5 of them)."""
+        d = 12
+        rng = np.random.default_rng(42)
+        U, W = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+                for _ in range(2))
+        lam = np.arange(1, d + 1.0) / np.linalg.norm(np.arange(1, d + 1.0))
+        st = from_pure(((U * lam) @ W.T).ravel(), d, d)
+        x = np.arange(d, dtype=float)
+        pair = ObservablePair((U * x) @ U.conj().T, (W * x) @ W.conj().T)
+        rep = distant_measurement_report(st, pair)
+        assert len(rep.outcomes) == d and rep.passed
+        peak = traced_peak(lambda: distant_measurement_report(st, pair))
+        assert peak <= 16 * (d * d) ** 2
+
     def test_holds_across_solved_spaces(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -273,6 +305,96 @@ class TestDistantMeasurement:
             for cond in (o.conditional_minus, o.conditional_plus):
                 assert np.trace(cond).real == pytest.approx(1.0, abs=1e-9)
                 assert np.min(np.linalg.eigvalsh((cond + cond.conj().T) / 2)) >= -1e-9
+
+
+# 1e-13 to 1e-6 by half-decades, around the report's tolerance 1e-9
+EPSILONS = 10.0 ** np.arange(-13, -5.75, 0.5)
+# (n outcomes, D, k) of stacked collapse factors
+STACKS = [(1, 4, 1), (2, 9, 4), (4, 36, 2), (6, 64, 3), (12, 144, 1), (3, 144, 4)]
+# rounding between two ways of forming Y+ Y+† - Y- Y-† of unit-norm factors
+ROUNDING = 1e-15
+
+
+def unit_stack(rng, n, D, k):
+    """n random complex D x k matrices of unit Frobenius norm, stacked."""
+    G = rng.standard_normal((n, D, k)) + 1j * rng.standard_normal((n, D, k))
+    return G / np.linalg.norm(G, axis=(1, 2))[:, None, None]
+
+
+def dense_gaps(Y_plus, Y_minus):
+    """max|Y+ Y+† - Y- Y-†| of each outcome, from the two D x D products."""
+    H = np.swapaxes(Y_plus, 1, 2).conj()
+    G = np.swapaxes(Y_minus, 1, 2).conj()
+    return np.abs(Y_plus @ H - Y_minus @ G).max(axis=(1, 2))
+
+
+def row_bounds(Y_plus, Y_minus):
+    """max_j ||(Y+ + Y-)_j|| max_j ||(Y+ - Y-)_j|| of each outcome."""
+    return (np.linalg.norm(Y_plus + Y_minus, axis=2).max(axis=1)
+            * np.linalg.norm(Y_plus - Y_minus, axis=2).max(axis=1))
+
+
+class TestCollapseGapWitness:
+    """measurement._max_collapse_gap against the dense max-norm: the
+    witness is at least the dense value, decides as it does against the
+    tolerance, and is the dense value for every outcome whose bound fails."""
+
+    TOL = measurement._COLLAPSE_TOL
+
+    def check(self, Y_plus, Y_minus):
+        witness = measurement._max_collapse_gap(Y_plus, Y_minus)
+        dense = dense_gaps(Y_plus, Y_minus)
+        bounds = row_bounds(Y_plus, Y_minus)
+        assert witness >= dense.max() - ROUNDING
+        assert (witness <= self.TOL) == (dense.max() <= self.TOL)
+        assert witness == pytest.approx(np.where(bounds <= self.TOL, bounds, dense).max(),
+                                        rel=0, abs=ROUNDING)
+        for i in np.flatnonzero(bounds > self.TOL):
+            alone = measurement._max_collapse_gap(Y_plus[i:i + 1], Y_minus[i:i + 1])
+            assert alone == pytest.approx(dense[i], rel=0, abs=ROUNDING)
+        return bounds <= self.TOL, dense <= self.TOL
+
+    @pytest.mark.parametrize("n, D, k", STACKS)
+    def test_each_epsilon(self, n, D, k):
+        rng = np.random.default_rng([n, D, k])
+        decided, passed = [], []
+        for eps in EPSILONS:
+            Y_plus = unit_stack(rng, n, D, k)
+            by_bound, by_dense = self.check(Y_plus, Y_plus + eps * unit_stack(rng, n, D, k))
+            decided.append(by_bound.all())
+            passed.append(by_dense.all())
+        # the sweep runs from gaps the bound decides to gaps above the tolerance
+        assert decided[0] and not passed[-1]
+
+    @pytest.mark.parametrize("n, D, k", [s for s in STACKS if s[0] > 1])
+    def test_mixed_stack(self, n, D, k):
+        """One epsilon per outcome, the first two at the ends of the sweep."""
+        rng = np.random.default_rng([n, D, k, 1])
+        eps = rng.choice(EPSILONS, size=n)
+        eps[:2] = EPSILONS[0], EPSILONS[-1]
+        Y_plus = unit_stack(rng, n, D, k)
+        by_bound, by_dense = self.check(
+            Y_plus, Y_plus + eps[:, None, None] * unit_stack(rng, n, D, k))
+        assert by_bound[0] and not by_dense[1]
+
+    @pytest.mark.parametrize("n, D, k", STACKS)
+    def test_gap_the_bound_cannot_decide(self, n, D, k):
+        """An epsilon between the one where the bound reaches the tolerance
+        and the one where the dense gap does: the witness is the dense gap,
+        within the tolerance."""
+        rng = np.random.default_rng([n, D, k, 2])
+        Y_plus, G = unit_stack(rng, n, D, k), unit_stack(rng, n, D, k)
+        scale = 1e-8
+        per_eps = np.sqrt(row_bounds(Y_plus, Y_plus + scale * G).max()
+                          * dense_gaps(Y_plus, Y_plus + scale * G).max()) / scale
+        Y_minus = Y_plus + (self.TOL / per_eps) * G
+        assert row_bounds(Y_plus, Y_minus).max() > self.TOL >= dense_gaps(Y_plus, Y_minus).max()
+        by_bound, by_dense = self.check(Y_plus, Y_minus)
+        assert not by_bound.all() and by_dense.all()
+
+    def test_no_outcomes(self):
+        empty = np.zeros((0, 4, 1), dtype=complex)
+        assert measurement._max_collapse_gap(empty, empty) == 0.0
 
 
 class TestThermalNoGo:

@@ -2,7 +2,9 @@
 takes the rank cut of rho at construction and reads positivity off it,
 so construction is the one eigendecomposition of rho (none on the
 factor path) and everything read from the cut later reuses it; and
-matched_bases_from_pair reuses the eigenvectors SpectralData carries."""
+matched_bases_from_pair reuses the eigenvectors SpectralData carries.
+rho is also validated once: symmetrized at ingestion, and decomposed
+as it is, with its reductions, through the linops._Hermitian view."""
 
 import numpy as np
 import pytest
@@ -119,3 +121,37 @@ def test_matched_bases_reuse_the_spectral_eigenvectors(dims, monkeypatch):
     assert len(calls) == 2
     assert np.array_equal(mb.basis_plus, ref_plus)
     assert np.array_equal(mb.basis_minus, ref_minus)
+
+
+def test_a_full_rank_solve_symmetrizes_one_d_by_d_matrix(monkeypatch):
+    """A full-rank rho at d = 6 (the eigh path): rho is symmetrized at
+    ingestion, and neither its eigh nor those of rho_plus and rho_minus
+    symmetrize again."""
+    rng = np.random.default_rng(36)
+    X = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
+    rho = X @ X.conj().T
+    shapes = []
+    hermitize = linops.hermitize
+    monkeypatch.setattr(linops, "hermitize", lambda M, *a, **k: shapes.append(np.shape(M))
+                        or hermitize(M, *a, **k))
+    state = BipartiteState(6, 6, rho / np.trace(rho).real)
+    space = solve_twin_space(state)
+    assert state.range_basis().shape[1] == 36 and space.dim_total == 1
+    assert shapes == [(36, 36)]
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4), (2, 5)])
+def test_the_state_operators_are_bitwise_hermitian(dims):
+    """The trusted view is exact: rho as stored and its partial traces
+    are bitwise Hermitian, so the eigh of the view equals the public
+    eigh, which symmetrizes first, bit for bit, in plain arrays."""
+    dp, dm = dims
+    rng = np.random.default_rng(dp * 10 + dm)
+    X = rng.standard_normal((dp * dm, dp * dm)) + 1j * rng.standard_normal((dp * dm, dp * dm))
+    state = BipartiteState(dp, dm, (X @ X.conj().T) / np.linalg.norm(X) ** 2)
+    sub = state.subsystems
+    for H in (state.rho, sub.rho_plus, sub.rho_minus):
+        assert np.array_equal(H, H.conj().T)
+        for trusted, public in zip(linops.eigh(H.view(linops._Hermitian)), linops.eigh(H)):
+            assert type(trusted) is np.ndarray
+            assert trusted.tobytes() == public.tobytes()
