@@ -229,7 +229,8 @@ def distant_measurement_report(state: BipartiteState,
     once: the lifted projectors are stacked as an (n, d_s, d_s) array and
     X = (P ⊗ 1) C or (1 ⊗ P) C is one batched product, so no D x D
     product with rho is formed.  Then prob = ||X||_F^2, and each outcome
-    keeps Y = X / sqrt(prob); its Lüders state Y Y† and the other side's
+    keeps Y = X / sqrt(prob), normalised in place so that no copy of X
+    outlives it; its Lüders state Y Y† and the other side's
     conditional state, a partial trace of Y Y† that equals that of
     (P ⊗ 1) rho / prob because P acts on the traced factor, are computed
     only when read.  These are the outputs of the rank cut C C†: they
@@ -256,14 +257,15 @@ def distant_measurement_report(state: BipartiteState,
     P_plus = _check_projectors(_lift(sub.range_plus, np.array(sp.projectors)))
     P_minus = _check_projectors(_lift(sub.range_minus, np.array(sm.projectors)))
     # (P ⊗ 1) C and (1 ⊗ P) C for every outcome, as (n, d_plus, d_minus, k)
-    X_plus = (P_plus @ C.reshape(dp, dm * k)).reshape(-1, dp, dm, k)
-    X_minus = P_minus[:, None] @ C.reshape(dp, dm, k)
-    prob_plus = np.linalg.norm(X_plus.reshape(len(X_plus), -1), axis=1) ** 2
-    prob_minus = np.linalg.norm(X_minus.reshape(len(X_minus), -1), axis=1) ** 2
+    Y_plus = (P_plus @ C.reshape(dp, dm * k)).reshape(-1, dp, dm, k)
+    Y_minus = P_minus[:, None] @ C.reshape(dp, dm, k)
+    prob_plus = np.linalg.norm(Y_plus.reshape(len(Y_plus), -1), axis=1) ** 2
+    prob_minus = np.linalg.norm(Y_minus.reshape(len(Y_minus), -1), axis=1) ** 2
     keep = (prob_plus > state.tol.rank_tol) & (prob_minus > state.tol.rank_tol)
     prob_plus, prob_minus = prob_plus[keep], prob_minus[keep]
-    Y_plus = X_plus[keep] / np.sqrt(prob_plus)[:, None, None, None]
-    Y_minus = X_minus[keep] / np.sqrt(prob_minus)[:, None, None, None]
+    Y_plus, Y_minus = Y_plus[keep], Y_minus[keep]
+    Y_plus /= np.sqrt(prob_plus)[:, None, None, None]
+    Y_minus /= np.sqrt(prob_minus)[:, None, None, None]
     values = ((sp.values + sm.values) / 2)[keep]
     outcomes = tuple(map(MeasurementOutcome, values.tolist(), prob_plus.tolist(),
                          prob_minus.tolist(), Y_plus, Y_minus))

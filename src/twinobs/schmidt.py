@@ -13,7 +13,6 @@ import itertools
 
 import numpy as np
 
-from . import linops
 from .errors import NotPureError, OffDiagonalLeakError, SparsityViolationError
 from .linops import Record, ValueRecord, max_norm
 from .spectral import MatchedBases, matched_bases_from_pair
@@ -136,15 +135,18 @@ def compatibility_report(dec: PureDecomposition, mb: MatchedBases,
     """Commutator residuals among {A_s, rho_s^(i), rho_s} per side.
 
     A_s is reconstructed as sum_a sigma'_a |a>_s <a|_s; all operators are
-    simultaneously diagonal in the matched basis for a valid input."""
-    dp, dm = state.d_plus, state.d_minus
-    outers = [np.outer(phi, phi.conj()) for phi in dec.vectors]
+    simultaneously diagonal in the matched basis for a valid input.  With
+    phi_i reshaped to Phi_i (d_plus x d_minus), the reduced components are
+    Phi_i Phi_i† and Phi_i^T conj(Phi_i), one batched product per side."""
+    Phi = np.stack(dec.vectors).reshape(-1, state.d_plus, state.d_minus)
+    PhiT = Phi.transpose(0, 2, 1)
     sub = state.subsystems
-    sides = {"+": (mb.basis_plus, "-", sub.rho_plus), "-": (mb.basis_minus, "+", sub.rho_minus)}
+    sides = {"+": (mb.basis_plus, Phi @ PhiT.conj(), sub.rho_plus),
+             "-": (mb.basis_minus, PhiT @ Phi.conj(), sub.rho_minus)}
     report = {}
-    for s, (B, traced, total) in sides.items():
+    for s, (B, components, total) in sides.items():
         ops = [("A", B @ np.diag(mb.sigma_prime) @ B.conj().T)] + [
-            (f"rho^({i})", linops.partial_trace(r, dp, dm, traced)) for i, r in enumerate(outers)
+            (f"rho^({i})", r) for i, r in enumerate(components)
         ] + [("rho", total)]
         for (name_x, X), (name_y, Y) in itertools.combinations(ops, 2):
             report[f"[{name_x}, {name_y}]_{s}"] = max_norm(X @ Y - Y @ X)

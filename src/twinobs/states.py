@@ -207,23 +207,28 @@ class GeometryReport(ValueRecord):
 
 def verify_subspace_geometry(state: BipartiteState) -> GeometryReport:
     """Check R = R(R_plus ⊗ R_minus), R = (R_s ⊗ 1)R, N_s-inclusions and
-    the annihilation of rho by null vectors of a reduction."""
-    p = state.projectors()
-    Ip = np.eye(state.d_plus)
-    Im = np.eye(state.d_minus)
-    RpRm = linops.kron(p.R_plus, p.R_minus)
-    Rp1 = linops.kron(p.R_plus, Im)
-    R1m = linops.kron(Ip, p.R_minus)
-    Np1 = linops.kron(p.N_plus, Im)
-    N1m = linops.kron(Ip, p.N_minus)
+    the annihilation of rho by null vectors of a reduction, on the range
+    basis V of rho (R = V V†) by local products with the d_s x d_s range
+    projectors R_s, so no composite operator is formed:
+    R - R(R_plus ⊗ R_minus) = V(V - (R_plus ⊗ R_minus)V)†, and
+    R - (R_s ⊗ 1)R = (V - (R_s ⊗ 1)V)V† is -((N_s ⊗ 1)N - N_s ⊗ 1) exactly,
+    so one value serves both keys.  rho (N_plus ⊗ 1) has the max-norm of
+    its adjoint (R_plus ⊗ 1)rho - rho."""
+    sub = state.subsystems
+    dims = state.d_plus, state.d_minus
+    Rp, Rm = (B @ B.conj().T for B in (sub.range_plus, sub.range_minus))
+    V = state.range_basis()
+    Vp = linops.apply_local(Rp, V, *dims, "+")
+    r_plus, r_minus = (max_norm((V - Vs) @ V.conj().T)
+                       for Vs in (Vp, linops.apply_local(Rm, V, *dims, "-")))
     residuals = {
-        "R_eq_R_RpRm": max_norm(p.R - p.R @ RpRm),
-        "R_eq_Rp1_R": max_norm(p.R - Rp1 @ p.R),
-        "R_eq_1Rm_R": max_norm(p.R - R1m @ p.R),
-        "Np1_N_eq_Np1": max_norm(Np1 @ p.N - Np1),
-        "1Nm_N_eq_1Nm": max_norm(N1m @ p.N - N1m),
-        "rho_annihilates_null_plus": max_norm(state.rho @ Np1),
+        "R_eq_R_RpRm": max_norm(V @ (V - linops.apply_local(Rm, Vp, *dims, "-")).conj().T),
+        "R_eq_Rp1_R": r_plus, "R_eq_1Rm_R": r_minus,
+        "Np1_N_eq_Np1": r_plus, "1Nm_N_eq_1Nm": r_minus,
     }
+    rho_null = linops.apply_local(Rp, state.rho, *dims, "+")
+    rho_null -= state.rho
+    residuals["rho_annihilates_null_plus"] = max_norm(rho_null)
     return GeometryReport(residuals=residuals, tolerance=state.tol.residual_tol)
 
 

@@ -325,28 +325,18 @@ def subspace_distance(coords_a: np.ndarray, coords_b: np.ndarray) -> float:
 
 def additive_twins(state: BipartiteState, b_plus, b_minus):
     """Twin pair from an additive observable B = B_plus ⊗ 1 + 1 ⊗ B_minus
-    that has a sharp value b in rho: (B_plus - b/2, -B_minus + b/2).
+    that has a sharp value b in rho: (B_plus - b/2, -B_minus + b/2), else None.
 
-    Returns None when B has no sharp value.
-    """
-    from .measurement import certainty_test
-
+    The one candidate is b = Tr(B_plus rho_plus) + Tr(B_minus rho_minus),
+    and (B - b) rho = 0 is exactly the twin relation of that pair, which
+    ``is_twin_pair`` decides on the factor of rho."""
+    sub = state.subsystems
     b_plus = linops.hermitize(b_plus, state.tol.herm_tol)
     b_minus = linops.hermitize(b_minus, state.tol.herm_tol)
-    B = linops.kron(b_plus, np.eye(state.d_minus)) + linops.kron(
-        np.eye(state.d_plus), b_minus
-    )
-    b = certainty_test(state, B)
-    if b is None:
-        return None
-    pair = ObservablePair(
-        b_plus - (b / 2) * np.eye(state.d_plus),
-        -b_minus + (b / 2) * np.eye(state.d_minus),
-    )
-    ok, residual = is_twin_pair(state, pair)
-    if not ok:  # pragma: no cover - guaranteed by the sharp-value relation
-        raise AssertionError(f"additive construction failed twin check, residual {residual}")
-    return pair
+    b = float(np.real(np.trace(b_plus @ sub.rho_plus) + np.trace(b_minus @ sub.rho_minus)))
+    pair = ObservablePair(b_plus - (b / 2) * np.eye(state.d_plus),
+                          (b / 2) * np.eye(state.d_minus) - b_minus)
+    return pair if is_twin_pair(state, pair)[0] else None
 
 
 class ConsequenceReport(ValueRecord):

@@ -2,15 +2,19 @@
 
 No code path of twinobs needs them: the package takes each rank cut in
 ``linops.range_null_bases`` and ``BipartiteState``, groups eigenvalues in
-``spectral.spectral_data`` and applies the twin operator by reshapes.
-These are the dense or direct forms of the same objects, kept here
+``spectral.spectral_data`` and applies the twin operator, the
+geometry check and the reduced components by reshapes.  These are the
+dense or direct forms of the same objects, kept here
 unchanged so that a drift of the package shows up as a mismatch."""
+
+import itertools
 
 import numpy as np
 
 from twinobs import linops
 from twinobs.errors import DimensionMismatchError, NotPositiveError
-from twinobs.linops import DEFAULT_TOL, hermitian_basis, range_null_bases
+from twinobs.linops import DEFAULT_TOL, hermitian_basis, max_norm, range_null_bases
+from twinobs.states import GeometryReport
 
 
 def range_null_projectors(H, tol: float = DEFAULT_TOL.rank_tol):
@@ -54,3 +58,43 @@ def difference_operator(pair) -> np.ndarray:
     return linops.kron(pair.a_plus, np.eye(pair.d_minus)) - linops.kron(
         np.eye(pair.d_plus), pair.a_minus
     )
+
+
+def dense_subspace_geometry(state):
+    """GeometryReport of a BipartiteState from the D x D projectors and
+    their Kronecker products, as states.verify_subspace_geometry once
+    formed it."""
+    p = state.projectors()
+    Ip = np.eye(state.d_plus)
+    Im = np.eye(state.d_minus)
+    RpRm = linops.kron(p.R_plus, p.R_minus)
+    Rp1 = linops.kron(p.R_plus, Im)
+    R1m = linops.kron(Ip, p.R_minus)
+    Np1 = linops.kron(p.N_plus, Im)
+    N1m = linops.kron(Ip, p.N_minus)
+    residuals = {
+        "R_eq_R_RpRm": max_norm(p.R - p.R @ RpRm),
+        "R_eq_Rp1_R": max_norm(p.R - Rp1 @ p.R),
+        "R_eq_1Rm_R": max_norm(p.R - R1m @ p.R),
+        "Np1_N_eq_Np1": max_norm(Np1 @ p.N - Np1),
+        "1Nm_N_eq_1Nm": max_norm(N1m @ p.N - N1m),
+        "rho_annihilates_null_plus": max_norm(state.rho @ Np1),
+    }
+    return GeometryReport(residuals=residuals, tolerance=state.tol.residual_tol)
+
+
+def dense_compatibility_report(dec, mb, state) -> dict:
+    """schmidt.compatibility_report with each reduced component the
+    partial trace of the outer product |phi_i><phi_i|."""
+    dp, dm = state.d_plus, state.d_minus
+    outers = [np.outer(phi, phi.conj()) for phi in dec.vectors]
+    sub = state.subsystems
+    sides = {"+": (mb.basis_plus, "-", sub.rho_plus), "-": (mb.basis_minus, "+", sub.rho_minus)}
+    report = {}
+    for s, (B, traced, total) in sides.items():
+        ops = [("A", B @ np.diag(mb.sigma_prime) @ B.conj().T)] + [
+            (f"rho^({i})", linops.partial_trace(r, dp, dm, traced)) for i, r in enumerate(outers)
+        ] + [("rho", total)]
+        for (name_x, X), (name_y, Y) in itertools.combinations(ops, 2):
+            report[f"[{name_x}, {name_y}]_{s}"] = max_norm(X @ Y - Y @ X)
+    return report

@@ -337,6 +337,17 @@ def _run_child(*args):
     return result
 
 
+def test_additive_twins_loads_no_measurement_module():
+    """additive_twins decides on the twin test of its own module."""
+    code = ("import sys, numpy as np, twinobs; "
+            "st = twinobs.from_pure(np.array([0, 1, -1, 0]) / np.sqrt(2), 2, 2); "
+            "sz = np.diag([0.5, -0.5]); "
+            "assert twinobs.additive_twins(st, sz, sz) is not None; "
+            "assert 'twinobs.measurement' not in sys.modules, sorted(sys.modules)")
+    result = _run_child("-c", code)
+    assert result.returncode == 0, result.stderr
+
+
 def test_import_loads_no_submodule():
     code = ("import sys, twinobs; loaded = [m for m in sys.modules if m.startswith('twinobs.')]; "
             "assert not loaded, loaded")

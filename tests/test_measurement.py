@@ -290,6 +290,23 @@ class TestDistantMeasurement:
         peak = traced_peak(lambda: distant_measurement_report(st, pair))
         assert peak <= 16 * (d * d) ** 2
 
+    def test_keeps_one_copy_of_the_outcome_factors(self):
+        """The pure d = 12 case with 12 distinct values: the outcome factors
+        are normalised in place, so the unnormalised stacks are not held
+        beside them and the report peaks below 0.7 of a D x D complex array
+        (0.78 when both were kept)."""
+        d = 12
+        rng = np.random.default_rng(42)
+        U, W = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+                for _ in range(2))
+        lam = np.arange(1, d + 1.0) / np.linalg.norm(np.arange(1, d + 1.0))
+        st = from_pure(((U * lam) @ W.T).ravel(), d, d)
+        x = np.arange(d, dtype=float)
+        pair = ObservablePair((U * x) @ U.conj().T, (W * x) @ W.conj().T)
+        assert len(distant_measurement_report(st, pair).outcomes) == d
+        peak = traced_peak(lambda: distant_measurement_report(st, pair))
+        assert peak <= 0.7 * 16 * (d * d) ** 2
+
     def test_holds_across_solved_spaces(self):
         rng = np.random.default_rng(7)
         for _ in range(5):

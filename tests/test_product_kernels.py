@@ -338,6 +338,30 @@ class TestLocalProducts:
             np.testing.assert_allclose(got, expected, atol=1e-13)
 
 
+class TestNoKroneckerVerdict:
+    def test_analyze_additive_twins_and_compatibility_form_no_kronecker_product(
+            self, example2_ms0, tmp_path, monkeypatch, capsys):
+        """Geometry, additive twins and the compatibility report decide on
+        the range basis, the factor or the d x d reductions."""
+        from twinobs import additive_twins, cli, compatibility_report, serialize
+        from twinobs.spin import SpinScenario, scenario_decomposition, spin_z
+
+        path = tmp_path / "state.json"
+        path.write_text(serialize.dump_json(serialize.state_to_document(example2_ms0)))
+        dec = scenario_decomposition(SpinScenario("example2_ms0"))[0]
+        mb = find_complete_twins(solve_twin_space(example2_ms0), example2_ms0)[1]
+        calls = []
+        for module in (linops, np):
+            kron = module.kron
+            monkeypatch.setattr(module, "kron", lambda A, B, _kron=kron, _name=module.__name__:
+                                calls.append(_name) or _kron(A, B))
+        assert cli.main(["analyze", str(path)]) == 0
+        assert additive_twins(example2_ms0, spin_z(1), spin_z(1)) is not None
+        assert max(compatibility_report(dec, mb, example2_ms0).values()) <= 1e-9
+        capsys.readouterr()
+        assert calls == []
+
+
 class TestSimplifiedMatrixKernel:
     @pytest.mark.parametrize("name", SPIN)
     def test_spin_states_match_loop(self, name, request):

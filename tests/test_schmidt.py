@@ -18,6 +18,8 @@ from twinobs.spectral import MatchedBases
 from twinobs.spin import SpinScenario, coupled_basis, scenario_decomposition
 from twinobs.states import PureDecomposition
 
+import reference
+
 SZ_HALF = np.diag([0.5, -0.5]).astype(complex)
 EX1_PAIR = ObservablePair(SZ_HALF, -SZ_HALF)
 
@@ -206,6 +208,48 @@ class TestCompatibilityReport:
         dec = PureDecomposition(weights=(1.0,), vectors=(phi,))
         report = compatibility_report(dec, bad, st)
         assert max(report.values()) > 1e-3
+
+
+def compatibility_cases():
+    """(decomposition, matched bases, state): the scenarios with complete
+    twins, random mixtures of diagonal components, and rotated bases."""
+    cases = []
+    for name in ("example1_range10_00", "example2_ms0", "example2_ms1"):
+        dec, dp, dm = scenario_decomposition(SpinScenario(name))
+        st = mix(dec, dp, dm)
+        cases.append((dec, complete_bases(st)[1], st))
+    rng = np.random.default_rng(1902)
+    for dp, dm, r, n in [(2, 3, 2, 2), (4, 4, 3, 3), (5, 3, 3, 4), (6, 6, 4, 2)]:
+        Up = np.linalg.qr(rng.standard_normal((dp, r)) + 1j * rng.standard_normal((dp, r)))[0]
+        Um = np.linalg.qr(rng.standard_normal((dm, r)) + 1j * rng.standard_normal((dm, r)))[0]
+        diag = (Up[:, None, :] * Um[None, :, :]).reshape(-1, r)
+        alphas = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+        alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
+        w = rng.uniform(0.2, 1.0, n)
+        dec = PureDecomposition(weights=tuple(w / w.sum()), vectors=tuple((diag @ alphas.T).T))
+        st = mix(dec, dp, dm)
+        mb = MatchedBases(sigma_prime=tuple(np.arange(r, dtype=float)), basis_plus=Up,
+                          basis_minus=Um)
+        theta = rng.uniform(0.1, 0.5)
+        rot = np.eye(dp, dtype=complex)
+        rot[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        rotated = MatchedBases(sigma_prime=mb.sigma_prime, basis_plus=rot @ Up, basis_minus=Um)
+        cases += [(dec, mb, st), (dec, rotated, st)]
+    return cases
+
+
+COMPATIBILITY_CASES = compatibility_cases()
+
+
+class TestCompatibilityOracle:
+    @pytest.mark.parametrize("index", range(len(COMPATIBILITY_CASES)))
+    def test_matches_partial_traces_of_outer_products(self, index):
+        dec, mb, st = COMPATIBILITY_CASES[index]
+        report, dense = compatibility_report(dec, mb, st), reference.dense_compatibility_report(
+            dec, mb, st)
+        assert list(report) == list(dense)
+        for key, value in dense.items():
+            assert abs(report[key] - value) <= 1e-15, (key, report[key], value)
 
 
 class TestMixingClosure:

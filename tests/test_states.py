@@ -13,7 +13,10 @@ from twinobs.errors import NotNormalizedError, NotPositiveError, WeightError
 from twinobs.linops import max_norm
 from twinobs.spin import SpinScenario, coupled_basis, build_scenario
 
-from conftest import random_state
+import reference
+from conftest import random_state, traced_peak
+from test_commutant_reduction import block_state, embedded_state, schmidt_state
+from test_product_kernels import on_factor_path
 
 
 def test_from_pure_product_state():
@@ -136,6 +139,59 @@ class TestSubspaceGeometry:
                 psi /= np.linalg.norm(psi)
                 v = np.kron(vecs[:, i], psi)
                 assert abs(v.conj() @ st.rho @ v) <= 1e-10
+
+
+def geometry_states():
+    """Random, pure, Schmidt, block and embedded states with d_plus and
+    d_minus from 1 to 12, on both rank-cut paths."""
+    rng = np.random.default_rng(1901)
+    states = []
+    for dp, dm in [(1, 1), (1, 7), (5, 1), (2, 3), (3, 3), (4, 6), (7, 5), (12, 1), (9, 12),
+                   (12, 12)]:
+        D, r = dp * dm, min(dp, dm)
+        phi = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+        ranks = sorted({1, 2, max(1, D // 10), D})
+        states += [random_state(rng, dp, dm, rank=rank) for rank in ranks]
+        states += [from_pure(phi / np.linalg.norm(phi), dp, dm),
+                   schmidt_state(rng, dp, dm, rng.uniform(0.1, 1.0, r)),
+                   block_state(rng, dp, dm, r, min(2, r), 1e-3)]
+    states += [embedded_state(rng, d, k, r) for d, k, r in [(4, 2, 3), (8, 3, 2), (12, 2, 4),
+                                                            (12, 5, 25)]]
+    return states
+
+
+GEOMETRY_STATES = geometry_states()
+
+
+class TestSubspaceGeometryOracle:
+    def test_cases_cover_both_rank_cut_paths(self):
+        paths = {on_factor_path(st) for st in GEOMETRY_STATES}
+        assert paths == {True, False}
+
+    @pytest.mark.parametrize("index", range(len(GEOMETRY_STATES)))
+    def test_residuals_match_dense_kronecker_form(self, index):
+        st = GEOMETRY_STATES[index]
+        report, dense = verify_subspace_geometry(st), reference.dense_subspace_geometry(st)
+        assert list(report.residuals) == list(dense.residuals)
+        for key, value in dense.residuals.items():
+            assert abs(report.residuals[key] - value) <= 1e-14, (key, report.residuals[key], value)
+        assert report.passed == dense.passed
+
+    def test_inclusions_of_range_and_null_projectors_are_one_quantity(self):
+        report = verify_subspace_geometry(GEOMETRY_STATES[-1])
+        r = report.residuals
+        assert r["R_eq_Rp1_R"] == r["Np1_N_eq_Np1"] and r["R_eq_1Rm_R"] == r["1Nm_N_eq_1Nm"]
+
+    def test_forms_no_kronecker_operator(self):
+        """At D = 144 a state of rank well below D is checked in at most
+        3 D x D complex arrays; the dense form took about 9."""
+        d = 12
+        rng = np.random.default_rng(7)
+        for st in (schmidt_state(rng, d, d, rng.uniform(0.1, 1.0, d)),
+                   embedded_state(rng, d, 5, 25), random_state(rng, d, d, rank=40)):
+            st.subsystems
+            peak = traced_peak(lambda: verify_subspace_geometry(st))
+            assert peak <= 3 * 16 * (d * d) ** 2
 
 
 class TestRestrictToRelevant:

@@ -13,8 +13,9 @@ from twinobs import (
     twins_restrict_to_range_vectors,
 )
 from twinobs.errors import DimensionMismatchError
-from twinobs.linops import hermitian_basis, kron, pair_to_coords
-from twinobs.spin import coupled_basis, spin_z
+from twinobs.linops import hermitian_basis, kron, max_norm, pair_to_coords
+from twinobs.measurement import certainty_test
+from twinobs.spin import SCENARIO_NAMES, SpinScenario, build_scenario, coupled_basis, spin_z
 from twinobs.twins import _constraint_matrix, subspace_distance
 
 import reference
@@ -225,6 +226,49 @@ class TestAdditiveTwins:
     def test_maximally_mixed_has_no_sharp_value(self):
         st = BipartiteState(2, 2, np.eye(4) / 4)
         assert additive_twins(st, SZ_HALF, SZ_HALF) is None
+
+    @staticmethod
+    def cases():
+        """(state, B_plus, B_minus): S_z, S_z^2 and (1, S_z) on each spin
+        scenario, random Hermitian pairs, and additive observables made
+        from solved twins, (A_plus, c - A_minus), on random low-rank states."""
+        cases = []
+        for name in SCENARIO_NAMES:
+            st = build_scenario(SpinScenario(name))
+            zp, zm = spin_z((st.d_plus - 1) / 2), spin_z((st.d_minus - 1) / 2)
+            cases += [(st, zp, zm), (st, zp @ zp, zm @ zm), (st, np.eye(st.d_plus), zm)]
+        rng = np.random.default_rng(1903)
+        for dp, dm, rank in [(2, 2, 1), (2, 3, 2), (3, 3, 1), (3, 4, 3), (4, 4, 2)]:
+            st = random_state(rng, dp, dm, rank=rank)
+            cases += [(st, random_hermitian(rng, dp), random_hermitian(rng, dm))
+                      for _ in range(3)]
+            for pair in solve_twin_space(st).basis:
+                c = rng.uniform(-1.0, 1.0)
+                cases.append((st, pair.a_plus, c * np.eye(dm) - pair.a_minus))
+        return cases
+
+    def test_matches_certainty_test_on_the_dense_operator(self):
+        """The sharp value of B = B_plus ⊗ 1 + 1 ⊗ B_minus by certainty_test
+        on the D x D operator, the route additive_twins once took, gives the
+        same verdict wherever the dense residual max|B rho - Tr(B rho) rho|
+        lies outside [tol/2, 2 tol], and the same pair."""
+        checked, verdicts = 0, set()
+        for st, b_plus, b_minus in self.cases():
+            B = kron(b_plus, np.eye(st.d_minus)) + kron(np.eye(st.d_plus), b_minus)
+            dense = max_norm(B @ st.rho - np.trace(B @ st.rho).real * st.rho)
+            tol = st.tol.residual_tol
+            if tol / 2 <= dense <= 2 * tol:
+                continue
+            b, pair = certainty_test(st, B), additive_twins(st, b_plus, b_minus)
+            assert (pair is None) == (b is None), dense
+            if pair is not None:
+                np.testing.assert_allclose(pair.a_plus, b_plus - b / 2 * np.eye(st.d_plus),
+                                           atol=1e-12)
+                np.testing.assert_allclose(pair.a_minus, b / 2 * np.eye(st.d_minus) - b_minus,
+                                           atol=1e-12)
+            checked += 1
+            verdicts.add(pair is not None)
+        assert checked >= 30 and verdicts == {True, False}
 
 
 class TestRangeConsequences:
