@@ -100,14 +100,13 @@ def _twin_space_report(state, space):
 
 
 def _detectable_spectrum_report(state, pair) -> dict:
-    from .spectral import detectable_spectra, split_detectable
+    from .spectral import _pair_spectra
 
-    split = split_detectable(pair, state)
-    sigma, mp, mm = detectable_spectra(split, state.tol.cluster_tol)
+    sp, sm = _pair_spectra(pair, state)
     return {
-        "detectable_spectrum": list(sigma),
-        "multiplicities_plus": [int(x) for x in mp],
-        "multiplicities_minus": [int(x) for x in mm],
+        "detectable_spectrum": list((sp.values + sm.values) / 2),
+        "multiplicities_plus": [int(x) for x in sp.multiplicities],
+        "multiplicities_minus": [int(x) for x in sm.multiplicities],
     }
 
 

@@ -86,12 +86,9 @@ def pure_schmidt(state: BipartiteState, complete_pair: ObservablePair):
     mb = matched_bases_from_pair(complete_pair, state)
     sub = state.subsystems
     Phi = phi.reshape(state.d_plus, state.d_minus)
-    # column a is rho_-^{-1/2} <a|_+ |phi>
+    # column a is rho_-^{-1/2} <a|_+ |phi>, of norm 1 for a complete pair
     W = _pinv_sqrt(sub.values_minus, sub.range_minus) @ Phi.T @ mb.basis_plus.conj()
-    n = np.linalg.norm(W, axis=0)
-    if np.any(n < 1e-12):  # pragma: no cover - excluded by completeness on the range
-        raise NotPureError("matched basis vector has no overlap with the state")
-    basis_minus = W / n
+    basis_minus = W / np.linalg.norm(W, axis=0)
     c = np.sum(mb.basis_plus.conj() * (Phi @ basis_minus.conj()), axis=0)
     coeffs = np.maximum(c.real, 0.0)
     recon = ((mb.basis_plus * coeffs) @ basis_minus.T).ravel()

@@ -36,16 +36,17 @@ class BipartiteState(Record):
       it raises NotPositiveError when
       lambda_min < -rank_tol * max(lambda_max, 1).
 
-    ``factor`` is the cut as a D x k matrix C = V diag(sqrt(lambda_kept))
-    over the kept eigen- or Ritz pairs, and ``cut_error`` bounds
-    ||rho - C C†|| in spectral norm: the largest dropped eigenvalue on
-    the eigh path, e on the factor path, at most rank_tol * lambda_max
-    on both.  The measurement report, ``simplified_matrix``,
-    ``restrict_to_relevant`` and the twin solve work on C and its range
-    basis.  ``spectrum`` holds the eigenvalues the cut computed: all D
-    on the eigh path, only the k kept Ritz values on the factor path,
-    where its null basis is an orthonormal complement formed when
-    ``spectrum`` is first read.
+    The state keeps the cut as one triple, the same on both paths:
+    the eigenvalues it computed (all D on the eigh path, only the k
+    kept Ritz values on the factor path), the D x k range basis V and
+    ``cut_error``.  ``spectrum`` is (eigenvalues, V).  ``factor`` is the
+    cut as a D x k matrix C = V diag(sqrt(lambda_kept)) over the kept
+    eigen- or Ritz pairs, and ``cut_error`` bounds ||rho - C C†|| in
+    spectral norm: the largest dropped eigenvalue on the eigh path, e on
+    the factor path, at most rank_tol * lambda_max on both.  The
+    measurement report, ``simplified_matrix``, ``restrict_to_relevant``,
+    the geometry check and the twin solve work on C and its range basis;
+    the state keeps no projector and no null basis of rho.
     """
 
     FIELDS = ("d_plus", "d_minus", "rho", "tol", "_cut")
@@ -64,16 +65,14 @@ class BipartiteState(Record):
         # is left untouched so re-ingesting a state is bitwise stable
         if abs(tr - 1.0) > 1e-13:
             rho = rho / tr
-        # (eigenvalues, range basis, null basis or None on the factor
-        # path, cut_error) of the rank cut of rho, all arrays read-only
+        # (eigenvalues, range basis, cut_error) of the rank cut of rho
         cut = linops.low_rank_cut(rho, tol.rank_tol, dim // 8)
         if cut is None:
             vals, V, N = linops.range_null_bases(rho.view(linops._Hermitian), tol.rank_tol)
             if vals[0] < -tol.rank_tol * max(vals[-1], 1.0):
                 raise NotPositiveError(f"rho has negative eigenvalue {vals[0]:.3e}")
-            cut = (*_read_only(vals, V, N), np.max(np.abs(vals[:N.shape[1]]), initial=0.0))
-        else:
-            cut = (*_read_only(*cut[:2]), None, cut[2])
+            cut = vals, V, np.max(np.abs(vals[:N.shape[1]]), initial=0.0)
+        _read_only(*cut[:2])
         rho.flags.writeable = False
         super().__init__(d_plus, d_minus, rho, tol, cut)
 
@@ -81,24 +80,20 @@ class BipartiteState(Record):
     def dim(self) -> int:
         return self.d_plus * self.d_minus
 
-    @cached_property
+    @property
     def spectrum(self) -> tuple:
-        """(eigenvalues ascending, range basis, null basis) of rho at rank_tol."""
-        vals, V, N, _ = self._cut
-        if N is None:
-            N = np.linalg.qr(V, mode="complete")[0][:, V.shape[1]:]
-            _read_only(N)
-        return vals, V, N
+        """(eigenvalues ascending, range basis) of rho at rank_tol."""
+        return self._cut[:2]
 
     @property
     def cut_error(self) -> float:
         """Bound on ||rho - C C†||_2 for the cached factor C."""
-        return self._cut[3]
+        return self._cut[2]
 
     @cached_property
     def factor(self) -> np.ndarray:
         """C = V_range diag(sqrt(lambda_kept)), a read-only D x k array."""
-        vals, range_basis, _, _ = self._cut
+        vals, range_basis, _ = self._cut
         kept = vals[len(vals) - range_basis.shape[1]:]
         return _read_only(range_basis * np.sqrt(kept))[0]
 
@@ -112,14 +107,6 @@ class BipartiteState(Record):
             *linops.range_null_bases(rp.view(linops._Hermitian), self.tol.rank_tol),
             *linops.range_null_bases(rm.view(linops._Hermitian), self.tol.rank_tol),
         ))
-
-    def projectors(self) -> "SubspaceProjectors":
-        """Range/null projectors R = B B^dagger, N = 1 - R of rho and of
-        both reductions, from the cached range bases B."""
-        sub = self.subsystems
-        R, Rp, Rm = (B @ B.conj().T for B in (self.range_basis(), sub.range_plus, sub.range_minus))
-        N, Np, Nm = (np.eye(len(P), dtype=complex) - P for P in (R, Rp, Rm))
-        return SubspaceProjectors(R=R, N=N, R_plus=Rp, N_plus=Np, R_minus=Rm, N_minus=Nm)
 
     def range_basis(self) -> np.ndarray:
         return self._cut[1]
@@ -137,10 +124,6 @@ class SubsystemPair(Record):
 
     FIELDS = ("rho_plus", "rho_minus", "values_plus", "range_plus", "null_plus", "values_minus",
               "range_minus", "null_minus")
-
-
-class SubspaceProjectors(Record):
-    FIELDS = ("R", "N", "R_plus", "N_plus", "R_minus", "N_minus")
 
 
 class PureDecomposition(Record):

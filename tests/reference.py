@@ -1,13 +1,16 @@
 """Reference helpers that the tests use as oracles.
 
 No code path of twinobs needs them: the package takes each rank cut in
-``linops.range_null_bases`` and ``BipartiteState``, groups eigenvalues in
-``spectral.spectral_data`` and applies the twin operator, the
+``linops.range_null_bases`` and ``BipartiteState``, which keeps only the
+eigenvalues, range basis and error of the cut of rho, groups eigenvalues
+in ``spectral.spectral_data`` and applies the twin operator, the
 geometry check and the reduced components by reshapes.  These are the
-dense or direct forms of the same objects, kept here
-unchanged so that a drift of the package shows up as a mismatch."""
+dense or direct forms of the same objects, such as the D x D range and
+null projectors of a state, kept here unchanged so that a drift of the
+package shows up as a mismatch."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,6 +30,16 @@ def range_null_projectors(H, tol: float = DEFAULT_TOL.rank_tol):
     R = V @ V.conj().T
     N = np.eye(H.shape[0], dtype=complex) - R
     return R, N
+
+
+def projectors(state) -> SimpleNamespace:
+    """Range/null projectors R = B B^dagger, N = 1 - R of rho and of
+    both reductions, from the cached range bases B, as the fields R, N,
+    R_plus, N_plus, R_minus and N_minus."""
+    sub = state.subsystems
+    R, Rp, Rm = (B @ B.conj().T for B in (state.range_basis(), sub.range_plus, sub.range_minus))
+    N, Np, Nm = (np.eye(len(P), dtype=complex) - P for P in (R, Rp, Rm))
+    return SimpleNamespace(R=R, N=N, R_plus=Rp, N_plus=Np, R_minus=Rm, N_minus=Nm)
 
 
 def null_basis(H, tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
@@ -64,7 +77,7 @@ def dense_subspace_geometry(state):
     """GeometryReport of a BipartiteState from the D x D projectors and
     their Kronecker products, as states.verify_subspace_geometry once
     formed it."""
-    p = state.projectors()
+    p = projectors(state)
     Ip = np.eye(state.d_plus)
     Im = np.eye(state.d_minus)
     RpRm = linops.kron(p.R_plus, p.R_minus)

@@ -39,6 +39,7 @@ from twinobs.spectral import (
 from twinobs.spin import SpinScenario, scenario_decomposition
 from twinobs.twins import subspace_distance
 
+import reference
 from conftest import ACCEPTANCE_RESULTS, oracle_twin_coords, random_hermitian, random_state
 
 SZ_HALF = np.diag([0.5, -0.5]).astype(complex)
@@ -279,7 +280,7 @@ class TestAcceptance:
             for _ in range(200):
                 st = random_state(rng, 2, 2, rank=int(rng.integers(1, 5)))
                 if rng.uniform() < 0.3:
-                    p = st.projectors()
+                    p = reference.projectors(st)
                     E = kron(p.R_plus, np.eye(2))
                     F = kron(np.eye(2), p.R_minus)
                 else:

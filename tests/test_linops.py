@@ -379,7 +379,7 @@ def _stores_only_records() -> list:
             measurement.DistantMeasurementReport, schmidt.SparsityReport,
             schmidt.GeneralizedSchmidtExpansion, spectral.SpectralData,
             spectral.DetectableSplit, spectral.MatchedBases, states.SubsystemPair,
-            states.SubspaceProjectors, states.GeometryReport, states.RelevantRestriction,
+            states.GeometryReport, states.RelevantRestriction,
             twins.TwinSpace, twins.ConsequenceReport]
 
 

@@ -46,7 +46,7 @@ def noisy_spin_state(name, eps):
 
 
 def dropped(state):
-    vals, range_basis, _ = state.spectrum
+    vals, range_basis = state.spectrum
     return vals[:len(vals) - range_basis.shape[1]]
 
 

@@ -124,7 +124,7 @@ class TestEventEquivalence:
             st = random_state(rng, dp, dm, rank=int(rng.integers(1, 5)))
             if rng.uniform() < 0.3:
                 # planted equivalent pair from the range projectors
-                p = st.projectors()
+                p = reference.projectors(st)
                 E = kron(p.R_plus, np.eye(dm))
                 F = kron(np.eye(dp), p.R_minus)
             else:

@@ -188,3 +188,27 @@ def test_report_then_schmidt_on_a_user_pair_splits_once(monkeypatch):
     assert distant_measurement_report(state, pair).passed
     pure_schmidt(state, pair)
     assert splits == [1]
+
+
+def test_cli_spectrum_report_reads_the_remembered_spectra(monkeypatch):
+    """The detectable spectrum that `verify` and `analyze` print comes
+    from the pair's remembered spectra: after the measurement report of
+    (S_z, -S_z) on example2_ms0 it makes no split and no eigh, and it
+    equals the report of a fresh state."""
+    from twinobs import cli
+    from twinobs.spin import SpinScenario, build_scenario, spin_z
+
+    state = build_scenario(SpinScenario("example2_ms0"))
+    pair = ObservablePair(spin_z(1), -spin_z(1))
+    assert distant_measurement_report(state, pair).passed
+
+    forbid_decompositions(monkeypatch)
+    splits = count_splits(monkeypatch)
+    report = cli._detectable_spectrum_report(state, pair)
+    assert splits == []
+    monkeypatch.undo()
+
+    fresh = BipartiteState(state.d_plus, state.d_minus, state.rho)
+    assert report == cli._detectable_spectrum_report(fresh, pair)
+    assert report == {"detectable_spectrum": [-1.0, 0.0, 1.0],
+                      "multiplicities_plus": [1, 1, 1], "multiplicities_minus": [1, 1, 1]}

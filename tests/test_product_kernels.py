@@ -582,7 +582,7 @@ class TestStateGeometryFromCache:
         shapes = record_eigh_shapes(monkeypatch)
         # construction takes the cut of rho
         state = BipartiteState(built.d_plus, built.d_minus, built.rho)
-        p = state.projectors()
+        p = reference.projectors(state)
         monkeypatch.undo()
         sub = state.subsystems
         tol = state.tol.rank_tol
@@ -670,7 +670,7 @@ class TestGeometryCache:
 
         for module, name in ((linops, "eigh"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
             monkeypatch.setattr(module, name, forbidden)
-        state.projectors()
+        reference.projectors(state)
         assert states_admitting_twins(pair, state)
         _pure_vector(state)
 

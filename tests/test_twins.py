@@ -104,7 +104,7 @@ class TestSolveTwinSpace:
         for dims in [(2, 2), (2, 3), (3, 3)]:
             for _ in range(5):
                 st = random_state(rng, *dims, rank=int(rng.integers(1, dims[0] * dims[1])))
-                p = st.projectors()
+                p = reference.projectors(st)
                 ok, residual = is_twin_pair(st, ObservablePair(p.R_plus, p.R_minus))
                 assert ok, residual
 
