@@ -107,6 +107,55 @@ def test_projectors_nonsingular():
     assert max_norm(p.N_minus) <= 1e-12
 
 
+class TestRankCut:
+    """The state keeps one rank cut of rho, (eigenvalues, range basis V,
+    cut_error), on the factor path (low rank, D = 36) and on the eigh
+    path (rank 4 of D = 9, above the pivot budget D // 8)."""
+
+    STATES = {"factor": (6, 2, True), "eigh": (3, 4, False)}
+
+    @pytest.fixture(params=sorted(STATES))
+    def state(self, request):
+        d, rank, factor_path = self.STATES[request.param]
+        state = random_state(np.random.default_rng(d + rank), d, d, rank)
+        assert on_factor_path(state) == factor_path
+        return state
+
+    def test_spectrum_is_eigenvalues_and_range_basis(self, state):
+        spectrum = state.spectrum
+        assert isinstance(spectrum, tuple) and len(spectrum) == 2
+        vals, V = spectrum
+        assert V is state.range_basis()
+        assert np.all(np.diff(vals) >= 0)
+        dense = np.linalg.eigvalsh(state.rho)
+        k = int(np.sum(dense > state.tol.rank_tol * dense[-1]))
+        assert V.shape == (state.dim, k)
+        kept = vals[len(vals) - k:]
+        np.testing.assert_allclose(kept, dense[-k:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(V.conj().T @ V, np.eye(k), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.rho @ V, V * kept, rtol=0, atol=1e-12)
+
+    def test_cut_is_read_only(self, state):
+        vals, V = state.spectrum
+        for a in (vals, V, state.factor):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_cut_error_bounds_the_residual_of_the_factor(self, state):
+        vals, V = state.spectrum
+        C = state.factor
+        np.testing.assert_array_equal(C, V * np.sqrt(vals[len(vals) - V.shape[1]:]))
+        # up to D * eps * lambda_max of rounding in C C† and the norms
+        residual = np.linalg.norm(C @ C.conj().T - state.rho, 2)
+        rounding = state.dim * np.finfo(float).eps * vals[-1]
+        assert residual <= state.cut_error * (1 + 1e-12) + rounding
+        assert state.cut_error <= state.tol.rank_tol * vals[-1]
+        if not on_factor_path(state):
+            dropped = vals[:len(vals) - V.shape[1]]
+            assert state.cut_error == np.max(np.abs(dropped))
+
+
 class TestSubspaceGeometry:
     def test_pure_product_exact(self):
         st = from_pure(np.array([0, 1, 0, 0], dtype=complex), 2, 2)
