@@ -8,6 +8,7 @@ Hilbert-Schmidt-orthonormal Hermitian operator basis of both sides.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 
@@ -187,16 +188,77 @@ def _eigenspace_labels(state: BipartiteState) -> tuple:
     return labels(sub.values_plus, state.d_minus), labels(sub.values_minus, state.d_plus)
 
 
-def _block_constraints(state: BipartiteState, P: np.ndarray, labels_plus: np.ndarray,
-                       labels_minus: np.ndarray, units_plus: np.ndarray,
+# Eigenspace layouts each layout cache keeps; see _unit_basis.
+_LAYOUT_CACHE_SIZE = 16
+
+
+def _block_sizes(labels: np.ndarray) -> tuple:
+    """The eigenspace sizes of labels from _eigenspace_labels, in label
+    order, as a tuple of ints: they determine the labels, and key the
+    layout caches."""
+    return tuple(np.bincount(labels).tolist())
+
+
+def _labels(sizes: tuple) -> np.ndarray:
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _unit_basis(sizes: tuple) -> np.ndarray:
+    """linops.block_hermitian_basis over eigenspaces of these sizes,
+    read-only and kept for the last _LAYOUT_CACHE_SIZE layouts: it depends
+    on the layout of a reduction's spectrum, never on its values, so
+    states that share a layout share it.
+
+    A side of dimension d holds sum m_i^2 <= d^2 units of d x d complex,
+    at most 16 d^4 bytes: 332 KB for a fully degenerate d = 12 side, so
+    at most _LAYOUT_CACHE_SIZE * 16 d^4 bytes (5.3 MB at d = 12) in all
+    for sides of dimension up to d."""
+    return _read_only(linops.block_hermitian_basis(_labels(sizes)))[0]
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _block_layout(sizes_plus: tuple, sizes_minus: tuple) -> tuple:
+    """(m_b, slots, pair, row) of _block_constraints for eigenspaces of
+    these sizes, read-only and kept for the last _LAYOUT_CACHE_SIZE
+    layouts.  m_b is the dimension of the pair b = (g, h) of eigenspaces
+    of each entry (a, c) of P, in P's composite order; when some m_b > 1,
+    entry (a, c) is row row[i] of its pair pair[i], i = a d_minus + c, and
+    slots[b] lists the entries of pair b, padded with d_plus d_minus,
+    else all three are None.
+
+    m_b, pair and row hold d_plus d_minus 8-byte ints each, and slots at
+    most (d_plus + 1)^2 (d_minus + 1)^2 / 16 (a side of dimension d with
+    eigenspaces of at most m rows has at most d - m + 1 of them), so an
+    entry is at most 18 KB at d_plus = d_minus = 12."""
+    labels_plus, labels_minus = _labels(sizes_plus), _labels(sizes_minus)
+    size_p, size_m = np.array(sizes_plus), np.array(sizes_minus)
+    dp, dm = len(labels_plus), len(labels_minus)
+    m_b = np.outer(size_p[labels_plus], size_m[labels_minus]).ravel()
+    m_max = int(m_b.max())
+    if m_max == 1:
+        return _read_only(m_b)[0], None, None, None
+    # entry (a, c) is row (a - first_g) n_h + (c - first_h) of its pair (g, h)
+    offset_p = np.arange(dp) - np.searchsorted(labels_plus, labels_plus)
+    offset_m = np.arange(dm) - np.searchsorted(labels_minus, labels_minus)
+    pair = (labels_plus[:, None] * len(size_m) + labels_minus).ravel()
+    row = (offset_p[:, None] * size_m[labels_minus] + offset_m).ravel()
+    slots = np.full((len(size_p) * len(size_m), m_max), dp * dm)
+    slots[pair, row] = np.arange(dp * dm)
+    return _read_only(m_b, slots, pair, row)
+
+
+def _block_constraints(state: BipartiteState, P: np.ndarray, sizes_plus: tuple,
+                       sizes_minus: tuple, units_plus: np.ndarray,
                        units_minus: np.ndarray) -> np.ndarray:
     """Real twin constraint system in the product eigenbasis of the
     reductions, block-compressed: it has the singular values and kernel
     of the system imposed on every range vector.
 
     P is the range basis V of rho in that basis, (W_plus ⊗ W_minus)† V
-    as a (d_plus, d_minus, r) array, and the unknowns are the coordinates
-    over units_plus then units_minus.  A twin X' = A'_plus ⊗ 1 - 1 ⊗
+    as a (d_plus, d_minus, r) array, the eigenspaces have the sizes
+    sizes_plus and sizes_minus (_block_sizes), and the unknowns are the
+    coordinates over units_plus then units_minus.  A twin X' = A'_plus ⊗ 1 - 1 ⊗
     A'_minus is block diagonal over the pairs b = (g, h) of eigenspaces,
     so ||X' P||_F^2 is the sum over b of ||X'_b P_b||_F^2, and P_b, the
     (m_b = m_g m_h, r) slice of P, can be replaced by any F_b with
@@ -209,7 +271,8 @@ def _block_constraints(state: BipartiteState, P: np.ndarray, labels_plus: np.nda
     ±||P_b|| (e_g - f_h).  When every pair is one-dimensional, as for
     nondegenerate reductions, the norms are taken directly: the same
     rows up to sign, without the batched QR and its index setup.  No
-    Gram product is formed, so no digits are lost to squaring.
+    Gram product is formed, so no digits are lost to squaring.  The
+    index maps depend on the sizes alone, and come from _block_layout.
 
     The factors, zero-padded to k = max k_b columns, go through
     _constraint_matrix, and the rows that are zero by construction
@@ -217,20 +280,11 @@ def _block_constraints(state: BipartiteState, P: np.ndarray, labels_plus: np.nda
     dropped: at most 2 m_b k_b rows per pair, and d_plus d_minus rows in
     all for nondegenerate reductions."""
     dp, dm, r = P.shape
-    size_p, size_m = np.bincount(labels_plus), np.bincount(labels_minus)
-    m_b = np.outer(size_p[labels_plus], size_m[labels_minus]).ravel()
-    m_max = int(m_b.max())
-    if m_max == 1:
+    m_b, slots, pair, row = _block_layout(sizes_plus, sizes_minus)
+    if slots is None:
         # the rows the QR below gives one-dimensional pairs, up to sign
         F = np.linalg.norm(P, axis=2).reshape(-1, 1)
     else:
-        # entry (a, c) is row (a - first_g) n_h + (c - first_h) of its pair (g, h)
-        offset_p = np.arange(dp) - np.searchsorted(labels_plus, labels_plus)
-        offset_m = np.arange(dm) - np.searchsorted(labels_minus, labels_minus)
-        pair = (labels_plus[:, None] * len(size_m) + labels_minus).ravel()
-        row = (offset_p[:, None] * size_m[labels_minus] + offset_m).ravel()
-        slots = np.full((len(size_p) * len(size_m), m_max), dp * dm)
-        slots[pair, row] = np.arange(dp * dm)
         padded = np.concatenate([P.reshape(dp * dm, r), np.zeros((1, r))])[slots]
         R = np.linalg.qr(np.swapaxes(padded, 1, 2).conj(), mode="r")
         F = R.conj()[pair, :, row]
@@ -266,18 +320,19 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     for the dropped tail of rho (``state.cut_error``) to stay far below
     that cut; cluster_tol is not used, as it knows nothing of the cut.
     The pairs are the kernel's combinations of the units, rotated back
-    by W_plus and W_minus.
+    by W_plus and W_minus.  The units and the block layout depend on the
+    eigenspace sizes alone; they are built once per layout and kept,
+    read-only, by _unit_basis and _block_layout.
     """
     sub = state.subsystems
     dp, dm = state.d_plus, state.d_minus
     Wp = np.hstack([sub.null_plus, sub.range_plus])
     Wm = np.hstack([sub.null_minus, sub.range_minus])
-    labels_plus, labels_minus = _eigenspace_labels(state)
-    units_plus = linops.block_hermitian_basis(labels_plus)
-    units_minus = linops.block_hermitian_basis(labels_minus)
+    sizes_plus, sizes_minus = map(_block_sizes, _eigenspace_labels(state))
+    units_plus, units_minus = _unit_basis(sizes_plus), _unit_basis(sizes_minus)
     # (W_plus ⊗ W_minus)† V by one local product a side
     P = Wm.conj().T @ (Wp.conj().T @ state.range_basis().reshape(dp, -1)).reshape(dp, dm, -1)
-    M = _block_constraints(state, P, labels_plus, labels_minus, units_plus, units_minus)
+    M = _block_constraints(state, P, sizes_plus, sizes_minus, units_plus, units_minus)
     K = linops.kernel_basis(M, state.tol.rank_tol)
     n_plus = len(units_plus)
     # one real-by-complex product a side: pair k is sum_g K[g, k] units[g]

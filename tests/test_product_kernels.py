@@ -262,6 +262,22 @@ class TestFixPhases:
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("D", [25, 36, 64])
+    def test_bitwise_equal_on_eigenvector_matrices_of_the_eigh_sizes(self, D):
+        """Every column nonzero, as eigh gives them: the result is also the
+        C-ordered copy the column loop makes."""
+        rng = np.random.default_rng(D)
+        for trial in range(6):
+            H = rng.standard_normal((D, D))
+            if trial % 2:
+                H = H + 1j * rng.standard_normal((D, D))
+            V = np.linalg.eigh(H + H.conj().T)[1].astype(complex)
+            assert np.all(np.abs(V).max(axis=0) > 0)
+            expected = ref_fix_phases(V)
+            got = linops._fix_phases(V)
+            assert got.flags.c_contiguous and got is not V
+            assert got.tobytes() == expected.tobytes()
+
     def test_zero_columns_untouched(self):
         V = np.array([[0, 1j], [0, 0]], dtype=complex)
         got = linops._fix_phases(V)
