@@ -164,13 +164,10 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     top = modulus.max(axis=0, initial=0.0)
     found = top > 0
     rows = np.argmax(modulus >= _PIVOT_FLOOR * top, axis=0)
-    every = found.all()
-    pivot = V[rows, np.arange(V.shape[1])]
-    if not every:
-        pivot = pivot[found]
+    pivot = V[rows, np.arange(V.shape[1])][found]
     # hypot and one row per column round exactly as a per-column loop would
     phase = np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
-    if every:
+    if len(phase) == V.shape[1]:
         # as in an eigenvector matrix: the product below without the copy
         # of V and the scatter into it (V * phase would round a 1 x 1 V
         # differently)

@@ -192,14 +192,9 @@ def _eigenspace_labels(state: BipartiteState) -> tuple:
 _LAYOUT_CACHE_SIZE = 16
 
 
-def _block_sizes(labels: np.ndarray) -> tuple:
-    """The eigenspace sizes of labels from _eigenspace_labels, in label
-    order, as a tuple of ints: they determine the labels, and key the
-    layout caches."""
-    return tuple(np.bincount(labels).tolist())
-
-
 def _labels(sizes: tuple) -> np.ndarray:
+    """The labels of _eigenspace_labels for eigenspaces of these sizes:
+    labels start at 0 and step by at most 1, so the sizes determine them."""
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
@@ -257,8 +252,8 @@ def _block_constraints(state: BipartiteState, P: np.ndarray, sizes_plus: tuple,
 
     P is the range basis V of rho in that basis, (W_plus ⊗ W_minus)† V
     as a (d_plus, d_minus, r) array, the eigenspaces have the sizes
-    sizes_plus and sizes_minus (_block_sizes), and the unknowns are the
-    coordinates over units_plus then units_minus.  A twin X' = A'_plus ⊗ 1 - 1 ⊗
+    sizes_plus and sizes_minus, and the unknowns are the coordinates
+    over units_plus then units_minus.  A twin X' = A'_plus ⊗ 1 - 1 ⊗
     A'_minus is block diagonal over the pairs b = (g, h) of eigenspaces,
     so ||X' P||_F^2 is the sum over b of ||X'_b P_b||_F^2, and P_b, the
     (m_b = m_g m_h, r) slice of P, can be replaced by any F_b with
@@ -328,7 +323,9 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     dp, dm = state.d_plus, state.d_minus
     Wp = np.hstack([sub.null_plus, sub.range_plus])
     Wm = np.hstack([sub.null_minus, sub.range_minus])
-    sizes_plus, sizes_minus = map(_block_sizes, _eigenspace_labels(state))
+    # the eigenspace sizes of each side key the layout caches
+    sizes_plus, sizes_minus = (tuple(np.bincount(labels).tolist())
+                               for labels in _eigenspace_labels(state))
     units_plus, units_minus = _unit_basis(sizes_plus), _unit_basis(sizes_minus)
     # (W_plus ⊗ W_minus)† V by one local product a side
     P = Wm.conj().T @ (Wp.conj().T @ state.range_basis().reshape(dp, -1)).reshape(dp, dm, -1)
