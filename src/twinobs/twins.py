@@ -223,9 +223,9 @@ def _block_layout(sizes_plus: tuple, sizes_minus: tuple) -> tuple:
     else all three are None.
 
     m_b, pair and row hold d_plus d_minus 8-byte ints each, and slots at
-    most (d_plus + 1)^2 (d_minus + 1)^2 / 16 (a side of dimension d with
-    eigenspaces of at most m rows has at most d - m + 1 of them), so an
-    entry is at most 18 KB at d_plus = d_minus = 12."""
+    most (d_plus + 1)^2 (d_minus + 1)^2 / 16 (a side of dimension d whose
+    largest eigenspace has dimension m has at most d - m + 1 of them), so
+    an entry is at most 18 KB at d_plus = d_minus = 12."""
     labels_plus, labels_minus = _labels(sizes_plus), _labels(sizes_minus)
     size_p, size_m = np.array(sizes_plus), np.array(sizes_minus)
     dp, dm = len(labels_plus), len(labels_minus)
