@@ -165,16 +165,13 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     found = top > 0
     rows = np.argmax(modulus >= _PIVOT_FLOOR * top, axis=0)
     pivot = V[rows, np.arange(V.shape[1])][found]
-    # hypot and one row per column round exactly as a per-column loop would
-    phase = np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
-    if len(phase) == V.shape[1]:
-        # as in an eigenvector matrix: the product below without the copy
-        # of V and the scatter into it (V * phase would round a 1 x 1 V
-        # differently)
-        return (V.T * phase[:, None]).T
-    V = V.copy()
-    V[:, found] = (V.T[found] * phase[:, None]).T
-    return V
+    # hypot and one row per column round exactly as a per-column loop
+    # would; a zero column keeps the phase 1, which leaves it as it is up
+    # to the sign of a zero imaginary part (V * phase would round a 1 x 1
+    # V differently)
+    phase = np.ones(V.shape[1], dtype=complex)
+    phase[found] = np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
+    return (V.T * phase[:, None]).T
 
 
 class _Hermitian(np.ndarray):

@@ -192,30 +192,24 @@ def _eigenspace_labels(state: BipartiteState) -> tuple:
 _LAYOUT_CACHE_SIZE = 16
 
 
-def _labels(sizes: tuple) -> np.ndarray:
-    """The labels of _eigenspace_labels for eigenspaces of these sizes:
-    labels start at 0 and step by at most 1, so the sizes determine them."""
-    return np.repeat(np.arange(len(sizes)), sizes)
-
-
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _unit_basis(sizes: tuple) -> np.ndarray:
-    """linops.block_hermitian_basis over eigenspaces of these sizes,
-    read-only and kept for the last _LAYOUT_CACHE_SIZE layouts: it depends
-    on the layout of a reduction's spectrum, never on its values, so
-    states that share a layout share it.
+def _unit_basis(labels: tuple) -> np.ndarray:
+    """linops.block_hermitian_basis over these eigenspace labels,
+    read-only and kept for the last _LAYOUT_CACHE_SIZE layouts: it
+    depends on the layout of a reduction's spectrum, never on its values,
+    so states that share a layout share it.
 
     A side of dimension d holds sum m_i^2 <= d^2 units of d x d complex,
     at most 16 d^4 bytes: 332 KB for a fully degenerate d = 12 side, so
     at most _LAYOUT_CACHE_SIZE * 16 d^4 bytes (5.3 MB at d = 12) in all
     for sides of dimension up to d."""
-    return _read_only(linops.block_hermitian_basis(_labels(sizes)))[0]
+    return _read_only(linops.block_hermitian_basis(np.array(labels)))[0]
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _block_layout(sizes_plus: tuple, sizes_minus: tuple) -> tuple:
-    """(m_b, slots, pair, row) of _block_constraints for eigenspaces of
-    these sizes, read-only and kept for the last _LAYOUT_CACHE_SIZE
+def _block_layout(labels_plus: tuple, labels_minus: tuple) -> tuple:
+    """(m_b, slots, pair, row) of _block_constraints for these eigenspace
+    labels, read-only and kept for the last _LAYOUT_CACHE_SIZE
     layouts.  m_b is the dimension of the pair b = (g, h) of eigenspaces
     of each entry (a, c) of P, in P's composite order; when some m_b > 1,
     entry (a, c) is row row[i] of its pair pair[i], i = a d_minus + c, and
@@ -226,8 +220,8 @@ def _block_layout(sizes_plus: tuple, sizes_minus: tuple) -> tuple:
     most (d_plus + 1)^2 (d_minus + 1)^2 / 16 (a side of dimension d whose
     largest eigenspace has dimension m has at most d - m + 1 of them), so
     an entry is at most 18 KB at d_plus = d_minus = 12."""
-    labels_plus, labels_minus = _labels(sizes_plus), _labels(sizes_minus)
-    size_p, size_m = np.array(sizes_plus), np.array(sizes_minus)
+    labels_plus, labels_minus = np.array(labels_plus), np.array(labels_minus)
+    size_p, size_m = np.bincount(labels_plus), np.bincount(labels_minus)
     dp, dm = len(labels_plus), len(labels_minus)
     m_b = np.outer(size_p[labels_plus], size_m[labels_minus]).ravel()
     m_max = int(m_b.max())
@@ -243,16 +237,16 @@ def _block_layout(sizes_plus: tuple, sizes_minus: tuple) -> tuple:
     return _read_only(m_b, slots, pair, row)
 
 
-def _block_constraints(state: BipartiteState, P: np.ndarray, sizes_plus: tuple,
-                       sizes_minus: tuple, units_plus: np.ndarray,
+def _block_constraints(state: BipartiteState, P: np.ndarray, labels_plus: tuple,
+                       labels_minus: tuple, units_plus: np.ndarray,
                        units_minus: np.ndarray) -> np.ndarray:
     """Real twin constraint system in the product eigenbasis of the
     reductions, block-compressed: it has the singular values and kernel
     of the system imposed on every range vector.
 
     P is the range basis V of rho in that basis, (W_plus ⊗ W_minus)† V
-    as a (d_plus, d_minus, r) array, the eigenspaces have the sizes
-    sizes_plus and sizes_minus, and the unknowns are the coordinates
+    as a (d_plus, d_minus, r) array, the eigenspaces have the labels
+    labels_plus and labels_minus, and the unknowns are the coordinates
     over units_plus then units_minus.  A twin X' = A'_plus ⊗ 1 - 1 ⊗
     A'_minus is block diagonal over the pairs b = (g, h) of eigenspaces,
     so ||X' P||_F^2 is the sum over b of ||X'_b P_b||_F^2, and P_b, the
@@ -267,7 +261,7 @@ def _block_constraints(state: BipartiteState, P: np.ndarray, sizes_plus: tuple,
     nondegenerate reductions, the norms are taken directly: the same
     rows up to sign, without the batched QR and its index setup.  No
     Gram product is formed, so no digits are lost to squaring.  The
-    index maps depend on the sizes alone, and come from _block_layout.
+    index maps depend on the labels alone, and come from _block_layout.
 
     The factors, zero-padded to k = max k_b columns, go through
     _constraint_matrix, and the rows that are zero by construction
@@ -275,7 +269,7 @@ def _block_constraints(state: BipartiteState, P: np.ndarray, sizes_plus: tuple,
     dropped: at most 2 m_b k_b rows per pair, and d_plus d_minus rows in
     all for nondegenerate reductions."""
     dp, dm, r = P.shape
-    m_b, slots, pair, row = _block_layout(sizes_plus, sizes_minus)
+    m_b, slots, pair, row = _block_layout(labels_plus, labels_minus)
     if slots is None:
         # the rows the QR below gives one-dimensional pairs, up to sign
         F = np.linalg.norm(P, axis=2).reshape(-1, 1)
@@ -316,20 +310,19 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     that cut; cluster_tol is not used, as it knows nothing of the cut.
     The pairs are the kernel's combinations of the units, rotated back
     by W_plus and W_minus.  The units and the block layout depend on the
-    eigenspace sizes alone; they are built once per layout and kept,
+    eigenspace labels alone; they are built once per layout and kept,
     read-only, by _unit_basis and _block_layout.
     """
     sub = state.subsystems
     dp, dm = state.d_plus, state.d_minus
     Wp = np.hstack([sub.null_plus, sub.range_plus])
     Wm = np.hstack([sub.null_minus, sub.range_minus])
-    # the eigenspace sizes of each side key the layout caches
-    sizes_plus, sizes_minus = (tuple(np.bincount(labels).tolist())
-                               for labels in _eigenspace_labels(state))
-    units_plus, units_minus = _unit_basis(sizes_plus), _unit_basis(sizes_minus)
+    # the eigenspace labels of each side key the layout caches
+    labels_plus, labels_minus = (tuple(labels.tolist()) for labels in _eigenspace_labels(state))
+    units_plus, units_minus = _unit_basis(labels_plus), _unit_basis(labels_minus)
     # (W_plus ⊗ W_minus)† V by one local product a side
     P = Wm.conj().T @ (Wp.conj().T @ state.range_basis().reshape(dp, -1)).reshape(dp, dm, -1)
-    M = _block_constraints(state, P, sizes_plus, sizes_minus, units_plus, units_minus)
+    M = _block_constraints(state, P, labels_plus, labels_minus, units_plus, units_minus)
     K = linops.kernel_basis(M, state.tol.rank_tol)
     n_plus = len(units_plus)
     # one real-by-complex product a side: pair k is sum_g K[g, k] units[g]

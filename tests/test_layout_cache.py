@@ -43,18 +43,18 @@ def test_cold_warm_and_uncached_solves_are_bitwise_equal(name, monkeypatch):
 
 def test_cached_arrays_are_read_only():
     clear_caches()
-    units = twins._unit_basis((2, 1))
-    layout = twins._block_layout((2, 1), (1, 3))
+    units = twins._unit_basis((0, 0, 1))
+    layout = twins._block_layout((0, 0, 1), (0, 1, 1, 1))
     arrays = [units, *layout]
     assert all(a is not None for a in arrays)
     for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]
-    assert twins._unit_basis((2, 1)) is units
+    assert twins._unit_basis((0, 0, 1)) is units
 
 
 def test_nondegenerate_layout_keeps_no_index_maps():
-    m_b, slots, pair, row = twins._block_layout((1, 1, 1), (1, 1))
+    m_b, slots, pair, row = twins._block_layout((0, 1, 2), (0, 1))
     assert m_b.tolist() == [1] * 6
     assert slots is pair is row is None
     with pytest.raises(ValueError):
@@ -63,11 +63,13 @@ def test_nondegenerate_layout_keeps_no_index_maps():
 
 def test_cache_size_stays_within_the_bound():
     clear_caches()
-    layouts = [(1,) * a + (2,) * b for a in range(6) for b in range(6)][1:]
+    # a nondegenerate eigenspaces, then b of dimension 2
+    layouts = [tuple(range(a)) + tuple(a + i // 2 for i in range(2 * b))
+               for a in range(6) for b in range(6)][1:]
     assert len(layouts) > 2 * twins._LAYOUT_CACHE_SIZE
-    for sizes in layouts:
-        twins._unit_basis(sizes)
-        twins._block_layout(sizes, sizes[::-1])
+    for labels in layouts:
+        twins._unit_basis(labels)
+        twins._block_layout(labels, labels[:1])
         for cache in CACHES:
             assert cache.cache_info().currsize <= twins._LAYOUT_CACHE_SIZE
     for cache in CACHES:
