@@ -4,7 +4,8 @@ Operators are plain complex numpy arrays; ``kernel_basis`` alone keeps a
 real input real, so the real twin constraint system is solved in real
 arithmetic.  The composite index convention is
 i = i_plus * d_minus + i_minus throughout the package, which matches
-``numpy.kron(A_plus, A_minus)``.
+``numpy.kron(A_plus, A_minus)``; the package applies product operators
+by local products instead (``apply_local``, ``local_compress``).
 """
 
 from __future__ import annotations
@@ -216,9 +217,14 @@ def kernel_basis(M, tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def kron(A, B) -> np.ndarray:
-    """Tensor product with the composite index i = i_plus*d_minus + i_minus."""
-    return np.kron(as_matrix(A), as_matrix(B))
+def local_compress(X: np.ndarray, basis_plus: np.ndarray, basis_minus: np.ndarray) -> np.ndarray:
+    """(B_plus ⊗ B_minus)† X for columns X on H_plus ⊗ H_minus, as an
+    (r_plus, r_minus, k) array, by two local products on X reshaped to
+    (d_plus, d_minus, k), the dims read off the d_s x r_s bases B_s; row
+    a*r_minus + c of the flattened result is <a,c| X."""
+    (dp, rp), dm = basis_plus.shape, basis_minus.shape[0]
+    T = (basis_plus.conj().T @ X.reshape(dp, -1)).reshape(rp, dm, -1)
+    return basis_minus.conj().T @ T
 
 
 def apply_local(A, Z, d_plus: int, d_minus: int, side: str) -> np.ndarray:

@@ -14,9 +14,9 @@ import itertools
 import numpy as np
 
 from .errors import NotPureError, OffDiagonalLeakError, SparsityViolationError
-from .linops import Record, ValueRecord, max_norm
+from .linops import Record, ValueRecord, local_compress, max_norm
 from .spectral import MatchedBases, matched_bases_from_pair
-from .states import BipartiteState, PureDecomposition, _compressed_factor
+from .states import BipartiteState, PureDecomposition, _check_decomposition_dims
 from .twins import ObservablePair
 
 
@@ -43,7 +43,7 @@ def simplified_matrix(state: BipartiteState, mb: MatchedBases):
     input bases do not come from complete twins of this state.
     """
     r = len(mb.sigma_prime)
-    Y = _compressed_factor(state, mb.basis_plus, mb.basis_minus).reshape(r * r, -1)
+    Y = local_compress(state.factor, mb.basis_plus, mb.basis_minus).reshape(r * r, -1)
     X = Y @ Y.conj().T
     diag = np.ix_(np.arange(r) * (r + 1), np.arange(r) * (r + 1))
     M = X[diag]
@@ -115,6 +115,7 @@ def simultaneous_expansion(dec: PureDecomposition, mb: MatchedBases,
     Raises OffDiagonalLeak when a component has weight outside the
     diagonal span, which contradicts the common-twins property of the
     admixed states."""
+    _check_decomposition_dims(dec, state.dim)
     r = len(mb.sigma_prime)
     diag = (mb.basis_plus[:, None, :] * mb.basis_minus[None, :, :]).reshape(-1, r)
     phis = np.column_stack(dec.vectors)
@@ -135,6 +136,7 @@ def compatibility_report(dec: PureDecomposition, mb: MatchedBases,
     simultaneously diagonal in the matched basis for a valid input.  With
     phi_i reshaped to Phi_i (d_plus x d_minus), the reduced components are
     Phi_i Phi_i† and Phi_i^T conj(Phi_i), one batched product per side."""
+    _check_decomposition_dims(dec, state.dim)
     Phi = np.stack(dec.vectors).reshape(-1, state.d_plus, state.d_minus)
     PhiT = Phi.transpose(0, 2, 1)
     sub = state.subsystems

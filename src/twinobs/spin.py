@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linops
 from .errors import UnsupportedSpinError, WeightError
 from .states import BipartiteState, PureDecomposition, mix
 from .linops import DEFAULT_TOL, Tolerances, ValueRecord
@@ -43,9 +42,7 @@ def coupled_basis(j1: float, j2: float):
     if j1 not in SUPPORTED_SPINS or j2 not in SUPPORTED_SPINS:
         raise UnsupportedSpinError(f"spins must be in {SUPPORTED_SPINS}, got ({j1}, {j2})")
     d1, d2 = spin_dim(j1), spin_dim(j2)
-    L = linops.kron(spin_lowering(j1), np.eye(d2)) + linops.kron(
-        np.eye(d1), spin_lowering(j2)
-    )
+    L = np.kron(spin_lowering(j1), np.eye(d2)) + np.kron(np.eye(d1), spin_lowering(j2))
     m1 = np.arange(j1, -j1 - 1, -1.0)
     m2 = np.arange(j2, -j2 - 1, -1.0)
     total_m = np.add.outer(m1, m2).ravel()  # composite index i1*d2 + i2

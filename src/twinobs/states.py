@@ -165,12 +165,17 @@ def mix(dec: PureDecomposition, d_plus: int, d_minus: int,
         tol: Tolerances = DEFAULT_TOL) -> BipartiteState:
     """State built from a pure decomposition."""
     dim = d_plus * d_minus
+    _check_decomposition_dims(dec, dim)
     rho = np.zeros((dim, dim), dtype=complex)
     for w, v in zip(dec.weights, dec.vectors):
-        if v.size != dim:
-            raise linops.DimensionMismatchError("component vector has wrong length")
         rho += w * np.outer(v, v.conj())
     return BipartiteState(d_plus=d_plus, d_minus=d_minus, rho=rho, tol=tol)
+
+
+def _check_decomposition_dims(dec: PureDecomposition, dim: int) -> None:
+    """Raises DimensionMismatchError unless every component has length dim."""
+    if any(v.size != dim for v in dec.vectors):
+        raise linops.DimensionMismatchError("component vector has wrong length")
 
 
 class GeometryReport(ValueRecord):
@@ -222,27 +227,12 @@ class RelevantRestriction(Record):
 
     FIELDS = ("rho_prime", "basis_plus", "basis_minus")
 
-    @property
-    def composite_basis(self) -> np.ndarray:
-        return linops.kron(self.basis_plus, self.basis_minus)
-
     def embed(self, X: np.ndarray) -> np.ndarray:
-        """Operator on R_plus ⊗ R_minus -> operator on the full space."""
-        B = self.composite_basis
-        return B @ X @ B.conj().T
-
-
-def _compressed_factor(state: BipartiteState, basis_plus: np.ndarray,
-                       basis_minus: np.ndarray) -> np.ndarray:
-    """(B_plus ⊗ B_minus)† C for the factor C of rho, as an
-    (r_plus, r_minus, k) array, by two local products on C reshaped to
-    (d_plus, d_minus, k); row a*r_minus + c of the flattened result is
-    <a,c| C, so B† (C C†) B is its Gram matrix."""
-    C = state.factor
-    k = C.shape[1]
-    rp, rm = basis_plus.shape[1], basis_minus.shape[1]
-    T = (basis_plus.conj().T @ C.reshape(state.d_plus, -1)).reshape(rp, state.d_minus, k)
-    return basis_minus.conj().T @ T
+        """Operator on R_plus ⊗ R_minus -> operator on the full space:
+        (B_plus ⊗ B_minus) X (B_plus ⊗ B_minus)† by local products."""
+        Bp, Bm = self.basis_plus.conj().T, self.basis_minus.conj().T
+        Y = linops.local_compress(X, Bp, Bm).reshape(-1, len(X))
+        return linops.local_compress(Y.conj().T, Bp, Bm).reshape(len(Y), -1).conj().T
 
 
 def restrict_to_relevant(state: BipartiteState) -> RelevantRestriction:
@@ -255,5 +245,5 @@ def restrict_to_relevant(state: BipartiteState) -> RelevantRestriction:
     B† rho B."""
     sub = state.subsystems
     Bp, Bm = sub.range_plus, sub.range_minus
-    Y = _compressed_factor(state, Bp, Bm).reshape(Bp.shape[1] * Bm.shape[1], -1)
+    Y = linops.local_compress(state.factor, Bp, Bm).reshape(Bp.shape[1] * Bm.shape[1], -1)
     return RelevantRestriction(rho_prime=Y @ Y.conj().T, basis_plus=Bp, basis_minus=Bm)

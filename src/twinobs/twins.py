@@ -107,12 +107,17 @@ def is_twin_pair(state: BipartiteState, pair: ObservablePair):
     rho - C C† (``state.cut_error``) of that of (A_plus ⊗ 1 - 1 ⊗ A_minus)
     rho.  Pair dims that do not match the state raise DimensionMismatchError.
     """
+    _check_pair_dims(pair, state)
+    return _twin_witness(pair.a_plus, pair.a_minus, state.factor, state.tol.residual_tol)
+
+
+def _check_pair_dims(pair: ObservablePair, state: BipartiteState) -> None:
+    """Raises DimensionMismatchError unless the pair acts on the state's factors."""
     if pair.d_plus != state.d_plus or pair.d_minus != state.d_minus:
         raise DimensionMismatchError(
             f"pair dims ({pair.d_plus},{pair.d_minus}) do not match state "
             f"({state.d_plus},{state.d_minus})"
         )
-    return _twin_witness(pair.a_plus, pair.a_minus, state.factor, state.tol.residual_tol)
 
 
 def _twin_witness(a_plus: np.ndarray, a_minus: np.ndarray, C: np.ndarray, tol: float):
@@ -188,45 +193,39 @@ def _eigenspace_labels(state: BipartiteState) -> tuple:
     return labels(sub.values_plus, state.d_minus), labels(sub.values_minus, state.d_plus)
 
 
-# Eigenspace layouts each layout cache keeps; see _unit_basis.
+# Eigenspace layouts the layout cache keeps; see _layout.
 _LAYOUT_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _unit_basis(labels: tuple) -> np.ndarray:
-    """linops.block_hermitian_basis over these eigenspace labels,
-    read-only and kept for the last _LAYOUT_CACHE_SIZE layouts: it
-    depends on the layout of a reduction's spectrum, never on its values,
-    so states that share a layout share it.
+def _layout(labels_plus: tuple, labels_minus: tuple) -> tuple:
+    """(units_plus, units_minus, m_b, slots, pair, row) of the twin solve
+    for these eigenspace labels of rho_plus and rho_minus, read-only and
+    kept for the last _LAYOUT_CACHE_SIZE layouts: they depend on the
+    layout of the reductions' spectra, never on their values, so states
+    that share a layout share them.
+
+    units_s is linops.block_hermitian_basis over labels_s.  m_b is the
+    dimension of the pair b = (g, h) of eigenspaces of each entry (a, c)
+    of P, in P's composite order; when some m_b > 1, entry (a, c) is row
+    row[i] of its pair pair[i], i = a d_minus + c, and slots[b] lists the
+    entries of pair b, padded with d_plus d_minus, else all three are None.
 
     A side of dimension d holds sum m_i^2 <= d^2 units of d x d complex,
-    at most 16 d^4 bytes: 332 KB for a fully degenerate d = 12 side, so
-    at most _LAYOUT_CACHE_SIZE * 16 d^4 bytes (5.3 MB at d = 12) in all
-    for sides of dimension up to d."""
-    return _read_only(linops.block_hermitian_basis(np.array(labels)))[0]
-
-
-@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _block_layout(labels_plus: tuple, labels_minus: tuple) -> tuple:
-    """(m_b, slots, pair, row) of _block_constraints for these eigenspace
-    labels, read-only and kept for the last _LAYOUT_CACHE_SIZE
-    layouts.  m_b is the dimension of the pair b = (g, h) of eigenspaces
-    of each entry (a, c) of P, in P's composite order; when some m_b > 1,
-    entry (a, c) is row row[i] of its pair pair[i], i = a d_minus + c, and
-    slots[b] lists the entries of pair b, padded with d_plus d_minus,
-    else all three are None.
-
-    m_b, pair and row hold d_plus d_minus 8-byte ints each, and slots at
-    most (d_plus + 1)^2 (d_minus + 1)^2 / 16 (a side of dimension d whose
-    largest eigenspace has dimension m has at most d - m + 1 of them), so
-    an entry is at most 18 KB at d_plus = d_minus = 12."""
+    so a layout of sides up to d holds at most 32 d^4 bytes of units:
+    10.6 MB for _LAYOUT_CACHE_SIZE fully degenerate d = 12 layouts.  The
+    index maps add at most 18 KB a layout at d_plus = d_minus = 12 (a
+    side of dimension d whose largest eigenspace has dimension m has at
+    most d - m + 1 eigenspaces)."""
     labels_plus, labels_minus = np.array(labels_plus), np.array(labels_minus)
+    units = _read_only(linops.block_hermitian_basis(labels_plus),
+                       linops.block_hermitian_basis(labels_minus))
     size_p, size_m = np.bincount(labels_plus), np.bincount(labels_minus)
     dp, dm = len(labels_plus), len(labels_minus)
     m_b = np.outer(size_p[labels_plus], size_m[labels_minus]).ravel()
     m_max = int(m_b.max())
     if m_max == 1:
-        return _read_only(m_b)[0], None, None, None
+        return *units, *_read_only(m_b), None, None, None
     # entry (a, c) is row (a - first_g) n_h + (c - first_h) of its pair (g, h)
     offset_p = np.arange(dp) - np.searchsorted(labels_plus, labels_plus)
     offset_m = np.arange(dm) - np.searchsorted(labels_minus, labels_minus)
@@ -234,21 +233,19 @@ def _block_layout(labels_plus: tuple, labels_minus: tuple) -> tuple:
     row = (offset_p[:, None] * size_m[labels_minus] + offset_m).ravel()
     slots = np.full((len(size_p) * len(size_m), m_max), dp * dm)
     slots[pair, row] = np.arange(dp * dm)
-    return _read_only(m_b, slots, pair, row)
+    return *units, *_read_only(m_b, slots, pair, row)
 
 
-def _block_constraints(state: BipartiteState, P: np.ndarray, labels_plus: tuple,
-                       labels_minus: tuple, units_plus: np.ndarray,
-                       units_minus: np.ndarray) -> np.ndarray:
+def _block_constraints(state: BipartiteState, P: np.ndarray, layout: tuple) -> np.ndarray:
     """Real twin constraint system in the product eigenbasis of the
     reductions, block-compressed: it has the singular values and kernel
     of the system imposed on every range vector.
 
     P is the range basis V of rho in that basis, (W_plus ⊗ W_minus)† V
-    as a (d_plus, d_minus, r) array, the eigenspaces have the labels
-    labels_plus and labels_minus, and the unknowns are the coordinates
-    over units_plus then units_minus.  A twin X' = A'_plus ⊗ 1 - 1 ⊗
-    A'_minus is block diagonal over the pairs b = (g, h) of eigenspaces,
+    as a (d_plus, d_minus, r) array, and layout is the _layout of the
+    eigenspaces: the unknowns are the coordinates over its units_plus
+    then units_minus.  A twin X' = A'_plus ⊗ 1 - 1 ⊗ A'_minus is block
+    diagonal over the pairs b = (g, h) of eigenspaces,
     so ||X' P||_F^2 is the sum over b of ||X'_b P_b||_F^2, and P_b, the
     (m_b = m_g m_h, r) slice of P, can be replaced by any F_b with
     F_b F_b† = P_b P_b† without changing the Gram matrix of the system.
@@ -260,8 +257,7 @@ def _block_constraints(state: BipartiteState, P: np.ndarray, labels_plus: tuple,
     ±||P_b|| (e_g - f_h).  When every pair is one-dimensional, as for
     nondegenerate reductions, the norms are taken directly: the same
     rows up to sign, without the batched QR and its index setup.  No
-    Gram product is formed, so no digits are lost to squaring.  The
-    index maps depend on the labels alone, and come from _block_layout.
+    Gram product is formed, so no digits are lost to squaring.
 
     The factors, zero-padded to k = max k_b columns, go through
     _constraint_matrix, and the rows that are zero by construction
@@ -269,7 +265,7 @@ def _block_constraints(state: BipartiteState, P: np.ndarray, labels_plus: tuple,
     dropped: at most 2 m_b k_b rows per pair, and d_plus d_minus rows in
     all for nondegenerate reductions."""
     dp, dm, r = P.shape
-    m_b, slots, pair, row = _block_layout(labels_plus, labels_minus)
+    units_plus, units_minus, m_b, slots, pair, row = layout
     if slots is None:
         # the rows the QR below gives one-dimensional pairs, up to sign
         F = np.linalg.norm(P, axis=2).reshape(-1, 1)
@@ -311,18 +307,16 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     The pairs are the kernel's combinations of the units, rotated back
     by W_plus and W_minus.  The units and the block layout depend on the
     eigenspace labels alone; they are built once per layout and kept,
-    read-only, by _unit_basis and _block_layout.
+    read-only, by _layout, which the solve looks up once.
     """
     sub = state.subsystems
     dp, dm = state.d_plus, state.d_minus
     Wp = np.hstack([sub.null_plus, sub.range_plus])
     Wm = np.hstack([sub.null_minus, sub.range_minus])
-    # the eigenspace labels of each side key the layout caches
-    labels_plus, labels_minus = (tuple(labels.tolist()) for labels in _eigenspace_labels(state))
-    units_plus, units_minus = _unit_basis(labels_plus), _unit_basis(labels_minus)
-    # (W_plus ⊗ W_minus)† V by one local product a side
-    P = Wm.conj().T @ (Wp.conj().T @ state.range_basis().reshape(dp, -1)).reshape(dp, dm, -1)
-    M = _block_constraints(state, P, labels_plus, labels_minus, units_plus, units_minus)
+    # the eigenspace labels of each side key the layout cache
+    layout = _layout(*(tuple(labels.tolist()) for labels in _eigenspace_labels(state)))
+    units_plus, units_minus = layout[:2]
+    M = _block_constraints(state, linops.local_compress(state.range_basis(), Wp, Wm), layout)
     K = linops.kernel_basis(M, state.tol.rank_tol)
     n_plus = len(units_plus)
     # one real-by-complex product a side: pair k is sum_g K[g, k] units[g]
@@ -426,7 +420,9 @@ def states_admitting_twins(pair: ObservablePair, candidate_state: BipartiteState
     1 ⊗ A_minus) V, V the cached range basis of rho, every column norm of
     Z and the max-norm of Z V^dagger must be within residual_tol.  The
     max-norm is decided by ``linops.product_max_norm_within``, so Z V^dagger
-    (D x D) is formed only when its row-norm bound exceeds the tolerance."""
+    (D x D) is formed only when its row-norm bound exceeds the tolerance.
+    Pair dims that do not match the state raise DimensionMismatchError."""
+    _check_pair_dims(pair, candidate_state)
     V = candidate_state.range_basis()
     Z = _twin_image(pair.a_plus, pair.a_minus, V)
     tol = candidate_state.tol.residual_tol

@@ -68,7 +68,7 @@ def projector_at(data, a: float, cluster_tol: float) -> np.ndarray:
 
 def difference_operator(pair) -> np.ndarray:
     """A_plus ⊗ 1 - 1 ⊗ A_minus of an ObservablePair on the composite space."""
-    return linops.kron(pair.a_plus, np.eye(pair.d_minus)) - linops.kron(
+    return np.kron(pair.a_plus, np.eye(pair.d_minus)) - np.kron(
         np.eye(pair.d_plus), pair.a_minus
     )
 
@@ -80,11 +80,11 @@ def dense_subspace_geometry(state):
     p = projectors(state)
     Ip = np.eye(state.d_plus)
     Im = np.eye(state.d_minus)
-    RpRm = linops.kron(p.R_plus, p.R_minus)
-    Rp1 = linops.kron(p.R_plus, Im)
-    R1m = linops.kron(Ip, p.R_minus)
-    Np1 = linops.kron(p.N_plus, Im)
-    N1m = linops.kron(Ip, p.N_minus)
+    RpRm = np.kron(p.R_plus, p.R_minus)
+    Rp1 = np.kron(p.R_plus, Im)
+    R1m = np.kron(Ip, p.R_minus)
+    Np1 = np.kron(p.N_plus, Im)
+    N1m = np.kron(Ip, p.N_minus)
     residuals = {
         "R_eq_R_RpRm": max_norm(p.R - p.R @ RpRm),
         "R_eq_Rp1_R": max_norm(p.R - Rp1 @ p.R),

@@ -7,6 +7,7 @@ echoed in the terminal summary (see conftest.pytest_terminal_summary).
 from contextlib import contextmanager
 
 import numpy as np
+from numpy import kron
 import scipy.linalg
 import pytest
 
@@ -26,7 +27,7 @@ from twinobs import (
     simultaneous_expansion,
     solve_twin_space,
 )
-from twinobs.linops import hermitian_basis, kron, max_norm, pair_to_coords
+from twinobs.linops import hermitian_basis, max_norm, pair_to_coords
 from twinobs.schmidt import compatibility_report
 from twinobs.spectral import (
     apply_function,

@@ -10,6 +10,7 @@ from twinobs.twins import _constraint_matrix, subspace_distance
 
 import reference
 from conftest import random_hermitian, random_state, traced_peak
+from test_compressed_constraint import isometry
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -209,22 +210,34 @@ class TestKernelBasis:
         assert subspace_distance(K, ref.real) <= 1e-10
 
 
-class TestKron:
+class TestLocalCompress:
     def test_identity(self):
-        np.testing.assert_allclose(linops.kron(np.eye(2), np.eye(2)), np.eye(4))
+        X = np.arange(24.0).reshape(6, 4) * (1 - 2j)
+        out = linops.local_compress(X, np.eye(2), np.eye(3))
+        np.testing.assert_array_equal(out, X.reshape(2, 3, 4))
 
-    def test_index_convention(self):
-        # i = i_plus * d_minus + i_minus
-        out = linops.kron(np.diag([1.0, -1.0]), np.eye(2))
-        np.testing.assert_allclose(out, np.diag([1, 1, -1, -1]))
+    # (d_plus, d_minus, r_plus, r_minus, k): d_plus = 1, r_plus != r_minus, one column
+    @pytest.mark.parametrize("shape", [(1, 3, 1, 2, 4), (4, 3, 3, 1, 2), (3, 5, 2, 4, 1)])
+    def test_index_convention(self, shape):
+        # row a * r_minus + c of the flattened result is <a,c| X
+        dp, dm, rp, rm, k = shape
+        rng = np.random.default_rng(sum(shape))
+        Bp, Bm = isometry(rng, dp, rp), isometry(rng, dm, rm)
+        X = rng.standard_normal((dp * dm, k)) + 1j * rng.standard_normal((dp * dm, k))
+        out = linops.local_compress(X, Bp, Bm)
+        assert out.shape == (rp, rm, k)
+        np.testing.assert_allclose(out.reshape(rp * rm, k), np.kron(Bp, Bm).conj().T @ X,
+                                   rtol=0, atol=1e-13)
 
+
+class TestPartialTrace:
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_partial_trace_adjointness(self, seed):
         rng = np.random.default_rng(seed)
         A = random_hermitian(rng, 2)
         M = random_hermitian(rng, 6)
-        lhs = np.trace(linops.kron(A, np.eye(3)) @ M)
+        lhs = np.trace(np.kron(A, np.eye(3)) @ M)
         rhs = np.trace(A @ linops.partial_trace(M, 2, 3, "-"))
         assert abs(lhs - rhs) <= 1e-10
 
@@ -232,11 +245,9 @@ class TestKron:
         rng = np.random.default_rng(5)
         A = random_hermitian(rng, 2)
         B = random_hermitian(rng, 3)
-        out = linops.partial_trace(linops.kron(A, B), 2, 3, "-")
+        out = linops.partial_trace(np.kron(A, B), 2, 3, "-")
         np.testing.assert_allclose(out, A * np.trace(B), atol=1e-12)
 
-
-class TestPartialTrace:
     def test_product_state(self):
         # |up down>, composite index 0*2 + 1 = 1
         rho = np.zeros((4, 4), dtype=complex)

@@ -1,4 +1,5 @@
 import numpy as np
+from numpy import kron
 import pytest
 import scipy.linalg
 
@@ -16,7 +17,7 @@ from twinobs import (
 )
 from twinobs import measurement
 from twinobs.errors import DimensionMismatchError, NotProjectorError
-from twinobs.linops import kron, max_norm
+from twinobs.linops import max_norm
 
 import reference
 from conftest import random_hermitian, random_state, traced_peak

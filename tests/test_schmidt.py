@@ -13,7 +13,12 @@ from twinobs import (
     simultaneous_expansion,
     solve_twin_space,
 )
-from twinobs.errors import NotPureError, OffDiagonalLeakError, SparsityViolationError
+from twinobs.errors import (
+    DimensionMismatchError,
+    NotPureError,
+    OffDiagonalLeakError,
+    SparsityViolationError,
+)
 from twinobs.spectral import MatchedBases
 from twinobs.spin import SpinScenario, coupled_basis, scenario_decomposition
 from twinobs.states import PureDecomposition
@@ -208,6 +213,15 @@ class TestCompatibilityReport:
         dec = PureDecomposition(weights=(1.0,), vectors=(phi,))
         report = compatibility_report(dec, bad, st)
         assert max(report.values()) > 1e-3
+
+
+@pytest.mark.parametrize("check", [compatibility_report, simultaneous_expansion])
+def test_component_of_wrong_length_is_rejected(check, example1):
+    # a length-8 component on the 2 x 2 state would split into two 2 x 2 blocks
+    dec = PureDecomposition(weights=(1.0,), vectors=(np.eye(8)[1],))
+    mb = matched_bases_from_pair(EX1_PAIR, example1)
+    with pytest.raises(DimensionMismatchError):
+        check(dec, mb, example1)
 
 
 def compatibility_cases():

@@ -1,4 +1,5 @@
 import numpy as np
+from numpy import kron
 import pytest
 
 from twinobs import (
@@ -19,7 +20,7 @@ from twinobs import (
     symmetric_polynomial,
 )
 from twinobs.errors import NotReducibleError, NotSymmetricError, SpectraMismatchError
-from twinobs.linops import kron, max_norm
+from twinobs.linops import max_norm
 from twinobs.states import restrict_to_relevant
 
 import reference

@@ -1,8 +1,9 @@
 import numpy as np
+from numpy import kron
 import pytest
 
 from twinobs.errors import UnsupportedSpinError, WeightError
-from twinobs.linops import kron, max_norm
+from twinobs.linops import max_norm
 from twinobs.spin import (
     SpinScenario,
     build_scenario,

@@ -15,10 +15,10 @@ A method that shares its name with a field of some record is counted
 as named by every read of that field, so each such method stands in
 FIELD_NAMED_METHODS with the reason it stays.
 
-The same scan keeps two rules of the package's code: every record
+The same scan keeps three rules of the package's code: every record
 declares its fields once, in FIELDS, with ``linops.Record.__init__`` the
-only code that stores them, and every random draw comes from the
-standard library's ``random``.
+only code that stores them, every random draw comes from the standard
+library's ``random``, and no module but ``spin`` forms a Kronecker product.
 """
 
 import ast
@@ -226,3 +226,16 @@ def test_draws_come_from_random_not_numpy_random():
         or isinstance(node, (ast.Import, ast.ImportFrom))
         and any("numpy.random" in f"{getattr(node, 'module', None)}.{a.name}" for a in node.names))
     assert not uses, f"numpy.random used at {uses}"
+
+
+def test_only_spin_names_kron():
+    # product operators are applied by local products (linops.apply_local,
+    # linops.local_compress); spin builds its small ladder operators densely
+    uses = sorted(
+        f"{mod}.py:{node.lineno}" for mod, tree in _modules().items() if mod != "spin"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "kron"
+        or isinstance(node, ast.Attribute) and node.attr == "kron"
+        or isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "kron"
+        or isinstance(node, ast.alias) and "kron" in (node.name, node.asname))
+    assert not uses, f"kron named at {uses}"

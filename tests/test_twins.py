@@ -1,19 +1,22 @@
 import numpy as np
+from numpy import kron
 import pytest
 
 from twinobs import (
     BipartiteState,
     ObservablePair,
     additive_twins,
+    commutation_check,
     from_pure,
     is_twin_pair,
     scalar_pair,
     solve_twin_space,
+    split_detectable,
     states_admitting_twins,
     twins_restrict_to_range_vectors,
 )
 from twinobs.errors import DimensionMismatchError
-from twinobs.linops import hermitian_basis, kron, max_norm, pair_to_coords
+from twinobs.linops import hermitian_basis, max_norm, pair_to_coords
 from twinobs.measurement import certainty_test
 from twinobs.spin import SCENARIO_NAMES, SpinScenario, build_scenario, coupled_basis, spin_z
 from twinobs.twins import _constraint_matrix, subspace_distance
@@ -53,6 +56,14 @@ class TestIsTwinPair:
     def test_stack_operand_rejected(self):
         with pytest.raises(DimensionMismatchError):
             ObservablePair(np.zeros((2, 3, 3)), np.eye(3))
+
+
+@pytest.mark.parametrize("check", [states_admitting_twins, split_detectable, commutation_check])
+def test_pair_with_swapped_dims_is_rejected(check):
+    # a 3 x 2 pair on a 2 x 3 state: both act on a space of dimension 6
+    state = from_pure(np.eye(6)[0], 2, 3)
+    with pytest.raises(DimensionMismatchError):
+        check(ObservablePair(np.eye(3), np.eye(2)), state)
 
 
 class TestSolveTwinSpace:
