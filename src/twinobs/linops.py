@@ -4,8 +4,7 @@ Operators are plain complex numpy arrays; ``kernel_basis`` alone keeps a
 real input real, so the real twin constraint system is solved in real
 arithmetic.  The composite index convention is
 i = i_plus * d_minus + i_minus throughout the package, which matches
-``numpy.kron(A_plus, A_minus)``; the package applies product operators
-by local products instead (``apply_local``, ``local_compress``).
+``numpy.kron(A_plus, A_minus)``.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from .errors import NotPureError, OffDiagonalLeakError, SparsityViolationError
 from .linops import Record, ValueRecord, local_compress, max_norm
 from .spectral import MatchedBases, matched_bases_from_pair
 from .states import BipartiteState, PureDecomposition, _check_decomposition_dims
-from .twins import ObservablePair
+from .twins import ObservablePair, _check_dims
 
 
 class SparsityReport(ValueRecord):
@@ -42,6 +42,7 @@ def simplified_matrix(state: BipartiteState, mb: MatchedBases):
     when a forbidden element exceeds residual_tol, which signals that the
     input bases do not come from complete twins of this state.
     """
+    _check_dims("basis", mb.basis_plus, mb.basis_minus, state)
     r = len(mb.sigma_prime)
     Y = local_compress(state.factor, mb.basis_plus, mb.basis_minus).reshape(r * r, -1)
     X = Y @ Y.conj().T
@@ -116,6 +117,7 @@ def simultaneous_expansion(dec: PureDecomposition, mb: MatchedBases,
     diagonal span, which contradicts the common-twins property of the
     admixed states."""
     _check_decomposition_dims(dec, state.dim)
+    _check_dims("basis", mb.basis_plus, mb.basis_minus, state)
     r = len(mb.sigma_prime)
     diag = (mb.basis_plus[:, None, :] * mb.basis_minus[None, :, :]).reshape(-1, r)
     phis = np.column_stack(dec.vectors)
@@ -137,6 +139,7 @@ def compatibility_report(dec: PureDecomposition, mb: MatchedBases,
     phi_i reshaped to Phi_i (d_plus x d_minus), the reduced components are
     Phi_i Phi_i† and Phi_i^T conj(Phi_i), one batched product per side."""
     _check_decomposition_dims(dec, state.dim)
+    _check_dims("basis", mb.basis_plus, mb.basis_minus, state)
     Phi = np.stack(dec.vectors).reshape(-1, state.d_plus, state.d_minus)
     PhiT = Phi.transpose(0, 2, 1)
     sub = state.subsystems

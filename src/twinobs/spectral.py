@@ -25,7 +25,7 @@ from .errors import (
 )
 from .linops import Record, max_norm
 from .states import BipartiteState
-from .twins import ObservablePair, TwinSpace, _check_pair_dims, _twin_witness
+from .twins import ObservablePair, TwinSpace, _check_dims, _twin_witness
 
 
 class SpectralData(Record):
@@ -60,7 +60,7 @@ def spectral_data(H, cluster_tol: float = linops.DEFAULT_TOL.cluster_tol) -> Spe
 def commutation_check(pair: ObservablePair, state: BipartiteState) -> dict:
     """Max-norm residuals of [A_s, rho_s] and [A_s, R_s]; all vanish for
     a genuine twin pair (necessary, not sufficient)."""
-    _check_pair_dims(pair, state)
+    _check_dims("pair", pair.a_plus, pair.a_minus, state)
     sub = state.subsystems
     Rp = sub.range_plus @ sub.range_plus.conj().T
     Rm = sub.range_minus @ sub.range_minus.conj().T
@@ -112,7 +112,7 @@ def split_detectable(pair: ObservablePair, state: BipartiteState) -> DetectableS
     Raises NotReducible when the off-block norms exceed residual_tol,
     i.e. when [A_s, R_s] != 0.
     """
-    _check_pair_dims(pair, state)
+    _check_dims("pair", pair.a_plus, pair.a_minus, state)
     sub = state.subsystems
     Bp, Np, Bm, Nm = sub.range_plus, sub.null_plus, sub.range_minus, sub.null_minus
     off_p = max_norm(Np.conj().T @ pair.a_plus @ Bp) if Np.size and Bp.size else 0.0
@@ -176,9 +176,10 @@ def characteristic_projector_twins(split: DetectableSplit, state: BipartiteState
     Y = (B_plus ⊗ B_minus)† C of rho' = Y Y†, B_s the split's range
     bases: rho' is not formed.
     """
+    Bp, Bm = split.range_basis_plus, split.range_basis_minus
+    _check_dims("basis", Bp, Bm, state)
     sp, sm = _detectable_data(split, state.tol.cluster_tol)
-    Y = linops.local_compress(state.factor, split.range_basis_plus, split.range_basis_minus)
-    Y = Y.reshape(-1, Y.shape[-1])
+    Y = linops.local_compress(state.factor, Bp, Bm).reshape(-1, state.factor.shape[1])
     out = []
     for a, Pp, Pm in zip((sp.values + sm.values) / 2, sp.projectors, sm.projectors):
         witness = _twin_witness(Pp, Pm, Y, state.tol.residual_tol)[1]

@@ -229,10 +229,10 @@ class RelevantRestriction(Record):
 
     def embed(self, X: np.ndarray) -> np.ndarray:
         """Operator on R_plus ⊗ R_minus -> operator on the full space:
-        (B_plus ⊗ B_minus) X (B_plus ⊗ B_minus)† by local products."""
-        Bp, Bm = self.basis_plus.conj().T, self.basis_minus.conj().T
-        Y = linops.local_compress(X, Bp, Bm).reshape(-1, len(X))
-        return linops.local_compress(Y.conj().T, Bp, Bm).reshape(len(Y), -1).conj().T
+        (B_plus ⊗ B_minus) X (B_plus ⊗ B_minus)†, a compression by the B_s†."""
+        adjoints = self.basis_plus.conj().T, self.basis_minus.conj().T
+        Y = linops.local_compress(X, *adjoints).reshape(-1, len(X))
+        return linops.local_compress(Y.conj().T, *adjoints).reshape(len(Y), -1).conj().T
 
 
 def restrict_to_relevant(state: BipartiteState) -> RelevantRestriction:

@@ -107,17 +107,16 @@ def is_twin_pair(state: BipartiteState, pair: ObservablePair):
     rho - C C† (``state.cut_error``) of that of (A_plus ⊗ 1 - 1 ⊗ A_minus)
     rho.  Pair dims that do not match the state raise DimensionMismatchError.
     """
-    _check_pair_dims(pair, state)
+    _check_dims("pair", pair.a_plus, pair.a_minus, state)
     return _twin_witness(pair.a_plus, pair.a_minus, state.factor, state.tol.residual_tol)
 
 
-def _check_pair_dims(pair: ObservablePair, state: BipartiteState) -> None:
-    """Raises DimensionMismatchError unless the pair acts on the state's factors."""
-    if pair.d_plus != state.d_plus or pair.d_minus != state.d_minus:
-        raise DimensionMismatchError(
-            f"pair dims ({pair.d_plus},{pair.d_minus}) do not match state "
-            f"({state.d_plus},{state.d_minus})"
-        )
+def _check_dims(name: str, plus: np.ndarray, minus: np.ndarray, state: BipartiteState) -> None:
+    """Raises DimensionMismatchError unless plus and minus, a pair's operators
+    or d_s x r_s bases, have d_plus and d_minus rows, those of the state."""
+    if (len(plus), len(minus)) != (state.d_plus, state.d_minus):
+        raise DimensionMismatchError(f"{name} dims ({len(plus)},{len(minus)}) do not match "
+                                     f"state ({state.d_plus},{state.d_minus})")
 
 
 def _twin_witness(a_plus: np.ndarray, a_minus: np.ndarray, C: np.ndarray, tol: float):
@@ -245,8 +244,8 @@ def _block_constraints(state: BipartiteState, P: np.ndarray, layout: tuple) -> n
     as a (d_plus, d_minus, r) array, and layout is the _layout of the
     eigenspaces: the unknowns are the coordinates over its units_plus
     then units_minus.  A twin X' = A'_plus ⊗ 1 - 1 ⊗ A'_minus is block
-    diagonal over the pairs b = (g, h) of eigenspaces,
-    so ||X' P||_F^2 is the sum over b of ||X'_b P_b||_F^2, and P_b, the
+    diagonal over the pairs b = (g, h) of eigenspaces, so ||X' P||_F^2
+    is the sum over b of ||X'_b P_b||_F^2, and P_b, the
     (m_b = m_g m_h, r) slice of P, can be replaced by any F_b with
     F_b F_b† = P_b P_b† without changing the Gram matrix of the system.
     F_b = R† from the QR factorization P_b† = Q R, with k_b = min(m_b, r)
@@ -422,7 +421,7 @@ def states_admitting_twins(pair: ObservablePair, candidate_state: BipartiteState
     max-norm is decided by ``linops.product_max_norm_within``, so Z V^dagger
     (D x D) is formed only when its row-norm bound exceeds the tolerance.
     Pair dims that do not match the state raise DimensionMismatchError."""
-    _check_pair_dims(pair, candidate_state)
+    _check_dims("pair", pair.a_plus, pair.a_minus, candidate_state)
     V = candidate_state.range_basis()
     Z = _twin_image(pair.a_plus, pair.a_minus, V)
     tol = candidate_state.tol.residual_tol

@@ -215,6 +215,16 @@ class TestCompatibilityReport:
         assert max(report.values()) > 1e-3
 
 
+@pytest.mark.parametrize("check", [simplified_matrix, compatibility_report, simultaneous_expansion])
+def test_matched_bases_with_swapped_dims_are_rejected(check):
+    # bases of a 3 x 2 state on a 2 x 3 state: both products have dimension 6
+    state = from_pure(np.eye(6)[0], 2, 3)
+    mb = MatchedBases(np.array([1.0]), np.eye(3)[:, :1], np.eye(2)[:, :1])
+    dec = PureDecomposition(weights=(1.0,), vectors=(np.eye(6)[0],))
+    with pytest.raises(DimensionMismatchError):
+        check(state, mb) if check is simplified_matrix else check(dec, mb, state)
+
+
 @pytest.mark.parametrize("check", [compatibility_report, simultaneous_expansion])
 def test_component_of_wrong_length_is_rejected(check, example1):
     # a length-8 component on the 2 x 2 state would split into two 2 x 2 blocks

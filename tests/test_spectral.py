@@ -11,6 +11,7 @@ from twinobs import (
     commutation_check,
     detectable_spectra,
     find_complete_twins,
+    from_pure,
     is_twin_pair,
     mix,
     scalar_pair,
@@ -19,7 +20,12 @@ from twinobs import (
     split_detectable,
     symmetric_polynomial,
 )
-from twinobs.errors import NotReducibleError, NotSymmetricError, SpectraMismatchError
+from twinobs.errors import (
+    DimensionMismatchError,
+    NotReducibleError,
+    NotSymmetricError,
+    SpectraMismatchError,
+)
 from twinobs.linops import max_norm
 from twinobs.states import restrict_to_relevant
 
@@ -192,6 +198,12 @@ class TestCharacteristicProjectors:
             P_full = kron(reference.projector_at(data, a, 1e-8), np.eye(3))
             p_full = np.trace(P_full @ example2_ms1.rho).real
             assert abs(p_prime - p_full) <= 1e-10
+
+    def test_split_of_swapped_dims_is_rejected(self):
+        # the split of a 3 x 2 state on a 2 x 3 state: both act on a space of dimension 6
+        split = split_detectable(ObservablePair(np.eye(3), np.eye(2)), from_pure(np.eye(6)[0], 3, 2))
+        with pytest.raises(DimensionMismatchError):
+            characteristic_projector_twins(split, from_pure(np.eye(6)[0], 2, 3))
 
 
 class TestApplyFunction:
