@@ -25,7 +25,7 @@ from .errors import (
 )
 from .linops import Record, max_norm
 from .states import BipartiteState
-from .twins import ObservablePair, TwinSpace, _check_dims, _twin_witness
+from .twins import ObservablePair, TwinSpace, _check_dims, _eigenspace_labels, _twin_witness
 
 
 class SpectralData(Record):
@@ -39,9 +39,15 @@ class SpectralData(Record):
 def spectral_data(H, cluster_tol: float = linops.DEFAULT_TOL.cluster_tol) -> SpectralData:
     """Eigendecompose H and group eigenvalues that lie within cluster_tol
     of each other into one characteristic value (cluster mean)."""
-    vals, vecs = linops.eigh(H)
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(vals) > cluster_tol) + 1])
-    mult = np.diff(starts, append=len(vals))
+    return _clustered(*linops.eigh(H), cluster_tol)
+
+
+def _clustered(vals: np.ndarray, vecs: np.ndarray, cluster_tol: float) -> SpectralData:
+    """SpectralData of the eigenpairs (vals ascending, vecs the matching
+    columns) of a Hermitian operator: consecutive eigenvalues no more
+    than cluster_tol apart form one cluster."""
+    starts = np.flatnonzero(np.concatenate(([True], vals[1:] - vals[:-1] > cluster_tol)))
+    mult = np.append(starts[1:], len(vals)) - starts
     # cluster c as columns starts[c] .. starts[c] + m_max - 1 of vecs, the
     # ones past its own multiplicity zeroed, so every projector V_c V_c† is
     # one member of a batched product
@@ -207,8 +213,11 @@ def symmetric_polynomial(pairs, poly: dict, state: BipartiteState) -> Observable
 
     poly maps exponent tuples (one exponent per pair) to real
     coefficients, e.g. {(1, 1): 1.0} for x*y.  Raises NotSymmetric when
-    the coefficients are not invariant under permuting the variables.
+    the coefficients are not invariant under permuting the variables,
+    and DimensionMismatch when a pair's dims are not the state's.
     """
+    for pair in pairs:
+        _check_dims("pair", pair.a_plus, pair.a_minus, state)
     k = len(pairs)
     if any(len(e) != k for e in poly):
         raise ValueError("each exponent tuple must have one entry per pair")
@@ -309,6 +318,36 @@ def _complex_normals(rng: random.Random, n: int) -> np.ndarray:
     return np.sqrt(-2 * np.log(u[:n])) * np.exp(2j * np.pi * u[n:])
 
 
+def _block_data(A: np.ndarray, labels: np.ndarray, tol: linops.Tolerances) -> SpectralData:
+    """SpectralData of a detectable block A' (r x r, in the range basis
+    of a reduction) read off its diagonal blocks: labels gives the
+    eigenspace group of each range coordinate, as
+    ``twins._eigenspace_labels`` does, so equal labels are contiguous.
+
+    An entry of A' between two groups beyond tol.residual_tol raises
+    NotReducibleError, as ``split_detectable`` does for the range/null
+    blocks.  A group of one coordinate i gives the eigenvalue Re A'_ii
+    and the unit vector e_i, whose phase already follows the rule of
+    ``linops.eigh``; a larger group goes through ``linops.eigh`` of its
+    block.  The eigenpairs, sorted by value, are clustered at
+    tol.cluster_tol as in ``spectral_data``."""
+    between = max_norm(A[labels[:, None] != labels])
+    if between > tol.residual_tol:
+        raise NotReducibleError(
+            f"pair does not reduce over the eigenspaces of the reduction: an entry "
+            f"between two of them is {between:.3e}"
+        )
+    vals = A.diagonal().real.copy()
+    vecs = np.eye(len(A), dtype=complex)
+    sizes = np.bincount(labels - labels[0])
+    stops = np.cumsum(sizes)
+    for stop, size in zip(stops[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        block = slice(stop - size, stop)
+        vals[block], vecs[block, block] = linops.eigh(A[block, block])
+    order = np.argsort(vals, kind="stable")
+    return _clustered(vals[order], vecs[:, order], tol.cluster_tol)
+
+
 def find_complete_twins(twin_space: TwinSpace, state: BipartiteState, seed: int = 0):
     """(pair, MatchedBases) of a pair of the twin space whose detectable
     spectra are nondegenerate on both sides; None when no complete twins
@@ -333,10 +372,18 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState, seed: int 
     on the detectable subspace, so its gaps are of order 1, far above
     cluster_tol.
 
+    The draw is split once.  A twin commutes with rho_plus and
+    rho_minus, so its detectable blocks are block diagonal over the
+    eigenspaces of the reductions, and their spectra are read block by
+    block (``_block_data``) over the grouping ``twins._eigenspace_labels``
+    that the solve used; a draw with an entry between two groups beyond
+    residual_tol, such as one from another state's twin space, raises
+    NotReducibleError.
+
     The pair is that detectable part lifted with zero undetectable
     blocks.  The state remembers the spectra of its detectable blocks
     (see ``_pair_spectra``), which the lifted pair shares up to rounding
-    since B† (B A' B†) B = A', so they are eigendecomposed once.
+    since B† (B A' B†) B = A', so they are computed once.
     """
     sub = state.subsystems
     if sub.range_plus.shape[1] != sub.range_minus.shape[1]:
@@ -352,12 +399,15 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState, seed: int 
          + a_minus @ z[dp * dp:].reshape(dm, dm).T.ravel()).real
     pair = ObservablePair._trusted((c @ a_plus).reshape(dp, dp), (c @ a_minus).reshape(dm, dm))
     split = split_detectable(pair, state)
-    tol = state.tol.cluster_tol
-    sp, sm = spectral_data(split.a_prime_plus, tol), spectral_data(split.a_prime_minus, tol)
+    # the range coordinates are the last r of each reduction's eigenbasis
+    r = sub.range_plus.shape[1]
+    labels_plus, labels_minus = _eigenspace_labels(state)
+    sp = _block_data(split.a_prime_plus, labels_plus[dp - r:], state.tol)
+    sm = _block_data(split.a_prime_minus, labels_minus[dm - r:], state.tol)
     # multiplicities first: a degenerate draw is a verdict, not a mismatch
     if np.any(sp.multiplicities != 1) or np.any(sm.multiplicities != 1):
         return None
-    _check_same_values(sp, sm, tol)
+    _check_same_values(sp, sm, state.tol.cluster_tol)
     lifted = split.detectable_lifted()
     state.__dict__["_pair_spectra"] = (lifted, sp, sm)
     return lifted, _matched_bases(state, sp, sm)

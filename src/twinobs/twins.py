@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
+import weakref
 
 import numpy as np
 
@@ -172,15 +173,28 @@ def _grouping_gap(lam_max: float, perturbation: float, rank_tol: float) -> float
     return max(np.sqrt(rank_tol) * lam_max, _GROUPING_MARGIN * perturbation / rank_tol)
 
 
+# _eigenspace_labels of each live state, keyed by identity (states hash
+# by identity); an entry goes with its state.
+_LABELS = weakref.WeakKeyDictionary()
+
+
 def _eigenspace_labels(state: BipartiteState) -> tuple:
     """Eigenspace label of each eigenvalue of rho_plus and of rho_minus
-    (ascending, as in ``state.subsystems``): consecutive eigenvalues no
-    more than the side's _grouping_gap apart share an eigenspace.
+    (ascending, as in ``state.subsystems``), read-only: consecutive
+    eigenvalues no more than the side's _grouping_gap apart share an
+    eigenspace.
 
     Twins of the kept range commute exactly with the reductions of the
     rank cut C C† of rho.  Those differ from rho_s by rounding and by the
     partial trace of rho - C C†, at most d_other times its spectral norm,
-    which ``state.cut_error`` bounds."""
+    which ``state.cut_error`` bounds.
+
+    The labels are computed once per state and kept in _LABELS while the
+    state lives, so the solve and the complete-twin search read one
+    grouping."""
+    memo = _LABELS.get(state)
+    if memo is not None:
+        return memo
     sub = state.subsystems
     eps = np.finfo(float).eps
 
@@ -189,7 +203,9 @@ def _eigenspace_labels(state: BipartiteState) -> tuple:
         gap = _grouping_gap(lam, eps * lam + d_other * state.cut_error, state.tol.rank_tol)
         return np.concatenate([[0], np.cumsum(np.diff(values) > gap)])
 
-    return labels(sub.values_plus, state.d_minus), labels(sub.values_minus, state.d_plus)
+    memo = _LABELS[state] = _read_only(labels(sub.values_plus, state.d_minus),
+                                       labels(sub.values_minus, state.d_plus))
+    return memo
 
 
 # Eigenspace layouts the layout cache keeps; see _layout.
@@ -304,9 +320,11 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     for the dropped tail of rho (``state.cut_error``) to stay far below
     that cut; cluster_tol is not used, as it knows nothing of the cut.
     The pairs are the kernel's combinations of the units, rotated back
-    by W_plus and W_minus.  The units and the block layout depend on the
-    eigenspace labels alone; they are built once per layout and kept,
-    read-only, by _layout, which the solve looks up once.
+    by W_plus and W_minus, and dim_detectable is read off the kernel's
+    rows over the units inside the range part of W (_detectable_rank).
+    The units and the block layout depend on the eigenspace labels
+    alone; they are built once per layout and kept, read-only, by
+    _layout, which the solve looks up once.
     """
     sub = state.subsystems
     dp, dm = state.d_plus, state.d_minus
@@ -322,7 +340,7 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     a_plus = (K[:n_plus].T @ units_plus.reshape(n_plus, -1)).reshape(-1, dp, dp)
     a_minus = (K[n_plus:].T @ units_minus.reshape(len(units_minus), -1)).reshape(-1, dm, dm)
     np_, nm = sub.null_plus.shape[1], sub.null_minus.shape[1]
-    detectable = _detectable_rank(a_plus[:, np_:, np_:], a_minus[:, nm:, nm:])
+    detectable = _detectable_rank(K, units_plus, units_minus, np_, nm)
     pairs = ObservablePair._stacked(Wp @ a_plus @ Wp.conj().T, Wm @ a_minus @ Wm.conj().T)
 
     return TwinSpace(
@@ -334,15 +352,20 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     )
 
 
-def _detectable_rank(app, amm) -> int:
-    """Rank of the stacked detectable blocks (app[k], amm[k]) of the twin
-    basis pairs: their compressions to the subsystem ranges."""
-    if not len(app):
-        return 0
-    app, amm = app.reshape(len(app), -1), amm.reshape(len(amm), -1)
-    A = np.concatenate([app.real, app.imag, amm.real, amm.imag], axis=1)
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(s > 1e-8 * max(s[0], 1.0)))
+def _detectable_rank(K: np.ndarray, units_plus: np.ndarray, units_minus: np.ndarray,
+                     n_plus: int, n_minus: int) -> int:
+    """Rank of the detectable blocks of the twin basis pairs, their
+    compressions to the subsystem ranges, from the kernel K over the
+    units: the rank of the rows of K that belong to units with every
+    nonzero row (so, Hermitian, every nonzero column) past the first n_s,
+    the null part of W_s.  Compressed to the range those units stay
+    Hilbert-Schmidt orthonormal and the others vanish, so these rows
+    have the singular values of the stacked real and imaginary parts of
+    the blocks."""
+    in_range = np.concatenate([~units_plus[:, :n_plus].any(axis=(1, 2)),
+                               ~units_minus[:, :n_minus].any(axis=(1, 2))])
+    s = np.linalg.svd(K[in_range], compute_uv=False)
+    return int(np.sum(s > 1e-8 * max(s[0], 1.0))) if s.size else 0
 
 
 def subspace_distance(coords_a: np.ndarray, coords_b: np.ndarray) -> float:
@@ -367,10 +390,12 @@ def additive_twins(state: BipartiteState, b_plus, b_minus):
 
     The one candidate is b = Tr(B_plus rho_plus) + Tr(B_minus rho_minus),
     and (B - b) rho = 0 is exactly the twin relation of that pair, which
-    ``is_twin_pair`` decides on the factor of rho."""
+    ``is_twin_pair`` decides on the factor of rho.  Observable dims that do
+    not match the state raise DimensionMismatchError."""
     sub = state.subsystems
     b_plus = linops.hermitize(b_plus, state.tol.herm_tol)
     b_minus = linops.hermitize(b_minus, state.tol.herm_tol)
+    _check_dims("observable", b_plus, b_minus, state)
     b = float(np.real(np.trace(b_plus @ sub.rho_plus) + np.trace(b_minus @ sub.rho_minus)))
     pair = ObservablePair(b_plus - (b / 2) * np.eye(state.d_plus),
                           (b / 2) * np.eye(state.d_minus) - b_minus)

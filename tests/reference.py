@@ -111,3 +111,18 @@ def dense_compatibility_report(dec, mb, state) -> dict:
         for (name_x, X), (name_y, Y) in itertools.combinations(ops, 2):
             report[f"[{name_x}, {name_y}]_{s}"] = max_norm(X @ Y - Y @ X)
     return report
+
+
+def stacked_detectable_rank(space, state) -> int:
+    """dim_detectable as solve_twin_space once counted it: the rank of
+    the detectable blocks B_s† A_s B_s of the basis pairs, B_s the range
+    bases of the reductions, one row a pair holding the real and
+    imaginary parts of both sides, cut at 1e-8 * max(s_0, 1)."""
+    sub = state.subsystems
+    rows = []
+    for B, ops in ((sub.range_plus, [p.a_plus for p in space.basis]),
+                   (sub.range_minus, [p.a_minus for p in space.basis])):
+        blocks = np.array([B.conj().T @ A @ B for A in ops]).reshape(len(ops), -1)
+        rows += [blocks.real, blocks.imag]
+    s = np.linalg.svd(np.concatenate(rows, axis=1), compute_uv=False)
+    return int(np.sum(s > 1e-8 * max(s[0], 1.0)))

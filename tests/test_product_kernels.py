@@ -644,14 +644,15 @@ class TestStateGeometryFromCache:
 
 class TestGeometryCache:
     @pytest.mark.parametrize("kind, dims, expected", [
-        ("pure", (4, 5), 4), ("block2", (4, 4), 4),   # factor path
-        ("pure", (2, 3), 5), ("block2", (2, 3), 5),   # eigh path
+        ("pure", (4, 5), 2), ("block2", (4, 4), 2),   # factor path
+        ("pure", (2, 3), 3), ("block2", (2, 3), 3),   # eigh path
     ])
     def test_eigh_calls_through_the_pipeline(self, kind, dims, expected, monkeypatch):
-        # one eigh each of rho_plus and rho_minus, one of rho on the eigh
-        # path only, and one of each detectable block of the complete
-        # twin the search found; the measurement report and (pure inputs)
-        # the Schmidt form reuse that pair's spectra
+        # one eigh each of rho_plus and rho_minus and one of rho on the
+        # eigh path only: the range eigenspaces of these reductions are
+        # one-dimensional, so the search reads the spectra of the complete
+        # twin's detectable blocks off their diagonals; the measurement
+        # report and (pure inputs) the Schmidt form reuse those spectra
         calls = []
         eigh = linops.eigh
 

@@ -271,6 +271,14 @@ class TestSymmetricPolynomial:
         with pytest.raises(NotSymmetricError):
             symmetric_polynomial([A, B], {(2, 1): 1.0}, example1)
 
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 2)])
+    def test_pair_with_wrong_dims_is_rejected(self, dims):
+        # a 3 x 2 or 2 x 2 pair on a 2 x 3 state, after a pair that fits
+        state = from_pure(np.eye(6)[0], 2, 3)
+        pairs = [scalar_pair(2, 3), ObservablePair(np.eye(dims[0]), np.eye(dims[1]))]
+        with pytest.raises(DimensionMismatchError):
+            symmetric_polynomial(pairs, {(1, 0): 1.0, (0, 1): 1.0}, state)
+
     def test_anticommutator_identity(self):
         # (A+B+ + B+A+) rho = (B-A- + A-B-) rho for twin pairs A, B
         rng = np.random.default_rng(55)

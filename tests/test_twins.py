@@ -66,6 +66,14 @@ def test_pair_with_swapped_dims_is_rejected(check):
         check(ObservablePair(np.eye(3), np.eye(2)), state)
 
 
+@pytest.mark.parametrize("dims", [(3, 2), (2, 2), (3, 3)])
+def test_additive_observable_with_wrong_dims_is_rejected(dims):
+    # observables whose dims are not the 2 x 3 state's: swapped, or one side off
+    state = from_pure(np.eye(6)[0], 2, 3)
+    with pytest.raises(DimensionMismatchError):
+        additive_twins(state, np.eye(dims[0]), np.eye(dims[1]))
+
+
 class TestSolveTwinSpace:
     def test_example1_dimension_and_span(self, example1):
         space = solve_twin_space(example1)
