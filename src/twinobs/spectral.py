@@ -326,26 +326,28 @@ def _block_data(A: np.ndarray, labels: np.ndarray, tol: linops.Tolerances) -> Sp
 
     An entry of A' between two groups beyond tol.residual_tol raises
     NotReducibleError, as ``split_detectable`` does for the range/null
-    blocks.  A group of one coordinate i gives the eigenvalue Re A'_ii
-    and the unit vector e_i, whose phase already follows the rule of
-    ``linops.eigh``; a larger group goes through ``linops.eigh`` of its
-    block.  The eigenpairs, sorted by value, are clustered at
-    tol.cluster_tol as in ``spectral_data``."""
-    between = max_norm(A[labels[:, None] != labels])
+    blocks.  When every group is one coordinate, coordinate i gives the
+    eigenvalue Re A'_ii and the unit vector e_i, whose phase already
+    follows the rule of ``linops.eigh``.  Otherwise the blocks go through
+    one ``linops.eigh`` of A' with the entries between groups set to
+    zero: at these sizes the call, not LAPACK, costs most, so one eigh
+    of the block-diagonal part beats one per group.  The eigenpairs,
+    sorted by value, are clustered at tol.cluster_tol as in
+    ``spectral_data``."""
+    same = labels[:, None] == labels
+    between = max_norm(A[~same])
     if between > tol.residual_tol:
         raise NotReducibleError(
             f"pair does not reduce over the eigenspaces of the reduction: an entry "
             f"between two of them is {between:.3e}"
         )
-    vals = A.diagonal().real.copy()
-    vecs = np.eye(len(A), dtype=complex)
-    sizes = np.bincount(labels - labels[0])
-    stops = np.cumsum(sizes)
-    for stop, size in zip(stops[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
-        block = slice(stop - size, stop)
-        vals[block], vecs[block, block] = linops.eigh(A[block, block])
-    order = np.argsort(vals, kind="stable")
-    return _clustered(vals[order], vecs[:, order], tol.cluster_tol)
+    if labels[-1] - labels[0] < len(labels) - 1:  # fewer groups than coordinates
+        vals, vecs = linops.eigh(np.where(same, A, 0))
+    else:
+        vals = A.diagonal().real
+        order = np.argsort(vals, kind="stable")
+        vals, vecs = vals[order], np.eye(len(A), dtype=complex)[:, order]
+    return _clustered(vals, vecs, tol.cluster_tol)
 
 
 def find_complete_twins(twin_space: TwinSpace, state: BipartiteState, seed: int = 0):
@@ -374,9 +376,9 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState, seed: int 
 
     The draw is split once.  A twin commutes with rho_plus and
     rho_minus, so its detectable blocks are block diagonal over the
-    eigenspaces of the reductions, and their spectra are read block by
-    block (``_block_data``) over the grouping ``twins._eigenspace_labels``
-    that the solve used; a draw with an entry between two groups beyond
+    eigenspaces of the reductions, and their spectra are read off those
+    blocks (``_block_data``) as ``twins._eigenspace_labels`` groups them
+    for the solve; a draw with an entry between two groups beyond
     residual_tol, such as one from another state's twin space, raises
     NotReducibleError.
 
