@@ -173,9 +173,10 @@ def _grouping_gap(lam_max: float, perturbation: float, rank_tol: float) -> float
     return max(np.sqrt(rank_tol) * lam_max, _GROUPING_MARGIN * perturbation / rank_tol)
 
 
-# _eigenspace_labels of each live state, keyed by identity (states hash
-# by identity); an entry goes with its state.
-_LABELS = weakref.WeakKeyDictionary()
+# A weak reference to the last state _eigenspace_labels was asked about,
+# and its labels; the solve and the complete-twin search of a state ask
+# one after the other.
+_last_labels = (None, None)
 
 
 def _eigenspace_labels(state: BipartiteState) -> tuple:
@@ -189,11 +190,12 @@ def _eigenspace_labels(state: BipartiteState) -> tuple:
     partial trace of rho - C C†, at most d_other times its spectral norm,
     which ``state.cut_error`` bounds.
 
-    The labels are computed once per state and kept in _LABELS while the
-    state lives, so the solve and the complete-twin search read one
-    grouping."""
-    memo = _LABELS.get(state)
-    if memo is not None:
+    The labels of the last state asked about are kept (_last_labels), so
+    the solve and the complete-twin search of a state read one grouping,
+    computed once."""
+    global _last_labels
+    last, memo = _last_labels
+    if last is not None and last() is state:
         return memo
     sub = state.subsystems
     eps = np.finfo(float).eps
@@ -201,10 +203,11 @@ def _eigenspace_labels(state: BipartiteState) -> tuple:
     def labels(values, d_other):
         lam = max(values[-1], 0.0)
         gap = _grouping_gap(lam, eps * lam + d_other * state.cut_error, state.tol.rank_tol)
-        return np.concatenate([[0], np.cumsum(np.diff(values) > gap)])
+        return np.concatenate([[0], np.cumsum(values[1:] - values[:-1] > gap)])
 
-    memo = _LABELS[state] = _read_only(labels(sub.values_plus, state.d_minus),
-                                       labels(sub.values_minus, state.d_plus))
+    memo = _read_only(labels(sub.values_plus, state.d_minus),
+                      labels(sub.values_minus, state.d_plus))
+    _last_labels = weakref.ref(state), memo
     return memo
 
 
@@ -362,8 +365,8 @@ def _detectable_rank(K: np.ndarray, units_plus: np.ndarray, units_minus: np.ndar
     Hilbert-Schmidt orthonormal and the others vanish, so these rows
     have the singular values of the stacked real and imaginary parts of
     the blocks."""
-    in_range = np.concatenate([~units_plus[:, :n_plus].any(axis=(1, 2)),
-                               ~units_minus[:, :n_minus].any(axis=(1, 2))])
+    in_range = ~np.concatenate([units_plus[:, :n_plus].any(axis=(1, 2)),
+                                units_minus[:, :n_minus].any(axis=(1, 2))])
     s = np.linalg.svd(K[in_range], compute_uv=False)
     return int(np.sum(s > 1e-8 * max(s[0], 1.0))) if s.size else 0
 
