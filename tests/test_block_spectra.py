@@ -9,7 +9,7 @@ to 1e-12), and the dimension to the rank of the stacked detectable
 blocks of the basis pairs (reference.stacked_detectable_rank).  The
 states cover multi-dimensional eigenspaces (the spin scenarios), null
 eigenspaces grouped with small range eigenvalues, the noisy and
-near-cut builders of test_commutant_reduction, a factor of dimension 1
+near-cut states of test_commutant_reduction, a factor of dimension 1
 and unequal dims.
 """
 
