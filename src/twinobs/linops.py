@@ -179,9 +179,10 @@ class _Hermitian(np.ndarray):
     a rho that ``BipartiteState`` has symmetrized, or a partial trace of
     one, which sums conjugate pairs in the same order.  ``eigh`` (and so
     ``range_null_bases``) decomposes such a view as it is, since
-    symmetrizing it again would return it bitwise unchanged; the trusted
-    entry for the state's own operators, as ``ObservablePair._trusted``
-    is for pairs."""
+    symmetrizing it again would return it bitwise unchanged, and
+    ``partial_trace`` takes it without the finite scan of ``as_matrix``,
+    since the state checked rho on ingestion; the trusted entry for the
+    state's own operators, as ``ObservablePair._trusted`` is for pairs."""
 
     __slots__ = ()
 
@@ -241,9 +242,10 @@ def partial_trace(M, d_plus: int, d_minus: int, side: str) -> np.ndarray:
     """Trace out one tensor factor of an operator on H_plus ⊗ H_minus.
 
     side='-' returns the operator left on H_plus (trace over the minus
-    factor); side='+' the operator left on H_minus.
+    factor); side='+' the operator left on H_minus.  A ``_Hermitian``
+    view is taken as it is; any other M is coerced by ``as_matrix``.
     """
-    M = as_matrix(M)
+    M = M.view(np.ndarray) if isinstance(M, _Hermitian) else as_matrix(M)
     dim = d_plus * d_minus
     if M.shape != (dim, dim):
         raise DimensionMismatchError(

@@ -32,24 +32,30 @@ def simplified_matrix(state: BipartiteState, mb: MatchedBases):
     """Compress rho to the matrix M[a,b] = <a,a|rho|b,b> over the matched
     bases of a complete twin pair.
 
-    The Gram matrix X = Y Y† of Y = (basis_plus ⊗ basis_minus)† C, with C
-    the factor of rho, holds every element <a,c|rho|b,d> at
-    X[a*r + c, b*r + d]; M is its (a,a),(b,b) block and every other
-    element is forbidden.  Y comes from two local products on C, so no
-    composite basis is formed, and X is the compression of the rank cut
-    C C†: each element is within the dropped tail (at most
-    rank_tol * lambda_max) of the one of rho.  Raises SparsityViolation
-    when a forbidden element exceeds residual_tol, which signals that the
-    input bases do not come from complete twins of this state.
+    Row a*r + c of Y = (basis_plus ⊗ basis_minus)† C, with C the factor
+    of rho, is <a,c| C, so every element <a,c|rho|b,d> of the rank cut
+    C C† is the inner product of two rows of Y; Y comes from two local
+    products on C, so no composite basis is formed.  With Y_d the r
+    doubly-diagonal rows (c = a) and Y_o the rest, M = Y_d Y_d† and the
+    forbidden elements are the entries of Y_o Y_d† and of the Gram
+    matrix Y_o Y_o†, whose largest modulus is its largest diagonal entry
+    max_i ||Y_o,i||^2 (|G_ij| <= sqrt(G_ii G_jj) for a Gram matrix G).
+    The largest forbidden modulus is thus exact and costs O(D r k): no
+    D x D array is formed.  Each element is within the dropped tail (at
+    most rank_tol * lambda_max) of the one of rho.  Raises
+    SparsityViolation when a forbidden element exceeds residual_tol,
+    which signals that the input bases do not come from complete twins
+    of this state.
     """
-    _check_dims("basis", mb.basis_plus, mb.basis_minus, state)
     r = len(mb.sigma_prime)
+    _check_dims("basis", mb.basis_plus, mb.basis_minus, state, r)
     Y = local_compress(state.factor, mb.basis_plus, mb.basis_minus).reshape(r * r, -1)
-    X = Y @ Y.conj().T
-    diag = np.ix_(np.arange(r) * (r + 1), np.arange(r) * (r + 1))
-    M = X[diag]
-    X[diag] = 0.0
-    max_forbidden = max_norm(X)
+    on_diagonal = np.zeros(r * r, dtype=bool)
+    on_diagonal[::r + 1] = True
+    Yd, Yo = Y[on_diagonal], Y[~on_diagonal]
+    M = Yd @ Yd.conj().T
+    off_norms = np.einsum("ij,ij->i", Yo, Yo.conj()).real
+    max_forbidden = max(max_norm(Yo @ Yd.conj().T), float(off_norms.max(initial=0.0)))
     if max_forbidden > state.tol.residual_tol:
         raise SparsityViolationError(
             f"forbidden matrix element {max_forbidden:.3e} exceeds "
@@ -117,8 +123,8 @@ def simultaneous_expansion(dec: PureDecomposition, mb: MatchedBases,
     diagonal span, which contradicts the common-twins property of the
     admixed states."""
     _check_decomposition_dims(dec, state.dim)
-    _check_dims("basis", mb.basis_plus, mb.basis_minus, state)
     r = len(mb.sigma_prime)
+    _check_dims("basis", mb.basis_plus, mb.basis_minus, state, r)
     diag = (mb.basis_plus[:, None, :] * mb.basis_minus[None, :, :]).reshape(-1, r)
     phis = np.column_stack(dec.vectors)
     alphas = (diag.conj().T @ phis).T
@@ -139,7 +145,7 @@ def compatibility_report(dec: PureDecomposition, mb: MatchedBases,
     phi_i reshaped to Phi_i (d_plus x d_minus), the reduced components are
     Phi_i Phi_i† and Phi_i^T conj(Phi_i), one batched product per side."""
     _check_decomposition_dims(dec, state.dim)
-    _check_dims("basis", mb.basis_plus, mb.basis_minus, state)
+    _check_dims("basis", mb.basis_plus, mb.basis_minus, state, len(mb.sigma_prime))
     Phi = np.stack(dec.vectors).reshape(-1, state.d_plus, state.d_minus)
     PhiT = Phi.transpose(0, 2, 1)
     sub = state.subsystems

@@ -100,8 +100,9 @@ class BipartiteState(Record):
     @cached_property
     def subsystems(self) -> "SubsystemPair":
         """rho_plus = Tr_- rho and rho_minus = Tr_+ rho with their rank cuts."""
-        rp = linops.partial_trace(self.rho, self.d_plus, self.d_minus, "-")
-        rm = linops.partial_trace(self.rho, self.d_plus, self.d_minus, "+")
+        rho = self.rho.view(linops._Hermitian)
+        rp = linops.partial_trace(rho, self.d_plus, self.d_minus, "-")
+        rm = linops.partial_trace(rho, self.d_plus, self.d_minus, "+")
         return SubsystemPair(*_read_only(
             rp, rm,
             *linops.range_null_bases(rp.view(linops._Hermitian), self.tol.rank_tol),

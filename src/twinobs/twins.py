@@ -112,12 +112,18 @@ def is_twin_pair(state: BipartiteState, pair: ObservablePair):
     return _twin_witness(pair.a_plus, pair.a_minus, state.factor, state.tol.residual_tol)
 
 
-def _check_dims(name: str, plus: np.ndarray, minus: np.ndarray, state: BipartiteState) -> None:
+def _check_dims(name: str, plus: np.ndarray, minus: np.ndarray, state: BipartiteState,
+                columns: int | None = None) -> None:
     """Raises DimensionMismatchError unless plus and minus, a pair's operators
-    or d_s x r_s bases, have d_plus and d_minus rows, those of the state."""
+    or d_s x r_s bases, have d_plus and d_minus rows, those of the state,
+    and, when columns is given (the length of a matched pair's
+    sigma_prime), both have that many columns."""
     if (len(plus), len(minus)) != (state.d_plus, state.d_minus):
         raise DimensionMismatchError(f"{name} dims ({len(plus)},{len(minus)}) do not match "
                                      f"state ({state.d_plus},{state.d_minus})")
+    if columns is not None and (plus.shape[1], minus.shape[1]) != (columns, columns):
+        raise DimensionMismatchError(f"{name} column counts ({plus.shape[1]},{minus.shape[1]}) "
+                                     f"do not match the {columns} characteristic values")
 
 
 def _twin_witness(a_plus: np.ndarray, a_minus: np.ndarray, C: np.ndarray, tol: float):

@@ -225,6 +225,21 @@ def test_matched_bases_with_swapped_dims_are_rejected(check):
         check(state, mb) if check is simplified_matrix else check(dec, mb, state)
 
 
+@pytest.mark.parametrize("check", [simplified_matrix, compatibility_report, simultaneous_expansion])
+@pytest.mark.parametrize("cut", ["sigma_prime", "basis_minus"])
+def test_matched_bases_with_mismatched_columns_are_rejected(check, cut):
+    # one characteristic value for two columns a side, or two for the
+    # one column left of basis_minus
+    state = from_pure([0.6, 0, 0, 0.8], 2, 2)
+    mb = find_complete_twins(solve_twin_space(state), state)[1]
+    sigma, minus = ((mb.sigma_prime[:1], mb.basis_minus) if cut == "sigma_prime"
+                    else (mb.sigma_prime, mb.basis_minus[:, 1:]))
+    bad = MatchedBases(sigma, mb.basis_plus, minus)
+    dec = PureDecomposition(weights=(1.0,), vectors=(np.array([0.6, 0, 0, 0.8]),))
+    with pytest.raises(DimensionMismatchError, match="column counts"):
+        check(state, bad) if check is simplified_matrix else check(dec, bad, state)
+
+
 @pytest.mark.parametrize("check", [compatibility_report, simultaneous_expansion])
 def test_component_of_wrong_length_is_rejected(check, example1):
     # a length-8 component on the 2 x 2 state would split into two 2 x 2 blocks
