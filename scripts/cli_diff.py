@@ -31,8 +31,10 @@ temporary directory, from the change checkout's perfbench/workloads.py
 Each differing case is printed with both sides' exit code and first
 stderr line, and the first place where the two stdouts differ: the
 JSON path and both values when both parse as JSON, else the first
-differing line.  Cases whose stderr alone differs are listed apart, as
-changed wordings.  Exits 1 when a stdout or an exit code differs.
+differing line.  When both parse as JSON, the largest absolute
+difference over the numeric leaves at the same path follows, with its
+path.  Cases whose stderr alone differs are listed apart, as changed
+wordings.  Exits 1 when a stdout or an exit code differs.
 """
 
 import argparse
@@ -40,6 +42,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import sys
 import tempfile
 import traceback
@@ -173,6 +176,36 @@ def first_difference(out_a: str, out_b: str) -> str:
     return f"{path}: {clip(a)} | {clip(b)}"
 
 
+def largest_json_difference(a, b, path="$"):
+    """(path, |a - b|) of the largest absolute difference, the first in
+    document order among equals, over the numeric leaves that two JSON
+    values hold at the same path; None when none differs.  A NaN against
+    a number counts as an infinite difference."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        found = [largest_json_difference(a[k], b[k], f"{path}.{k}") for k in a if k in b]
+    elif isinstance(a, list) and isinstance(b, list):
+        found = [largest_json_difference(x, y, f"{path}[{i}]")
+                 for i, (x, y) in enumerate(zip(a, b))]
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        diff = abs(a - b)
+        if json.dumps(a) == json.dumps(b) or diff == 0:
+            return None
+        return path, diff if diff == diff else math.inf
+    else:
+        return None
+    return max(filter(None, found), key=lambda f: f[1], default=None)
+
+
+def largest_difference(out_a: str, out_b: str) -> str:
+    """The largest absolute difference over the numeric leaves of two
+    JSON stdouts, with its path."""
+    try:
+        found = largest_json_difference(json.loads(out_a), json.loads(out_b))
+    except ValueError:
+        return "none: not JSON"
+    return "none in a numeric leaf" if found is None else f"{found[1]:.3g} at {found[0]}"
+
+
 def clip(value, width: int = 60) -> str:
     text = json.dumps(value)
     return text if len(text) <= width else text[:width - 3] + "..."
@@ -220,7 +253,9 @@ def main(argv=None) -> int:
                 code, _, err = got[side]
                 print(f"  {side:<6} exit {code}  {err}")
             if title == "differ":
-                print(f"  stdout {first_difference(got['parent'][1], got['change'][1])}")
+                outs = got["parent"][1], got["change"][1]
+                print(f"  stdout {first_difference(*outs)}")
+                print(f"  largest |difference| {largest_difference(*outs)}")
     return 1 if differ else 0
 
 

@@ -202,19 +202,37 @@ def eigh(H):
     return vals, _fix_phases(vecs)
 
 
-def kernel_basis(M, tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical null space of M.
+def rank_cut(values: np.ndarray, tol: float, floor: float = 0.0) -> int:
+    """Number of values above tol * max(largest value, floor), the one
+    rule by which the package decides a rank.  The values are sorted,
+    either way (singular values descending, eigenvalues ascending), so
+    the largest is at one end; a value at the threshold is dropped, and
+    an empty array has rank 0."""
+    if len(values) == 0:
+        return 0
+    return int(np.count_nonzero(values > tol * max(values[0], values[-1], floor)))
 
-    A singular value s is treated as zero when s <= tol * s_max.  A real
-    M gives a real basis.  The economy SVD already holds every right
-    singular vector unless M is wide.
+
+def group_starts(values: np.ndarray, gap: float) -> np.ndarray:
+    """Mask of the ascending values that start a group, the one rule by
+    which the package groups a spectrum: the first value, and each value
+    more than gap above the one before it."""
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = values[1:] - values[:-1] > gap
+    return starts
+
+
+def kernel_basis(M, tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical null space of M:
+    the right singular vectors past the ``rank_cut`` of its singular
+    values at tol.  A real M gives a real basis.  The economy SVD already
+    holds every right singular vector unless M is wide.
     """
     M = as_matrix(M, complex if np.iscomplexobj(M) else float)
     if M.size == 0:
         return np.eye(M.shape[1], dtype=M.dtype)
     _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    rank = int(np.sum(s > tol * s[0]))
-    return vh[rank:].conj().T
+    return vh[rank_cut(s, tol):].conj().T
 
 
 def local_compress(X: np.ndarray, basis_plus: np.ndarray, basis_minus: np.ndarray) -> np.ndarray:
@@ -261,11 +279,10 @@ def partial_trace(M, d_plus: int, d_minus: int, side: str) -> np.ndarray:
 
 def range_null_bases(H, tol: float = DEFAULT_TOL.rank_tol):
     """(eigenvalues ascending, range basis, null basis) of a PSD operator
-    from one eigh: eigenvalues above tol * max(lambda_max, 0) span the
-    range, so the kept ones come last."""
+    from one eigh: the eigenvalues that ``rank_cut`` keeps at tol span
+    the range, so the kept ones come last."""
     vals, vecs = eigh(H)
-    lam_max = max(vals[-1], 0.0) if vals.size else 0.0
-    keep = vals > tol * lam_max
+    keep = np.arange(vals.size) >= vals.size - rank_cut(vals, tol)
     return vals, vecs[:, keep], vecs[:, ~keep]
 
 
@@ -297,11 +314,11 @@ def low_rank_cut(H, tol: float, max_rank: int):
 
     H = L L† + S by pivoted Cholesky, then Rayleigh-Ritz on the span Q of
     the pivot columns: Q† H Q = W Θ W†, V = Q W over the Ritz values
-    above tol * theta_max, and C = V Θ^½.  e = ||H - C C†||_F bounds the
-    spectral norm of the residual even for an indefinite one, so by Weyl
-    the eigenvalues of H lie within e of the kept Ritz values and of
-    zero.  The cut is certified, and returned, only when both groups
-    clear the cut tol * lambda_max of ``range_null_bases`` (lambda_max
+    that ``rank_cut`` keeps at tol, and C = V Θ^½.  e = ||H - C C†||_F
+    bounds the spectral norm of the residual even for an indefinite one,
+    so by Weyl the eigenvalues of H lie within e of the kept Ritz values
+    and of zero.  The cut is certified, and returned, only when both
+    groups clear the ``rank_cut`` of ``range_null_bases`` (its lambda_max
     within e of theta_max) by more than that error and D * eps *
     theta_max of rounding; it then keeps the same number of eigenvalues
     as the cut of a full eigh, and V spans the same range within
@@ -327,7 +344,7 @@ def low_rank_cut(H, tol: float, max_rank: int):
     top = theta[-1]
     if top <= 0:
         return None
-    keep = theta > tol * top
+    keep = np.arange(theta.size) >= theta.size - rank_cut(theta, tol)
     V = Q @ W[:, keep]
     C = V * np.sqrt(theta[keep])
     residual = C @ C.conj().T

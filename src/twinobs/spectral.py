@@ -44,9 +44,9 @@ def spectral_data(H, cluster_tol: float = linops.DEFAULT_TOL.cluster_tol) -> Spe
 
 def _clustered(vals: np.ndarray, vecs: np.ndarray, cluster_tol: float) -> SpectralData:
     """SpectralData of the eigenpairs (vals ascending, vecs the matching
-    columns) of a Hermitian operator: consecutive eigenvalues no more
-    than cluster_tol apart form one cluster."""
-    starts = np.flatnonzero(np.concatenate(([True], vals[1:] - vals[:-1] > cluster_tol)))
+    columns) of a Hermitian operator, clustered by
+    ``linops.group_starts`` at cluster_tol."""
+    starts = np.flatnonzero(linops.group_starts(vals, cluster_tol))
     mult = np.append(starts[1:], len(vals)) - starts
     # cluster c as columns starts[c] .. starts[c] + m_max - 1 of vecs, the
     # ones past its own multiplicity zeroed, so every projector V_c V_c† is

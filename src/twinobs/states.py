@@ -16,8 +16,8 @@ class BipartiteState(Record):
 
     rho is symmetrized on ingestion; the trace must be 1 within 1e-6
     (it is renormalized to exactly 1).  Construction takes the rank cut
-    of rho (eigenvalues above rank_tol * lambda_max), the one pass over
-    rho, and reads positivity off it; ``subsystems`` (the reductions and
+    of rho (``linops.rank_cut`` at rank_tol), the one pass over rho, and
+    reads positivity off it; ``subsystems`` (the reductions and
     their rank cuts) is computed once, on first use.  rho is read-only
     and tol frozen, so the cached arrays never go stale, and they are
     read-only too.  The cut is taken on one of two paths, chosen from

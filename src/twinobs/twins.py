@@ -187,9 +187,8 @@ _last_labels = (None, None)
 
 def _eigenspace_labels(state: BipartiteState) -> tuple:
     """Eigenspace label of each eigenvalue of rho_plus and of rho_minus
-    (ascending, as in ``state.subsystems``), read-only: consecutive
-    eigenvalues no more than the side's _grouping_gap apart share an
-    eigenspace.
+    (ascending, as in ``state.subsystems``), read-only: the groups of
+    ``linops.group_starts`` at the side's _grouping_gap.
 
     Twins of the kept range commute exactly with the reductions of the
     rank cut C C† of rho.  Those differ from rho_s by rounding and by the
@@ -209,7 +208,7 @@ def _eigenspace_labels(state: BipartiteState) -> tuple:
     def labels(values, d_other):
         lam = max(values[-1], 0.0)
         gap = _grouping_gap(lam, eps * lam + d_other * state.cut_error, state.tol.rank_tol)
-        return np.concatenate([[0], np.cumsum(values[1:] - values[:-1] > gap)])
+        return np.cumsum(linops.group_starts(values, gap)) - 1
 
     memo = _read_only(labels(sub.values_plus, state.d_minus),
                       labels(sub.values_minus, state.d_plus))
@@ -361,6 +360,15 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     )
 
 
+# The detectable count cuts the singular values of the kernel's range
+# rows at this fraction of max(s_0, 1), not at rank_tol.  Schmidt weights
+# 1e-8 to 1e-7 apart give near-twins that the kernel keeps, whose range
+# rows have singular values near 1e-8; cut at rank_tol, the count takes
+# some of them in, and it plus the undetectable n_plus^2 + n_minus^2
+# exceeds dim_total.
+_DETECTABLE_CUT = 1e-8
+
+
 def _detectable_rank(K: np.ndarray, units_plus: np.ndarray, units_minus: np.ndarray,
                      n_plus: int, n_minus: int) -> int:
     """Rank of the detectable blocks of the twin basis pairs, their
@@ -370,11 +378,12 @@ def _detectable_rank(K: np.ndarray, units_plus: np.ndarray, units_minus: np.ndar
     the null part of W_s.  Compressed to the range those units stay
     Hilbert-Schmidt orthonormal and the others vanish, so these rows
     have the singular values of the stacked real and imaginary parts of
-    the blocks."""
+    the blocks.  The rank is their ``rank_cut`` at _DETECTABLE_CUT, with
+    floor 1."""
     in_range = ~np.concatenate([units_plus[:, :n_plus].any(axis=(1, 2)),
                                 units_minus[:, :n_minus].any(axis=(1, 2))])
     s = np.linalg.svd(K[in_range], compute_uv=False)
-    return int(np.sum(s > 1e-8 * max(s[0], 1.0))) if s.size else 0
+    return linops.rank_cut(s, _DETECTABLE_CUT, floor=1.0)
 
 
 def subspace_distance(coords_a: np.ndarray, coords_b: np.ndarray) -> float:

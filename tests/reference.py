@@ -1,13 +1,14 @@
 """Reference helpers that the tests use as oracles.
 
-No code path of twinobs needs them: the package takes each rank cut in
-``linops.range_null_bases`` and ``BipartiteState``, which keeps only the
-eigenvalues, range basis and error of the cut of rho, groups eigenvalues
-in ``spectral.spectral_data`` and applies the twin operator, the
-geometry check and the reduced components by reshapes.  These are the
-dense or direct forms of the same objects, such as the D x D range and
-null projectors of a state, kept here unchanged so that a drift of the
-package shows up as a mismatch."""
+No code path of twinobs needs them: the package decides each rank cut
+by ``linops.rank_cut`` and groups each spectrum by
+``linops.group_starts``, keeps only the eigenvalues, range basis and
+error of the cut of rho (``BipartiteState``) and applies the twin
+operator, the geometry check and the reduced components by reshapes.
+These are the dense or direct forms of the same objects, such as the
+D x D range and null projectors of a state, and the comparisons that
+the two linops rules replaced, kept here unchanged so that a drift of
+the package shows up as a mismatch."""
 
 import itertools
 from types import SimpleNamespace
@@ -126,3 +127,44 @@ def stacked_detectable_rank(space, state) -> int:
         rows += [blocks.real, blocks.imag]
     s = np.linalg.svd(np.concatenate(rows, axis=1), compute_uv=False)
     return int(np.sum(s > 1e-8 * max(s[0], 1.0)))
+
+
+# The six rank-cut and grouping comparisons of the package before
+# linops.rank_cut and linops.group_starts took them over, copied verbatim
+# into functions of the values they compared, so that each site's call
+# can be held to the rule it replaced.
+
+def kernel_basis_rank(s, tol):
+    """Rank of linops.kernel_basis: s the singular values, descending."""
+    rank = int(np.sum(s > tol * s[0]))
+    return rank
+
+
+def range_null_keep(vals, tol):
+    """Range mask of linops.range_null_bases: vals ascending."""
+    lam_max = max(vals[-1], 0.0) if vals.size else 0.0
+    keep = vals > tol * lam_max
+    return keep
+
+
+def low_rank_keep(theta, tol):
+    """Kept Ritz values of linops.low_rank_cut: theta ascending, top > 0."""
+    top = theta[-1]
+    keep = theta > tol * top
+    return keep
+
+
+def detectable_rank(s):
+    """Count of twins._detectable_rank: s descending."""
+    return int(np.sum(s > 1e-8 * max(s[0], 1.0))) if s.size else 0
+
+
+def eigenspace_labels(values, gap):
+    """Labels of twins._eigenspace_labels for one side: values ascending."""
+    return np.concatenate([[0], np.cumsum(values[1:] - values[:-1] > gap)])
+
+
+def cluster_starts(vals, cluster_tol):
+    """First index of each cluster of spectral._clustered: vals ascending."""
+    starts = np.flatnonzero(np.concatenate(([True], vals[1:] - vals[:-1] > cluster_tol)))
+    return starts

@@ -161,3 +161,24 @@ def test_cli_diff_of_one_checkout_against_itself():
     first = out.splitlines()[0]
     assert first.endswith("cases, 0 differ in stdout or exit code, 0 in stderr only")
     assert int(first.split()[0]) >= 70
+
+
+def test_cli_diff_prints_the_first_and_the_largest_difference():
+    """Two documents that differ first by 1e-17 and later by 2.5: the
+    first-difference line names the tiny one, the largest line the
+    large one.  The functions run in a child, since cli_diff's import of
+    class_ab sets the BLAS thread variables of its process."""
+    a = {"dims": [3, 3], "rho": [[0.5, 0.0], [0.25, 1.0]], "dim_total": 2, "name": "x"}
+    b = {"dims": [3, 3], "rho": [[0.5, 1e-17], [0.25, 3.5]], "dim_total": 2, "name": "y"}
+    code = ("import sys, cli_diff; a, b = sys.argv[1:]; "
+            "print(cli_diff.first_difference(a, b)); print(cli_diff.largest_difference(a, b)); "
+            "print(cli_diff.largest_difference(a, a)); print(cli_diff.largest_difference(a, 'x'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "scripts"), str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(a), json.dumps(b)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["$.rho[0][1]: 0.0 | 1e-17",
+                                          "2.5 at $.rho[1][1]",
+                                          "none in a numeric leaf",
+                                          "none: not JSON"]

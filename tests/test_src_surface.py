@@ -15,16 +15,21 @@ A method that shares its name with a field of some record is counted
 as named by every read of that field, so each such method stands in
 FIELD_NAMED_METHODS with the reason it stays.
 
-The same scan keeps three rules of the package's code: every record
+The same scan keeps four rules of the package's code: every record
 declares its fields once, in FIELDS, with ``linops.Record.__init__`` the
 only code that stores them, every random draw comes from the standard
-library's ``random``, and no module but ``spin`` forms a Kronecker product.
+library's ``random``, no module but ``spin`` forms a Kronecker product,
+and ``linops.rank_cut`` and ``linops.group_starts`` alone decide where a
+rank cut falls and where a spectrum splits into groups.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import twinobs
+
+import reference
 
 SRC = Path(twinobs.__file__).parent
 
@@ -239,3 +244,89 @@ def test_only_spin_names_kron():
         or isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "kron"
         or isinstance(node, ast.alias) and "kron" in (node.name, node.asname))
     assert not uses, f"kron named at {uses}"
+
+
+# The one rank-cut rule and the one grouping rule, by the form that the
+# cut scan finds in each.
+CUT_RULES = {"linops.rank_cut": "cut", "linops.group_starts": "grouping"}
+# Comparisons of the cut form that are not rank cuts, each with the reason
+# it stays; keyed by function and source text, so a new comparison in the
+# same function is still found.
+CUT_FORMS_ALLOWED = {
+    ("linops.low_rank_cut", "theta[keep][0] - slack <= tol * (top + err)"):
+        "certificate: the smallest kept Ritz value clears the cut by the residual and rounding",
+    ("linops.low_rank_cut", "slack >= tol * (top - err)"):
+        "certificate: zero, and so every dropped eigenvalue, clears the cut by the residual",
+    ("states.BipartiteState.__init__", "vals[0] < -tol.rank_tol * max(vals[-1], 1.0)"):
+        "positivity rule: rejects rho whose smallest eigenvalue is below -rank_tol * max(lambda_max, 1)",
+    ("linops._fix_phases", "modulus >= _PIVOT_FLOOR * top"):
+        "phase convention: picks the pivot entry of each eigenvector column; it counts nothing",
+}
+_ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _reads_largest(node) -> bool:
+    """node reads the largest of sorted values (s[0], s[-1]) or takes a
+    maximum (max, np.max, .max)."""
+    if isinstance(node, ast.Subscript):
+        return ast.unparse(node.slice) in ("0", "-1")
+    return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "max"
+
+
+def _consecutive_difference(node) -> bool:
+    """node is a[1:] - a[:-1] or a call of diff."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        return (isinstance(node.left, ast.Subscript) and ast.unparse(node.left.slice) == "1:"
+                and isinstance(node.right, ast.Subscript)
+                and ast.unparse(node.right.slice) == ":-1")
+    return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "diff"
+
+
+def _cut_forms(fn: ast.AST) -> list:
+    """[(form, source)] of the comparisons in fn, nested functions
+    included, that decide a rank cut or a grouping: "cut" where a side
+    is a product with a factor that reads a largest value, directly or
+    through a name that fn binds to one, and "grouping" where a side is
+    a difference of consecutive values."""
+    largest = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+               and any(_reads_largest(n) for n in ast.walk(node.value))
+               for target in node.targets if isinstance(target, ast.Name)}
+
+    def scaled_largest(side) -> bool:
+        side = side.operand if isinstance(side, ast.UnaryOp) else side
+        return (isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                and any(_reads_largest(n) or isinstance(n, ast.Name) and n.id in largest
+                        for n in ast.walk(side)))
+
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Compare) and any(isinstance(op, _ORDER) for op in node.ops):
+            sides = [node.left, *node.comparators]
+            if any(scaled_largest(side) for side in sides):
+                found.append(("cut", ast.unparse(node)))
+            elif any(_consecutive_difference(side) for side in sides):
+                found.append(("grouping", ast.unparse(node)))
+    return found
+
+
+def test_scan_finds_each_replaced_comparison():
+    # the six comparisons that rank_cut and group_starts replaced, as
+    # reference.py keeps them
+    replaced = {reference.kernel_basis_rank: "cut", reference.range_null_keep: "cut",
+                reference.low_rank_keep: "cut", reference.detectable_rank: "cut",
+                reference.eigenspace_labels: "grouping", reference.cluster_starts: "grouping"}
+    for fn, form in replaced.items():
+        found = _cut_forms(ast.parse(inspect.getsource(fn)))
+        assert [f for f, _ in found] == [form], (fn.__name__, found)
+
+
+def test_rank_cuts_and_groupings_go_through_the_linops_rules():
+    found = {(qualname, source): form for qualname, _, _, node in _definitions(_modules(), True)
+             for form, source in _cut_forms(node)}
+    rules = {qualname: form for (qualname, _), form in found.items() if qualname in CUT_RULES}
+    assert rules == CUT_RULES, f"the rules' own comparisons are not found: {rules}"
+    others = {key: form for key, form in found.items() if key[0] not in CUT_RULES}
+    unexplained = sorted(set(others) - set(CUT_FORMS_ALLOWED))
+    assert not unexplained, f"rank cut or grouping outside linops.rank_cut/group_starts: {unexplained}"
+    stale = sorted(set(CUT_FORMS_ALLOWED) - set(others))
+    assert not stale, f"CUT_FORMS_ALLOWED entries that are gone or reworded: {stale}"
