@@ -25,7 +25,7 @@ from .errors import (
 )
 from .linops import Record, max_norm
 from .states import BipartiteState
-from .twins import ObservablePair, TwinSpace, _check_dims, _eigenspace_labels, _twin_witness
+from .twins import ObservablePair, TwinSpace, _check_dims, _twin_witness
 
 
 class SpectralData(Record):
@@ -219,8 +219,9 @@ def symmetric_polynomial(pairs, poly: dict, state: BipartiteState) -> Observable
     for pair in pairs:
         _check_dims("pair", pair.a_plus, pair.a_minus, state)
     k = len(pairs)
-    if any(len(e) != k for e in poly):
-        raise ValueError("each exponent tuple must have one entry per pair")
+    if any(len(e) != k or not all(isinstance(x, (int, np.integer)) and x >= 0 for x in e)
+           for e in poly):
+        raise ValueError("each exponent tuple must have one nonnegative integer entry per pair")
     canon = {tuple(e): c for e, c in poly.items()}
     for e, c in canon.items():
         for perm in itertools.permutations(range(k)):
@@ -321,8 +322,8 @@ def _complex_normals(rng: random.Random, n: int) -> np.ndarray:
 def _block_data(A: np.ndarray, labels: np.ndarray, tol: linops.Tolerances) -> SpectralData:
     """SpectralData of a detectable block A' (r x r, in the range basis
     of a reduction) read off its diagonal blocks: labels gives the
-    eigenspace group of each range coordinate, as
-    ``twins._eigenspace_labels`` does, so equal labels are contiguous.
+    eigenspace group of each range coordinate, as the labels of
+    ``state.subsystems`` do, so equal labels are contiguous.
 
     An entry of A' between two groups beyond tol.residual_tol raises
     NotReducibleError, as ``split_detectable`` does for the range/null
@@ -377,24 +378,25 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState, seed: int 
     The draw is split once.  A twin commutes with rho_plus and
     rho_minus, so its detectable blocks are block diagonal over the
     eigenspaces of the reductions, and their spectra are read off those
-    blocks (``_block_data``) as ``twins._eigenspace_labels`` groups them
-    for the solve; a draw with an entry between two groups beyond
+    blocks (``_block_data``) as the labels of ``state.subsystems`` group
+    them for the solve; a draw with an entry between two groups beyond
     residual_tol, such as one from another state's twin space, raises
     NotReducibleError.
 
     The pair is that detectable part lifted with zero undetectable
     blocks.  The state remembers the spectra of its detectable blocks
     (see ``_pair_spectra``), which the lifted pair shares up to rounding
-    since B† (B A' B†) B = A', so they are computed once.
+    since B† (B A' B†) B = A', so they are computed once.  A twin space
+    whose dims do not match the state raises DimensionMismatchError.
     """
+    a_plus, a_minus = twin_space.operators()
+    _check_dims("twin space", a_plus, a_minus, state)
     sub = state.subsystems
     if sub.range_plus.shape[1] != sub.range_minus.shape[1]:
         return None
     dp, dm = state.d_plus, state.d_minus
     z = _complex_normals(random.Random(operator.index(seed)), dp * dp + dm * dm)
-    n = len(twin_space.basis)
-    a_plus = np.array([p.a_plus for p in twin_space.basis]).reshape(n, -1)
-    a_minus = np.array([p.a_minus for p in twin_space.basis]).reshape(n, -1)
+    a_plus, a_minus = a_plus.reshape(len(a_plus), -1), a_minus.reshape(len(a_minus), -1)
     # G_s = (X_s + X_s†)/2 for X_s the d_s x d_s block of z, and for a
     # Hermitian B, <B, G_s> = tr(B G_s) = Re tr(B X_s), so G is not formed
     c = (a_plus @ z[:dp * dp].reshape(dp, dp).T.ravel()
@@ -403,9 +405,8 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState, seed: int 
     split = split_detectable(pair, state)
     # the range coordinates are the last r of each reduction's eigenbasis
     r = sub.range_plus.shape[1]
-    labels_plus, labels_minus = _eigenspace_labels(state)
-    sp = _block_data(split.a_prime_plus, labels_plus[dp - r:], state.tol)
-    sm = _block_data(split.a_prime_minus, labels_minus[dm - r:], state.tol)
+    sp = _block_data(split.a_prime_plus, sub.labels_plus[dp - r:], state.tol)
+    sm = _block_data(split.a_prime_minus, sub.labels_minus[dm - r:], state.tol)
     # multiplicities first: a degenerate draw is a verdict, not a mismatch
     if np.any(sp.multiplicities != 1) or np.any(sm.multiplicities != 1):
         return None

@@ -17,11 +17,11 @@ class BipartiteState(Record):
     rho is symmetrized on ingestion; the trace must be 1 within 1e-6
     (it is renormalized to exactly 1).  Construction takes the rank cut
     of rho (``linops.rank_cut`` at rank_tol), the one pass over rho, and
-    reads positivity off it; ``subsystems`` (the reductions and
-    their rank cuts) is computed once, on first use.  rho is read-only
-    and tol frozen, so the cached arrays never go stale, and they are
-    read-only too.  The cut is taken on one of two paths, chosen from
-    rho itself:
+    reads positivity off it; ``subsystems`` (the reductions, their rank
+    cuts and eigenspace labels) is computed once, on first use.  rho is
+    read-only and tol frozen, so the cached arrays never go stale, and
+    they are read-only too.  The cut is taken on one of two paths, chosen
+    from rho itself:
 
     - factor path: pivoted Cholesky of rho and Rayleigh-Ritz on the
       pivot columns (``linops.low_rank_cut``), O(D^2 k) for rank k.  It
@@ -99,18 +99,54 @@ class BipartiteState(Record):
 
     @cached_property
     def subsystems(self) -> "SubsystemPair":
-        """rho_plus = Tr_- rho and rho_minus = Tr_+ rho with their rank cuts."""
+        """rho_plus = Tr_- rho and rho_minus = Tr_+ rho with their rank cuts
+        and eigenspace labels.
+
+        The labels of a side are the groups of ``linops.group_starts`` over
+        its eigenvalues at the side's _grouping_gap.  Twins of the kept
+        range commute exactly with the reductions of the rank cut C C† of
+        rho.  Those differ from rho_s by rounding and by the partial trace
+        of rho - C C†, at most d_other times its spectral norm, which
+        ``cut_error`` bounds.  The twin solve and the complete-twin search
+        both read these labels."""
         rho = self.rho.view(linops._Hermitian)
         rp = linops.partial_trace(rho, self.d_plus, self.d_minus, "-")
         rm = linops.partial_trace(rho, self.d_plus, self.d_minus, "+")
-        return SubsystemPair(*_read_only(
-            rp, rm,
-            *linops.range_null_bases(rp.view(linops._Hermitian), self.tol.rank_tol),
-            *linops.range_null_bases(rm.view(linops._Hermitian), self.tol.rank_tol),
-        ))
+        plus = linops.range_null_bases(rp.view(linops._Hermitian), self.tol.rank_tol)
+        minus = linops.range_null_bases(rm.view(linops._Hermitian), self.tol.rank_tol)
+        eps = np.finfo(float).eps
+
+        def labels(values, d_other):
+            lam = max(values[-1], 0.0)
+            gap = _grouping_gap(lam, eps * lam + d_other * self.cut_error, self.tol.rank_tol)
+            return np.cumsum(linops.group_starts(values, gap)) - 1
+
+        return SubsystemPair(*_read_only(rp, rm, *plus, *minus, labels(plus[0], self.d_minus),
+                                         labels(minus[0], self.d_plus)))
 
     def range_basis(self) -> np.ndarray:
         return self._cut[1]
+
+
+# An eigenvector error of a reduced state is held this many times below
+# rank_tol, so that it cannot push a twin over the kernel cut.
+_GROUPING_MARGIN = 10.0
+
+
+def _grouping_gap(lam_max: float, perturbation: float, rank_tol: float) -> float:
+    """Smallest eigenvalue gap of a reduced state at which its commutant
+    basis splits two eigenspaces.
+
+    perturbation bounds the distance of rho_s from an operator that every
+    twin commutes with exactly.  Across a gap g the eigenvectors are then
+    wrong by about perturbation / g, which this gap keeps _GROUPING_MARGIN
+    times below rank_tol.  The gap is also at least sqrt(rank_tol) *
+    lambda_max, so that a direction across two groups has a singular
+    value far above the cut.  Grouping more coarsely is always exact; it
+    only keeps more coordinates."""
+    if rank_tol == 0:
+        return np.inf
+    return max(np.sqrt(rank_tol) * lam_max, _GROUPING_MARGIN * perturbation / rank_tol)
 
 
 def _read_only(*arrays) -> tuple:
@@ -121,10 +157,11 @@ def _read_only(*arrays) -> tuple:
 
 class SubsystemPair(Record):
     """Reduced states with the eigenvalues (ascending) and orthonormal
-    range/null bases of each, cut at rank_tol."""
+    range/null bases of each, cut at rank_tol, and the eigenspace label
+    of each eigenvalue (see ``BipartiteState.subsystems``)."""
 
     FIELDS = ("rho_plus", "rho_minus", "values_plus", "range_plus", "null_plus", "values_minus",
-              "range_minus", "null_minus")
+              "range_minus", "null_minus", "labels_plus", "labels_minus")
 
 
 class PureDecomposition(Record):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import operator
 import random
-import weakref
 
 import numpy as np
 
@@ -90,10 +89,13 @@ class TwinSpace(Record):
     FIELDS = ("basis", "dim_total", "dim_detectable", "dim_undetectable_plus",
               "dim_undetectable_minus")
 
+    def operators(self) -> tuple:
+        """The basis pairs' operators, stacked (n, d_s, d_s) a side."""
+        return np.array([p.a_plus for p in self.basis]), np.array([p.a_minus for p in self.basis])
+
     def coordinate_matrix(self) -> np.ndarray:
         """Columns are hermitian_basis coordinates of the basis pairs."""
-        return linops.pair_to_coords(np.array([p.a_plus for p in self.basis]),
-                                     np.array([p.a_minus for p in self.basis]))
+        return linops.pair_to_coords(*self.operators())
 
 
 def is_twin_pair(state: BipartiteState, pair: ObservablePair):
@@ -114,15 +116,17 @@ def is_twin_pair(state: BipartiteState, pair: ObservablePair):
 
 def _check_dims(name: str, plus: np.ndarray, minus: np.ndarray, state: BipartiteState,
                 columns: int | None = None) -> None:
-    """Raises DimensionMismatchError unless plus and minus, a pair's operators
-    or d_s x r_s bases, have d_plus and d_minus rows, those of the state,
-    and, when columns is given (the length of a matched pair's
-    sigma_prime), both have that many columns."""
-    if (len(plus), len(minus)) != (state.d_plus, state.d_minus):
-        raise DimensionMismatchError(f"{name} dims ({len(plus)},{len(minus)}) do not match "
+    """Raises DimensionMismatchError unless plus and minus, a pair's operators,
+    d_s x r_s bases or stacks (n, d_s, d_s) of a twin space's operators,
+    have d_plus and d_minus rows, those of the state, and, when columns is
+    given (the length of a matched pair's sigma_prime), both have that
+    many columns."""
+    rows = plus.shape[-2], minus.shape[-2]
+    if rows != (state.d_plus, state.d_minus):
+        raise DimensionMismatchError(f"{name} dims ({rows[0]},{rows[1]}) do not match "
                                      f"state ({state.d_plus},{state.d_minus})")
-    if columns is not None and (plus.shape[1], minus.shape[1]) != (columns, columns):
-        raise DimensionMismatchError(f"{name} column counts ({plus.shape[1]},{minus.shape[1]}) "
+    if columns is not None and (plus.shape[-1], minus.shape[-1]) != (columns, columns):
+        raise DimensionMismatchError(f"{name} column counts ({plus.shape[-1]},{minus.shape[-1]}) "
                                      f"do not match the {columns} characteristic values")
 
 
@@ -156,64 +160,6 @@ def _constraint_matrix(state: BipartiteState, columns: np.ndarray,
         -(basis_minus[:, None] @ psi).reshape(len(basis_minus), -1),
     ])
     return np.concatenate([images.real, images.imag], axis=1).T
-
-
-# An eigenvector error of a reduced state is held this many times below
-# rank_tol, so that it cannot push a twin over the kernel cut.
-_GROUPING_MARGIN = 10.0
-
-
-def _grouping_gap(lam_max: float, perturbation: float, rank_tol: float) -> float:
-    """Smallest eigenvalue gap of a reduced state at which its commutant
-    basis splits two eigenspaces.
-
-    perturbation bounds the distance of rho_s from an operator that every
-    twin commutes with exactly.  Across a gap g the eigenvectors are then
-    wrong by about perturbation / g, which this gap keeps _GROUPING_MARGIN
-    times below rank_tol.  The gap is also at least sqrt(rank_tol) *
-    lambda_max, so that a direction across two groups has a singular
-    value far above the cut.  Grouping more coarsely is always exact; it
-    only keeps more coordinates."""
-    if rank_tol == 0:
-        return np.inf
-    return max(np.sqrt(rank_tol) * lam_max, _GROUPING_MARGIN * perturbation / rank_tol)
-
-
-# A weak reference to the last state _eigenspace_labels was asked about,
-# and its labels; the solve and the complete-twin search of a state ask
-# one after the other.
-_last_labels = (None, None)
-
-
-def _eigenspace_labels(state: BipartiteState) -> tuple:
-    """Eigenspace label of each eigenvalue of rho_plus and of rho_minus
-    (ascending, as in ``state.subsystems``), read-only: the groups of
-    ``linops.group_starts`` at the side's _grouping_gap.
-
-    Twins of the kept range commute exactly with the reductions of the
-    rank cut C C† of rho.  Those differ from rho_s by rounding and by the
-    partial trace of rho - C C†, at most d_other times its spectral norm,
-    which ``state.cut_error`` bounds.
-
-    The labels of the last state asked about are kept (_last_labels), so
-    the solve and the complete-twin search of a state read one grouping,
-    computed once."""
-    global _last_labels
-    last, memo = _last_labels
-    if last is not None and last() is state:
-        return memo
-    sub = state.subsystems
-    eps = np.finfo(float).eps
-
-    def labels(values, d_other):
-        lam = max(values[-1], 0.0)
-        gap = _grouping_gap(lam, eps * lam + d_other * state.cut_error, state.tol.rank_tol)
-        return np.cumsum(linops.group_starts(values, gap)) - 1
-
-    memo = _read_only(labels(sub.values_plus, state.d_minus),
-                      labels(sub.values_minus, state.d_plus))
-    _last_labels = weakref.ref(state), memo
-    return memo
 
 
 # Eigenspace layouts the layout cache keeps; see _layout.
@@ -313,8 +259,8 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     minus side), so every twin pair is block diagonal over the
     eigenspaces of the reductions, null spaces included.  In the
     eigenbasis W_s = [null_s, range_s] of each reduction a twin is
-    block diagonal over the eigenspaces as grouped by
-    _eigenspace_labels, and each side has sum m_i^2 coordinates
+    block diagonal over the eigenspaces as grouped by the labels of
+    ``state.subsystems``, and each side has sum m_i^2 coordinates
     (linops.block_hermitian_basis) instead of d^2, m_i the eigenspace sizes.
 
     The system is solved in the product eigenbasis W_plus ⊗ W_minus and
@@ -324,9 +270,9 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     most 2 m_b min(m_b, r) for a pair of dimension m_b > 1.  The
     compression is exact: the system has the singular values and kernel
     of the one imposed on every range vector, and ``kernel_basis`` cuts
-    it at rank_tol.  _grouping_gap keeps the eigenspaces coarse enough
-    for the dropped tail of rho (``state.cut_error``) to stay far below
-    that cut; cluster_tol is not used, as it knows nothing of the cut.
+    it at rank_tol.  The grouping gap (``states._grouping_gap``) keeps
+    the eigenspaces coarse enough for the dropped tail of rho
+    (``state.cut_error``) to stay far below that cut; cluster_tol is not used, as it knows nothing of the cut.
     The pairs are the kernel's combinations of the units, rotated back
     by W_plus and W_minus, and dim_detectable is read off the kernel's
     rows over the units inside the range part of W (_detectable_rank).
@@ -339,7 +285,7 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     Wp = np.hstack([sub.null_plus, sub.range_plus])
     Wm = np.hstack([sub.null_minus, sub.range_minus])
     # the eigenspace labels of each side key the layout cache
-    layout = _layout(*(tuple(labels.tolist()) for labels in _eigenspace_labels(state)))
+    layout = _layout(tuple(sub.labels_plus.tolist()), tuple(sub.labels_minus.tolist()))
     units_plus, units_minus = layout[:2]
     M = _block_constraints(state, linops.local_compress(state.range_basis(), Wp, Wm), layout)
     K = linops.kernel_basis(M, state.tol.rank_tol)
@@ -441,18 +387,22 @@ def twins_restrict_to_range_vectors(
     """C1: the largest twin residual of a pair on a pure state |v><v|, v a
     range vector: the max-norm of z v† is max|z| * max|v| for z = (A_plus
     ⊗ 1 - 1 ⊗ A_minus) v.  C3: the twin space of fresh weights on V,
-    drawn uniform on [0.2, 1] from ``random.Random(seed)`` and normalized."""
+    drawn uniform on [0.2, 1] from ``random.Random(seed)`` and normalized.
+    A twin space whose dims do not match the state raises
+    DimensionMismatchError."""
+    ops = twin_space.operators()
+    _check_dims("twin space", *ops, state)
     V = state.range_basis()
     v_max = np.max(np.abs(V), axis=0)
-    c1 = max((float(np.max(np.max(np.abs(_twin_image(p.a_plus, p.a_minus, V)), axis=0) * v_max))
-              for p in twin_space.basis), default=0.0)
+    c1 = max((float(np.max(np.max(np.abs(_twin_image(ap, am, V)), axis=0) * v_max))
+              for ap, am in zip(*ops)), default=0.0)
 
     rng = random.Random(operator.index(seed))
     w = np.array([rng.uniform(0.2, 1.0) for _ in range(V.shape[1])])
     w /= w.sum()
     state2 = BipartiteState(state.d_plus, state.d_minus, (V * w) @ V.conj().T, state.tol)
     space2 = solve_twin_space(state2)
-    c3 = subspace_distance(twin_space.coordinate_matrix(), space2.coordinate_matrix())
+    c3 = subspace_distance(linops.pair_to_coords(*ops), space2.coordinate_matrix())
     return ConsequenceReport(c1, c3, state.tol.residual_tol)
 
 

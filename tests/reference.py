@@ -160,7 +160,7 @@ def detectable_rank(s):
 
 
 def eigenspace_labels(values, gap):
-    """Labels of twins._eigenspace_labels for one side: values ascending."""
+    """Eigenspace labels of one side of state.subsystems: values ascending."""
     return np.concatenate([[0], np.cumsum(values[1:] - values[:-1] > gap)])
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from twinobs import SpinScenario, build_scenario, find_complete_twins, is_twin_pair
-from twinobs import linops, spectral, twins
+from twinobs import linops, spectral, states
 from twinobs.errors import NotReducibleError
 from twinobs.linops import DEFAULT_TOL, max_norm
 from twinobs.spectral import _matched_bases, spectral_data
@@ -175,13 +175,17 @@ def test_one_split_and_no_eigh_for_one_dimensional_eigenspaces(dims, monkeypatch
 
 
 def test_labels_are_computed_once_for_the_solve_and_the_search(monkeypatch):
-    state = schmidt_state(np.random.default_rng(3), 3, 4, [0.2, 0.3, 0.5])
+    # two states interleaved: each groups its eigenvalues once, a side
+    rng = np.random.default_rng(3)
+    a, b = (schmidt_state(rng, 3, 4, [0.2, 0.3, 0.5]) for _ in range(2))
     gaps = []
-    grouping_gap = twins._grouping_gap
-    monkeypatch.setattr(twins, "_grouping_gap", lambda *a: gaps.append(a) or grouping_gap(*a))
-    find_complete_twins(solve_twin_space(state), state)
-    solve_twin_space(state)
-    assert len(gaps) == 2
+    grouping_gap = states._grouping_gap
+    monkeypatch.setattr(states, "_grouping_gap", lambda *args: gaps.append(args) or grouping_gap(*args))
+    space_a, space_b = solve_twin_space(a), solve_twin_space(b)
+    find_complete_twins(space_a, a)
+    find_complete_twins(space_b, b)
+    solve_twin_space(a)
+    assert len(gaps) == 4
 
 
 def test_search_on_another_states_twin_space_is_not_reducible():

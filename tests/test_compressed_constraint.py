@@ -22,11 +22,7 @@ import pytest
 from twinobs import BipartiteState, SpinScenario, build_scenario, from_pure, linops, solve_twin_space
 from twinobs.linops import DEFAULT_TOL
 from twinobs.spin import SCENARIO_NAMES
-from twinobs.twins import (
-    _constraint_matrix,
-    _eigenspace_labels,
-    subspace_distance,
-)
+from twinobs.twins import _constraint_matrix, subspace_distance
 
 from conftest import random_state
 
@@ -138,7 +134,8 @@ def commutant_bases(state):
     coordinates of the compressed system."""
     sub = state.subsystems
     out = []
-    for labels, null, range_ in zip(_eigenspace_labels(state), (sub.null_plus, sub.null_minus),
+    for labels, null, range_ in zip((sub.labels_plus, sub.labels_minus),
+                                    (sub.null_plus, sub.null_minus),
                                     (sub.range_plus, sub.range_minus)):
         W = np.hstack([null, range_])
         out.append(W @ linops.block_hermitian_basis(labels) @ W.conj().T)
@@ -154,7 +151,8 @@ def row_bound(state):
     """(bound, m_b) of the compressed row count, m_b the dimensions of
     the eigenspace pairs."""
     r = state.range_basis().shape[1]
-    sizes = [np.bincount(labels) for labels in _eigenspace_labels(state)]
+    sub = state.subsystems
+    sizes = [np.bincount(labels) for labels in (sub.labels_plus, sub.labels_minus)]
     m_b = np.outer(*sizes).ravel()
     return int(np.sum(np.where(m_b == 1, 1, 2 * m_b * np.minimum(m_b, r)))), m_b
 

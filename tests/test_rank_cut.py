@@ -4,11 +4,12 @@ package goes through, held to the comparisons they replaced.
 ``linops.rank_cut`` counts the values above tol * max(largest, floor)
 for kernel_basis, range_null_bases, low_rank_cut and
 twins._detectable_rank; ``linops.group_starts`` marks the first value of
-each group for twins._eigenspace_labels and spectral._clustered.  Every
-call the package makes on the spin scenarios and on random, Schmidt,
-block, embedded and noisy near-cut states is recorded with its caller
-and checked against that caller's old comparison, a verbatim copy of
-which is in reference.py.  Hostile arrays are checked against the rules
+each group for the eigenspace labels of ``state.subsystems`` (its inner
+function ``labels``) and spectral._clustered.  Every call the package
+makes on the spin scenarios and on random, Schmidt, block, embedded and
+noisy near-cut states is recorded with its caller and checked against
+that caller's old comparison, a verbatim copy of which is in
+reference.py.  Hostile arrays are checked against the rules
 as stated and against the old comparisons where those are defined.
 """
 

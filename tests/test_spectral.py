@@ -279,6 +279,13 @@ class TestSymmetricPolynomial:
         with pytest.raises(DimensionMismatchError):
             symmetric_polynomial(pairs, {(1, 0): 1.0, (0, 1): 1.0}, state)
 
+    @pytest.mark.parametrize("exponent", [-1, 1.5])
+    def test_exponent_that_is_not_a_nonnegative_integer_is_rejected(self, example1, exponent):
+        # a negative power gave the identity pair, a fractional one a bare TypeError
+        pair = ObservablePair(SZ_HALF, -SZ_HALF)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            symmetric_polynomial([pair], {(exponent,): 1.0}, example1)
+
     def test_anticommutator_identity(self):
         # (A+B+ + B+A+) rho = (B-A- + A-B-) rho for twin pairs A, B
         rng = np.random.default_rng(55)

@@ -15,12 +15,13 @@ A method that shares its name with a field of some record is counted
 as named by every read of that field, so each such method stands in
 FIELD_NAMED_METHODS with the reason it stays.
 
-The same scan keeps four rules of the package's code: every record
+The same scan keeps five rules of the package's code: every record
 declares its fields once, in FIELDS, with ``linops.Record.__init__`` the
 only code that stores them, every random draw comes from the standard
 library's ``random``, no module but ``spin`` forms a Kronecker product,
-and ``linops.rank_cut`` and ``linops.group_starts`` alone decide where a
-rank cut falls and where a spectrum splits into groups.
+``linops.rank_cut`` and ``linops.group_starts`` alone decide where a
+rank cut falls and where a spectrum splits into groups, and no code
+holds a ``global`` or ``nonlocal`` statement.
 """
 
 import ast
@@ -220,6 +221,15 @@ def test_instance_dicts_are_written_only_by_the_record_constructor_and_the_memo(
                 del writes[key]
     assert writers | set(writes.values()) == DICT_WRITERS, (
         f"instance dict written by {sorted(writers)} and at {sorted(writes.values())}")
+
+
+def test_no_global_or_nonlocal_statement():
+    # a state's derived data is kept on the state (its cached properties or
+    # the pair-spectra memo) or in the layout lru_cache, never in a module
+    # global that a function rebinds
+    uses = sorted(f"{mod}.py:{node.lineno}" for mod, tree in _modules().items()
+                  for node in ast.walk(tree) if isinstance(node, (ast.Global, ast.Nonlocal)))
+    assert not uses, f"global or nonlocal statement at {uses}"
 
 
 def test_draws_come_from_random_not_numpy_random():

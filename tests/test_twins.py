@@ -7,6 +7,7 @@ from twinobs import (
     ObservablePair,
     additive_twins,
     commutation_check,
+    find_complete_twins,
     from_pure,
     is_twin_pair,
     scalar_pair,
@@ -72,6 +73,19 @@ def test_additive_observable_with_wrong_dims_is_rejected(dims):
     state = from_pure(np.eye(6)[0], 2, 3)
     with pytest.raises(DimensionMismatchError):
         additive_twins(state, np.eye(dims[0]), np.eye(dims[1]))
+
+
+@pytest.mark.parametrize("space_of, state_of", [("example1", "example2_ms0"),
+                                                 ("example2_ms0", "example1")])
+@pytest.mark.parametrize("check", [find_complete_twins,
+                                   lambda space, state: twins_restrict_to_range_vectors(state, space)],
+                         ids=["search", "consequences"])
+def test_twin_space_of_other_dims_is_rejected(space_of, state_of, check, request):
+    # the 2 x 2 space of example1_range10_00 on the 3 x 3 example2_ms0 and
+    # back: each raised a bare numpy error, in a matmul or a reshape
+    space = solve_twin_space(request.getfixturevalue(space_of))
+    with pytest.raises(DimensionMismatchError, match="twin space dims"):
+        check(space, request.getfixturevalue(state_of))
 
 
 class TestSolveTwinSpace:
