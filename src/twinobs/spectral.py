@@ -9,7 +9,6 @@ functions and symmetric polynomials, and the search for complete twins
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
@@ -121,8 +120,8 @@ def split_detectable(pair: ObservablePair, state: BipartiteState) -> DetectableS
     _check_dims("pair", pair.a_plus, pair.a_minus, state)
     sub = state.subsystems
     Bp, Np, Bm, Nm = sub.range_plus, sub.null_plus, sub.range_minus, sub.null_minus
-    off_p = max_norm(Np.conj().T @ pair.a_plus @ Bp) if Np.size and Bp.size else 0.0
-    off_m = max_norm(Nm.conj().T @ pair.a_minus @ Bm) if Nm.size and Bm.size else 0.0
+    off_p = max_norm(Np.conj().T @ pair.a_plus @ Bp)
+    off_m = max_norm(Nm.conj().T @ pair.a_minus @ Bm)
     if max(off_p, off_m) > state.tol.residual_tol:
         raise NotReducibleError(
             f"pair does not reduce over range/null split: off-block norms "
@@ -211,45 +210,45 @@ def symmetric_polynomial(pairs, poly: dict, state: BipartiteState) -> Observable
     """Evaluate a symmetric real polynomial on a list of twin pairs,
     symmetrizing each monomial over all operator orderings.
 
-    poly maps exponent tuples (one exponent per pair) to real
-    coefficients, e.g. {(1, 1): 1.0} for x*y.  Raises NotSymmetric when
-    the coefficients are not invariant under permuting the variables,
-    and DimensionMismatch when a pair's dims are not the state's.
+    poly maps exponent tuples (one nonnegative integer per pair) to finite
+    real coefficients, e.g. {(1, 1): 1.0} for x*y; other entries raise
+    ValueError.  Raises NotSymmetric when the coefficients are not
+    invariant under permuting the variables, and DimensionMismatch when a
+    pair's dims are not the state's.  The mean of the distinct words of
+    exponents e, of degree n, is S(e) prod(e_i!)/n! by S(0) = 1 and
+    S(e) = sum_{i: e_i > 0} A_i S(e - delta_i), memoized over all terms:
+    at most k prod(e_i + 1) products a term.
     """
     for pair in pairs:
         _check_dims("pair", pair.a_plus, pair.a_minus, state)
     k = len(pairs)
-    if any(len(e) != k or not all(isinstance(x, (int, np.integer)) and x >= 0 for x in e)
-           for e in poly):
-        raise ValueError("each exponent tuple must have one nonnegative integer entry per pair")
+    for e, c in poly.items():
+        if len(e) != k or not all(isinstance(x, (int, np.integer)) and x >= 0 for x in e):
+            raise ValueError("each exponent tuple must have one nonnegative integer entry per pair")
+        if not (isinstance(c, (int, float, np.integer, np.floating)) and math.isfinite(c)):
+            raise ValueError("each coefficient must be a finite real number")
     canon = {tuple(e): c for e, c in poly.items()}
     for e, c in canon.items():
-        for perm in itertools.permutations(range(k)):
-            pe = tuple(e[p] for p in perm)
+        seen, todo = {e}, [e]
+        while todo:
+            pe = todo.pop()
             if not math.isclose(canon.get(pe, 0.0), c, abs_tol=1e-12):
-                raise NotSymmetricError(
-                    f"coefficient of {e} differs from its permutation {pe}"
-                )
+                raise NotSymmetricError(f"coefficient of {e} differs from its permutation {pe}")
+            swaps = {pe[:i] + (pe[i + 1], pe[i]) + pe[i + 2:] for i in range(k - 1)} - seen
+            seen |= swaps
+            todo.extend(swaps)
 
     def eval_side(ops, dim):
+        S = {(0,) * k: np.eye(dim, dtype=complex)}
         total = np.zeros((dim, dim), dtype=complex)
         for e, c in canon.items():
             if c == 0.0:
                 continue
-            word = []
-            for var, exp in enumerate(e):
-                word.extend([var] * exp)
-            if not word:
-                total += c * np.eye(dim)
-                continue
-            orderings = set(itertools.permutations(word))
-            acc = np.zeros((dim, dim), dtype=complex)
-            for order in orderings:
-                prod = np.eye(dim, dtype=complex)
-                for var in order:
-                    prod = prod @ ops[var]
-                acc += prod
-            total += c * acc / len(orderings)
+            for f in np.ndindex(*(x + 1 for x in e)):  # each f - delta_i comes before f
+                if f not in S:
+                    S[f] = sum(ops[i] @ S[f[:i] + (x - 1,) + f[i + 1:]]
+                               for i, x in enumerate(f) if x)
+            total += c * S[e] * (math.prod(map(math.factorial, e)) / math.factorial(sum(e)))
         return total
 
     a_plus = eval_side([p.a_plus for p in pairs], state.d_plus)
@@ -302,9 +301,9 @@ def _matched_bases(state: BipartiteState, sp: SpectralData, sm: SpectralData) ->
         raise DegenerateSpectrumCollisionError(
             "pair is not complete: detectable spectrum is degenerate"
         )
-    # the eigenvector columns already ascend with the characteristic values
+    # the values ascend on both sides, so their mean does, with the columns
     return MatchedBases(
-        sigma_prime=np.sort((sp.values + sm.values) / 2),
+        sigma_prime=(sp.values + sm.values) / 2,
         basis_plus=state.subsystems.range_plus @ sp.vectors,
         basis_minus=state.subsystems.range_minus @ sm.vectors,
     )

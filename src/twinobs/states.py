@@ -180,7 +180,7 @@ class PureDecomposition(Record):
             raise WeightError(f"weights sum to {w.sum()}, not 1")
         vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
         for n in map(np.linalg.norm, vecs):
-            if abs(n - 1.0) > 1e-10:
+            if not abs(n - 1.0) <= 1e-10:  # NaN fails too
                 raise NotNormalizedError(f"component norm {n}, not 1 within 1e-10")
         super().__init__(tuple(float(x) for x in w), tuple(vecs))
 
@@ -193,7 +193,7 @@ def from_pure(phi, d_plus: int, d_minus: int, tol: Tolerances = DEFAULT_TOL) -> 
             f"vector length {phi.size} does not match dims {d_plus}x{d_minus}"
         )
     n = np.linalg.norm(phi)
-    if abs(n - 1.0) > 1e-10:
+    if not abs(n - 1.0) <= 1e-10:  # NaN fails too
         raise NotNormalizedError(f"norm {n}, not 1 within 1e-10")
     rho = np.outer(phi, phi.conj())
     return BipartiteState(d_plus=d_plus, d_minus=d_minus, rho=rho, tol=tol)
@@ -267,7 +267,13 @@ class RelevantRestriction(Record):
 
     def embed(self, X: np.ndarray) -> np.ndarray:
         """Operator on R_plus ⊗ R_minus -> operator on the full space:
-        (B_plus ⊗ B_minus) X (B_plus ⊗ B_minus)†, a compression by the B_s†."""
+        (B_plus ⊗ B_minus) X (B_plus ⊗ B_minus)†, a compression by the B_s†.
+        Raises DimensionMismatchError unless X is (r_plus r_minus) square."""
+        r = self.basis_plus.shape[1] * self.basis_minus.shape[1]
+        if np.shape(X) != (r, r):
+            raise linops.DimensionMismatchError(
+                f"operator of shape {np.shape(X)} on a relevant space of dimension {r}"
+            )
         adjoints = self.basis_plus.conj().T, self.basis_minus.conj().T
         Y = linops.local_compress(X, *adjoints).reshape(-1, len(X))
         return linops.local_compress(Y.conj().T, *adjoints).reshape(len(Y), -1).conj().T

@@ -11,12 +11,13 @@ the two linops rules replaced, kept here unchanged so that a drift of
 the package shows up as a mismatch."""
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
 from twinobs import linops
-from twinobs.errors import DimensionMismatchError, NotPositiveError
+from twinobs.errors import DimensionMismatchError, NotPositiveError, NotSymmetricError
 from twinobs.linops import DEFAULT_TOL, hermitian_basis, max_norm, range_null_bases
 from twinobs.states import GeometryReport
 
@@ -168,3 +169,45 @@ def cluster_starts(vals, cluster_tol):
     """First index of each cluster of spectral._clustered: vals ascending."""
     starts = np.flatnonzero(np.concatenate(([True], vals[1:] - vals[:-1] > cluster_tol)))
     return starts
+
+
+# spectral.symmetric_polynomial before the first-factor recursion and the
+# walk over distinct rearrangements, copied verbatim into functions of
+# canon (exponent tuple -> coefficient), so that the package's values and
+# verdicts can be held to the enumeration over every ordering.
+
+def enumerated_symmetry_check(canon, k):
+    """Raises NotSymmetricError unless the coefficient of each exponent
+    tuple is close to that of its image under every permutation of
+    range(k)."""
+    for e, c in canon.items():
+        for perm in itertools.permutations(range(k)):
+            pe = tuple(e[p] for p in perm)
+            if not math.isclose(canon.get(pe, 0.0), c, abs_tol=1e-12):
+                raise NotSymmetricError(
+                    f"coefficient of {e} differs from its permutation {pe}"
+                )
+
+
+def enumerated_eval_side(canon, ops, dim):
+    """One side of the polynomial: each monomial the mean of the products
+    over its distinct orderings, every ordering multiplied out."""
+    total = np.zeros((dim, dim), dtype=complex)
+    for e, c in canon.items():
+        if c == 0.0:
+            continue
+        word = []
+        for var, exp in enumerate(e):
+            word.extend([var] * exp)
+        if not word:
+            total += c * np.eye(dim)
+            continue
+        orderings = set(itertools.permutations(word))
+        acc = np.zeros((dim, dim), dtype=complex)
+        for order in orderings:
+            prod = np.eye(dim, dtype=complex)
+            for var in order:
+                prod = prod @ ops[var]
+            acc += prod
+        total += c * acc / len(orderings)
+    return total

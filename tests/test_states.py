@@ -9,7 +9,12 @@ from twinobs import (
     restrict_to_relevant,
     verify_subspace_geometry,
 )
-from twinobs.errors import NotNormalizedError, NotPositiveError, WeightError
+from twinobs.errors import (
+    DimensionMismatchError,
+    NotNormalizedError,
+    NotPositiveError,
+    WeightError,
+)
 from twinobs.linops import max_norm
 from twinobs.spin import SpinScenario, coupled_basis, build_scenario
 
@@ -39,6 +44,20 @@ def test_from_pure_singlet():
 def test_from_pure_rejects_unnormalized():
     with pytest.raises(NotNormalizedError):
         from_pure(np.array([1.0, 1.0, 0.0, 0.0]), 2, 2)
+
+
+def test_from_pure_rejects_nan():
+    # abs(nan - 1) > 1e-10 is False, so a NaN norm used to pass the check
+    # and fail later with a bare "matrix contains NaN" ValueError
+    with pytest.raises(NotNormalizedError):
+        from_pure(np.array([np.nan, 0.0, 0.0, 1.0]), 2, 2)
+
+
+def test_decomposition_rejects_nan_component():
+    with pytest.raises(NotNormalizedError):
+        PureDecomposition([1.0], [[np.nan, 0, 0, 1]])
+    with pytest.raises(NotNormalizedError):
+        PureDecomposition([0.5, 0.5], [[0, 1, 0, 0], [0, 0, np.nan, 1]])
 
 
 def test_state_rejects_nonpositive():
@@ -261,6 +280,15 @@ class TestRestrictToRelevant:
         r = restrict_to_relevant(st)
         assert r.rho_prime.shape == (1, 1)
         assert r.rho_prime[0, 0].real == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (9, 3), (4, 4), (3, 9), (81, 81)])
+    def test_embed_rejects_operator_off_the_relevant_space(self, example2_ms0, shape):
+        # r_plus r_minus = 9 on example2_ms0: a 3 x 3 or 9 x 3 X came back
+        # as an array of its own shape, a 4 x 4 X ended in a bare reshape error
+        r = restrict_to_relevant(example2_ms0)
+        assert r.rho_prime.shape == (9, 9)
+        with pytest.raises(DimensionMismatchError):
+            r.embed(np.ones(shape, dtype=complex))
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(9)
