@@ -21,7 +21,9 @@ temporary directory, from the change checkout's perfbench/workloads.py
 - ``schmidt --decomposition`` with the eigen-decomposition of each state
 - ``analyze`` and ``schmidt`` on each scenario under ``--seed`` 0-3, so
   that a complete-twin verdict that depends on the seed shows up
-- one override per tolerance flag
+- one override per tolerance flag; ``--herm-tol 1e-3 verify`` with a
+  pair off Hermitian by 1e-6, which the state's herm_tol admits; and
+  ``--cluster-tol 0 analyze``
 - input errors: a negative ``--seed``, bad ``--weights``, a pair or a
   decomposition of the wrong dimension, a NaN tolerance flag, malformed,
   missing and non-object documents, a missing and a malformed
@@ -105,6 +107,15 @@ def cases(workloads, tmp: Path) -> list:
         ("tolerance: --residual-tol", ["--residual-tol", "1e-6", "analyze", state]),
         ("tolerance: --cluster-tol", ["--cluster-tol", "1e-6", "schmidt", state]),
         ("tolerance: --herm-tol", ["--herm-tol", "1e-6", "example", name]),
+    ]
+    Sz = np.diag([1.0, 0.0, -1.0])
+    off = Sz.copy()
+    off[0, 1] = 1e-6
+    pair6 = write(tmp / "pair6.json", {"a_plus": matrix_json(off), "a_minus": matrix_json(-Sz)})
+    out += [
+        ("tolerance: --herm-tol pair file",
+         ["--herm-tol", "1e-3", "verify", states["example2_ms0"], pair6]),
+        ("tolerance: --cluster-tol 0", ["--cluster-tol", "0", "analyze", states["example2_ms0"]]),
     ]
 
     pair3 = write(tmp / "pair3.json", {"a_plus": matrix_json(np.diag([1.0, 0.0, -1.0])),

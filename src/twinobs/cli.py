@@ -40,7 +40,7 @@ def _load_state(path, tol: Tolerances | None):
 
 
 def _load_pair(path, state):
-    pair = serialize.pair_from_document(serialize.load_json(path, f"pair file {path}"))
+    pair = serialize.pair_from_document(serialize.load_json(path, f"pair file {path}"), state.tol)
     if (pair.d_plus, pair.d_minus) != (state.d_plus, state.d_minus):
         raise InputError(f"pair file {path}: dims ({pair.d_plus},{pair.d_minus}) do not "
                          f"match state ({state.d_plus},{state.d_minus})")

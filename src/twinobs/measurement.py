@@ -6,9 +6,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import linops
-from .errors import DimensionMismatchError, NonHermitianError, NotProjectorError, NotTwinPairError
+from .errors import DimensionMismatchError, NotProjectorError, NotTwinPairError
 from .linops import Record, ValueRecord, max_norm
-from .spectral import _lift, _pair_spectra, spectral_data
+from .spectral import _pair_spectra, spectral_data
 from .states import BipartiteState
 from .twins import ObservablePair, is_twin_pair
 
@@ -21,19 +21,6 @@ _COLLAPSE_TOL = 1e-9
 
 def _check_projector(P) -> np.ndarray:
     P = linops.hermitize(P, _PROJECTOR_TOL)
-    if max_norm(P @ P - P) > _PROJECTOR_TOL:
-        raise NotProjectorError("operator is not idempotent")
-    return P
-
-
-def _check_projectors(P: np.ndarray) -> np.ndarray:
-    """A stack (n, d, d) of projectors symmetrized, after checking in one
-    pass that every member is Hermitian and idempotent within _PROJECTOR_TOL."""
-    PH = np.swapaxes(P, 1, 2).conj()
-    dev = max_norm(P - PH)
-    if dev > _PROJECTOR_TOL:
-        raise NonHermitianError(f"Hermiticity deviation {dev:.3e} > {_PROJECTOR_TOL:.3e}")
-    P = (P + PH) / 2
     if max_norm(P @ P - P) > _PROJECTOR_TOL:
         raise NotProjectorError("operator is not idempotent")
     return P
@@ -215,20 +202,22 @@ def distant_measurement_report(state: BipartiteState,
     DimensionMismatchError, and a pair that is not a twin raises
     NotTwinPairError, a ValueError, whose residual is the test's witness.
 
-    The event for value a is the cluster eigenprojector of the detectable
-    part A'_s at a, lifted by the range basis of rho_s.  The spectral
-    data of A'_s come from ``spectral._pair_spectra``, so a pair
-    that ``find_complete_twins`` returned, or that this state was already
+    The event for value a is B P' B†, P' the cluster eigenprojector of
+    A'_s at a in range coordinates (V V† of orthonormal eigenvectors, so
+    not checked again) and B the range basis of rho_s.  The spectral data
+    come from ``spectral._pair_spectra``, so a pair that
+    ``find_complete_twins`` returned, or that this state was already
     asked about, is not split or eigendecomposed again.  This is exact:
-    the characteristic projector of the full A_s at a differs from it by
-    a part P'' on the null space of rho_s, and (P'' ⊗ 1) rho = 0, so
-    probabilities, collapsed and conditional states are the same.
+    the characteristic projector of the full A_s at a differs from
+    B P' B† by a part P'' on the null space of rho_s, and (P'' ⊗ 1) rho
+    = 0, so probabilities, collapsed and conditional states are the same.
 
     The outcomes are computed from the factor C of rho (rho = C C† over
     its rank cut, ``BipartiteState.factor``), all values of one side at
-    once: the lifted projectors are stacked as an (n, d_s, d_s) array and
-    X = (P ⊗ 1) C or (1 ⊗ P) C is one batched product, so no D x D
-    product with rho is formed.  Then prob = ||X||_F^2, and each outcome
+    once as X = (B ⊗ 1)(P' ⊗ 1)(B† ⊗ 1) C, or its mirror on the minus
+    side: C compressed to the range, the stacked r_s x r_s P' applied in
+    one batched product, X lifted back; no d_s x d_s projector and no
+    D x D product with rho is formed.  Then prob = ||X||_F^2, and each outcome
     keeps Y = X / sqrt(prob), normalised in place so that no copy of X
     outlives it; its Lüders state Y Y† and the other side's
     conditional state, a partial trace of Y Y† that equals that of
@@ -251,14 +240,15 @@ def distant_measurement_report(state: BipartiteState,
                                residual)
     sp, sm = _pair_spectra(pair, state)
     sub = state.subsystems
+    Bp, Bm = sub.range_plus, sub.range_minus
     dp, dm = state.d_plus, state.d_minus
     C = state.factor
     k = C.shape[1]
-    P_plus = _check_projectors(_lift(sub.range_plus, np.array(sp.projectors)))
-    P_minus = _check_projectors(_lift(sub.range_minus, np.array(sm.projectors)))
-    # (P ⊗ 1) C and (1 ⊗ P) C for every outcome, as (n, d_plus, d_minus, k)
-    Y_plus = (P_plus @ C.reshape(dp, dm * k)).reshape(-1, dp, dm, k)
-    Y_minus = P_minus[:, None] @ C.reshape(dp, dm, k)
+    # (B P' B† ⊗ 1) C and (1 ⊗ B P' B†) C of every outcome as (n, d_plus,
+    # d_minus, k): compressed by B†, projected by the stacked P', lifted by B
+    Y_plus = Bp @ (np.array(sp.projectors) @ (Bp.conj().T @ C.reshape(dp, dm * k)))
+    Y_plus = Y_plus.reshape(-1, dp, dm, k)
+    Y_minus = Bm @ (np.array(sm.projectors)[:, None] @ (Bm.conj().T @ C.reshape(dp, dm, k)))
     prob_plus = np.linalg.norm(Y_plus.reshape(len(Y_plus), -1), axis=1) ** 2
     prob_minus = np.linalg.norm(Y_minus.reshape(len(Y_minus), -1), axis=1) ** 2
     keep = (prob_plus > state.tol.rank_tol) & (prob_minus > state.tol.rank_tol)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import InputError, TwinObsError
-from .linops import Tolerances, DEFAULT_TOL
+from .linops import DEFAULT_TOL, Tolerances, hermitize
 from .states import BipartiteState, PureDecomposition
 from .twins import ObservablePair
 
@@ -109,11 +109,12 @@ def pair_to_document(pair: ObservablePair) -> dict:
     }
 
 
-def pair_from_document(doc: dict) -> ObservablePair:
+def pair_from_document(doc: dict, tol: Tolerances = DEFAULT_TOL) -> ObservablePair:
+    """The pair of doc, checked Hermitian at tol.herm_tol (the state's)."""
     with _document(doc, "pair document", "a_plus", "a_minus"):
         return ObservablePair(
-            matrix_from_json(doc["a_plus"], "a_plus"),
-            matrix_from_json(doc["a_minus"], "a_minus"),
+            hermitize(matrix_from_json(doc["a_plus"], "a_plus"), tol.herm_tol),
+            hermitize(matrix_from_json(doc["a_minus"], "a_minus"), tol.herm_tol),
         )
 
 

@@ -9,6 +9,7 @@ functions and symmetric polynomials, and the search for complete twins
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -114,29 +115,29 @@ def _lift(B: np.ndarray, A: np.ndarray) -> np.ndarray:
 def split_detectable(pair: ObservablePair, state: BipartiteState) -> DetectableSplit:
     """Block decomposition A_s = A'_s ⊕ A''_s over range(rho_s) ⊕ null(rho_s).
 
-    Raises NotReducible when the off-block norms exceed residual_tol,
-    i.e. when [A_s, R_s] != 0.
+    A' and A'' are the range and null diagonal blocks of W_s† A_s W_s,
+    W_s = [null_s, range_s] the reduction's eigenbasis as in
+    ``twins.solve_twin_space``.  Raises NotReducible when the off-block
+    norms exceed residual_tol, i.e. when [A_s, R_s] != 0.
     """
     _check_dims("pair", pair.a_plus, pair.a_minus, state)
     sub = state.subsystems
-    Bp, Np, Bm, Nm = sub.range_plus, sub.null_plus, sub.range_minus, sub.null_minus
-    off_p = max_norm(Np.conj().T @ pair.a_plus @ Bp)
-    off_m = max_norm(Nm.conj().T @ pair.a_minus @ Bm)
+
+    def blocks(A, N, B):
+        W = np.hstack([N, B])
+        T = W.conj().T @ A @ W
+        n = N.shape[1]
+        return T[n:, n:], T[:n, :n], max_norm(T[:n, n:])
+
+    Ap, App, off_p = blocks(pair.a_plus, sub.null_plus, sub.range_plus)
+    Am, Amm, off_m = blocks(pair.a_minus, sub.null_minus, sub.range_minus)
     if max(off_p, off_m) > state.tol.residual_tol:
         raise NotReducibleError(
             f"pair does not reduce over range/null split: off-block norms "
             f"({off_p:.3e}, {off_m:.3e})"
         )
-    return DetectableSplit(
-        a_prime_plus=Bp.conj().T @ pair.a_plus @ Bp,
-        a_prime_minus=Bm.conj().T @ pair.a_minus @ Bm,
-        a_dprime_plus=Np.conj().T @ pair.a_plus @ Np,
-        a_dprime_minus=Nm.conj().T @ pair.a_minus @ Nm,
-        range_basis_plus=Bp,
-        range_basis_minus=Bm,
-        null_basis_plus=Np,
-        null_basis_minus=Nm,
-    )
+    return DetectableSplit(Ap, Am, App, Amm, sub.range_plus, sub.range_minus,
+                           sub.null_plus, sub.null_minus)
 
 
 def detectable_spectra(split: DetectableSplit,
@@ -144,26 +145,28 @@ def detectable_spectra(split: DetectableSplit,
     """Common characteristic values of the detectable parts.
 
     Returns (sigma_prime, multiplicities_plus, multiplicities_minus);
-    the value lists must agree (twins have equal detectable spectra)
-    while the multiplicities may differ.
+    the value lists must agree (twins have equal detectable spectra, see
+    ``_check_same_values``) while the multiplicities may differ.
     """
-    sp, sm = _detectable_data(split, cluster_tol)
+    sp, sm = _detectable_data(split, linops.Tolerances(cluster_tol=cluster_tol))
     return (sp.values + sm.values) / 2, sp.multiplicities, sm.multiplicities
 
 
-def _detectable_data(split: DetectableSplit, cluster_tol: float):
+def _detectable_data(split: DetectableSplit, tol: linops.Tolerances):
     """SpectralData of both detectable parts; raises SpectraMismatch
     unless their characteristic values agree."""
-    sp = spectral_data(split.a_prime_plus, cluster_tol)
-    sm = spectral_data(split.a_prime_minus, cluster_tol)
-    _check_same_values(sp, sm, cluster_tol)
+    sp = spectral_data(split.a_prime_plus, tol.cluster_tol)
+    sm = spectral_data(split.a_prime_minus, tol.cluster_tol)
+    _check_same_values(sp, sm, tol)
     return sp, sm
 
 
-def _check_same_values(sp: SpectralData, sm: SpectralData, cluster_tol: float):
-    """Raises SpectraMismatch unless the characteristic values agree."""
+def _check_same_values(sp: SpectralData, sm: SpectralData, tol: linops.Tolerances):
+    """Raises SpectraMismatch unless the characteristic values agree within
+    max(10 cluster_tol, residual_tol), so that rounding passes at cluster_tol 0."""
+    gap = max(10 * tol.cluster_tol, tol.residual_tol)
     if len(sp.values) != len(sm.values) or (
-        len(sp.values) and np.max(np.abs(sp.values - sm.values)) > 10 * cluster_tol
+        len(sp.values) and np.max(np.abs(sp.values - sm.values)) > gap
     ):
         raise SpectraMismatchError(
             f"detectable spectra differ: {sp.values} vs {sm.values} "
@@ -183,7 +186,7 @@ def characteristic_projector_twins(split: DetectableSplit, state: BipartiteState
     """
     Bp, Bm = split.range_basis_plus, split.range_basis_minus
     _check_dims("basis", Bp, Bm, state)
-    sp, sm = _detectable_data(split, state.tol.cluster_tol)
+    sp, sm = _detectable_data(split, state.tol)
     Y = linops.local_compress(state.factor, Bp, Bm).reshape(-1, state.factor.shape[1])
     out = []
     for a, Pp, Pm in zip((sp.values + sm.values) / 2, sp.projectors, sm.projectors):
@@ -214,10 +217,12 @@ def symmetric_polynomial(pairs, poly: dict, state: BipartiteState) -> Observable
     real coefficients, e.g. {(1, 1): 1.0} for x*y; other entries raise
     ValueError.  Raises NotSymmetric when the coefficients are not
     invariant under permuting the variables, and DimensionMismatch when a
-    pair's dims are not the state's.  The mean of the distinct words of
-    exponents e, of degree n, is S(e) prod(e_i!)/n! by S(0) = 1 and
-    S(e) = sum_{i: e_i > 0} A_i S(e - delta_i), memoized over all terms:
-    at most k prod(e_i + 1) products a term.
+    pair's dims are not the state's.  The check compares each two distinct
+    coefficients of an orbit, not each tuple with each rearrangement.
+    The mean of the distinct words of exponents e, of degree n, is
+    S(e) prod(e_i!)/n! by S(0) = 1 and S(e) = sum_{i: e_i > 0} A_i
+    S(e - delta_i), memoized over all terms: at most k prod(e_i + 1)
+    products a term.
     """
     for pair in pairs:
         _check_dims("pair", pair.a_plus, pair.a_minus, state)
@@ -228,15 +233,18 @@ def symmetric_polynomial(pairs, poly: dict, state: BipartiteState) -> Observable
         if not (isinstance(c, (int, float, np.integer, np.floating)) and math.isfinite(c)):
             raise ValueError("each coefficient must be a finite real number")
     canon = {tuple(e): c for e, c in poly.items()}
-    for e, c in canon.items():
-        seen, todo = {e}, [e]
-        while todo:
-            pe = todo.pop()
-            if not math.isclose(canon.get(pe, 0.0), c, abs_tol=1e-12):
+    orbits = {}  # sorted tuple -> the tuples listed
+    for e in canon:
+        orbits.setdefault(tuple(sorted(e)), []).append(e)
+    for key, listed in orbits.items():
+        # each two distinct coefficients, 0.0 for a rearrangement left out, must be isclose
+        named = {canon[e]: e for e in listed}
+        size = math.factorial(k) // math.prod(math.factorial(key.count(x)) for x in set(key))
+        if len(listed) < size:
+            named.setdefault(0.0, "left out of poly")
+        for (c, e), (c2, pe) in itertools.combinations(named.items(), 2):
+            if not math.isclose(c2, c, abs_tol=1e-12):
                 raise NotSymmetricError(f"coefficient of {e} differs from its permutation {pe}")
-            swaps = {pe[:i] + (pe[i + 1], pe[i]) + pe[i + 2:] for i in range(k - 1)} - seen
-            seen |= swaps
-            todo.extend(swaps)
 
     def eval_side(ops, dim):
         S = {(0,) * k: np.eye(dim, dtype=complex)}
@@ -288,7 +296,7 @@ def _pair_spectra(pair: ObservablePair, state: BipartiteState) -> tuple:
     memo = state.__dict__.get("_pair_spectra")
     if memo is None or memo[0] is not pair:
         split = split_detectable(pair, state)
-        memo = (pair, *_detectable_data(split, state.tol.cluster_tol))
+        memo = (pair, *_detectable_data(split, state.tol))
         state.__dict__["_pair_spectra"] = memo
     return memo[1:]
 
@@ -409,7 +417,7 @@ def find_complete_twins(twin_space: TwinSpace, state: BipartiteState, seed: int 
     # multiplicities first: a degenerate draw is a verdict, not a mismatch
     if np.any(sp.multiplicities != 1) or np.any(sm.multiplicities != 1):
         return None
-    _check_same_values(sp, sm, state.tol.cluster_tol)
+    _check_same_values(sp, sm, state.tol)
     lifted = split.detectable_lifted()
     state.__dict__["_pair_spectra"] = (lifted, sp, sm)
     return lifted, _matched_bases(state, sp, sm)

@@ -17,8 +17,15 @@ from types import SimpleNamespace
 import numpy as np
 
 from twinobs import linops
-from twinobs.errors import DimensionMismatchError, NotPositiveError, NotSymmetricError
+from twinobs.errors import (
+    DimensionMismatchError,
+    NonHermitianError,
+    NotPositiveError,
+    NotProjectorError,
+    NotSymmetricError,
+)
 from twinobs.linops import DEFAULT_TOL, hermitian_basis, max_norm, range_null_bases
+from twinobs.measurement import _PROJECTOR_TOL
 from twinobs.states import GeometryReport
 
 
@@ -211,3 +218,49 @@ def enumerated_eval_side(canon, ops, dim):
             acc += prod
         total += c * acc / len(orderings)
     return total
+
+
+# measurement.distant_measurement_report before the outcomes were computed
+# in range coordinates: each cluster projector lifted to d_s x d_s, the
+# stack checked (measurement._check_projectors) and applied to the factor
+# C of rho in one batched product, copied verbatim into a function of the
+# state and the two sides' SpectralData.
+
+def _check_projectors(P: np.ndarray) -> np.ndarray:
+    """A stack (n, d, d) of projectors symmetrized, after checking in one
+    pass that every member is Hermitian and idempotent within _PROJECTOR_TOL."""
+    PH = np.swapaxes(P, 1, 2).conj()
+    dev = max_norm(P - PH)
+    if dev > _PROJECTOR_TOL:
+        raise NonHermitianError(f"Hermiticity deviation {dev:.3e} > {_PROJECTOR_TOL:.3e}")
+    P = (P + PH) / 2
+    if max_norm(P @ P - P) > _PROJECTOR_TOL:
+        raise NotProjectorError("operator is not idempotent")
+    return P
+
+
+def _lift(B: np.ndarray, A: np.ndarray) -> np.ndarray:
+    return B @ A @ B.conj().T
+
+
+def lifted_projector_outcomes(state, sp, sm):
+    """(values, prob_plus, prob_minus, Y_plus, Y_minus) of the kept
+    outcomes, Y_s of shape (n, d_plus, d_minus, k) and normalised."""
+    sub = state.subsystems
+    dp, dm = state.d_plus, state.d_minus
+    C = state.factor
+    k = C.shape[1]
+    P_plus = _check_projectors(_lift(sub.range_plus, np.array(sp.projectors)))
+    P_minus = _check_projectors(_lift(sub.range_minus, np.array(sm.projectors)))
+    # (P ⊗ 1) C and (1 ⊗ P) C for every outcome, as (n, d_plus, d_minus, k)
+    Y_plus = (P_plus @ C.reshape(dp, dm * k)).reshape(-1, dp, dm, k)
+    Y_minus = P_minus[:, None] @ C.reshape(dp, dm, k)
+    prob_plus = np.linalg.norm(Y_plus.reshape(len(Y_plus), -1), axis=1) ** 2
+    prob_minus = np.linalg.norm(Y_minus.reshape(len(Y_minus), -1), axis=1) ** 2
+    keep = (prob_plus > state.tol.rank_tol) & (prob_minus > state.tol.rank_tol)
+    prob_plus, prob_minus = prob_plus[keep], prob_minus[keep]
+    Y_plus, Y_minus = Y_plus[keep], Y_minus[keep]
+    Y_plus /= np.sqrt(prob_plus)[:, None, None, None]
+    Y_minus /= np.sqrt(prob_minus)[:, None, None, None]
+    values = ((sp.values + sm.values) / 2)[keep]
+    return values, prob_plus, prob_minus, Y_plus, Y_minus

@@ -498,3 +498,76 @@ def test_malformed_decomposition_lists_exit_2(tmp_path, state_file, field, value
     assert main(["schmidt", state_file, "--decomposition", str(path)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error:") and field in err
+
+
+SZ_ONE = np.diag([1.0, 0.0, -1.0]).astype(complex)
+
+
+@pytest.fixture()
+def ms0_files(tmp_path):
+    """Paths of example2_ms0 at the default tolerances, of the same state
+    with herm_tol 1e-3 in its document, of the twin pair (S_z, -S_z) and
+    of that pair with a_plus off Hermitian by 1e-6."""
+    doc = serialize.state_to_document(build_scenario(SpinScenario("example2_ms0")))
+    paths = {name: tmp_path / f"{name}.json" for name in ("state", "state_h3", "pair", "pair6")}
+    paths["state"].write_text(serialize.dump_json(doc))
+    doc["tolerances"]["herm_tol"] = 1e-3
+    paths["state_h3"].write_text(serialize.dump_json(doc))
+    off = SZ_ONE.copy()
+    off[0, 1] = 1e-6
+    for name, a_plus in (("pair", SZ_ONE), ("pair6", off)):
+        sides = {"a_plus": serialize.matrix_to_json(a_plus),
+                 "a_minus": serialize.matrix_to_json(-SZ_ONE)}
+        paths[name].write_text(serialize.dump_json(sides))
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("command", ["verify", "measure"])
+class TestPairHermiticityTolerance:
+    """A pair file is checked at the state's herm_tol, from the flag or
+    from the state document, not at the default."""
+
+    def test_flag_reaches_the_twin_test(self, command, ms0_files):
+        argv = ["--herm-tol", "1e-3", command, ms0_files["state"], ms0_files["pair6"]]
+        assert main(argv) in (EXIT_OK, EXIT_VERIFICATION)
+
+    def test_document_tolerance_reaches_the_twin_test(self, command, ms0_files):
+        assert main([command, ms0_files["state_h3"], ms0_files["pair6"]]) in (
+            EXIT_OK, EXIT_VERIFICATION)
+
+    def test_default_rejects_the_pair(self, command, ms0_files, capsys):
+        assert main([command, ms0_files["state"], ms0_files["pair6"]]) == EXIT_INPUT
+        assert capsys.readouterr().err.strip() == (
+            "input error: pair document: Hermiticity deviation 1.000e-06 > 1.000e-08")
+
+
+def _exit_and_report(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, json.loads(out) if out else None
+
+
+class TestClusterTolZero:
+    """At cluster_tol 0, which Tolerances accepts, the detectable spectra
+    of twins still agree within residual_tol: each command gives the
+    default run's verdict."""
+
+    @pytest.mark.parametrize("command", ["verify", "measure"])
+    def test_pair_commands(self, command, ms0_files, capsys):
+        argv = [command, ms0_files["state"], ms0_files["pair"]]
+        default = _exit_and_report(argv, capsys)
+        assert default[0] == EXIT_OK
+        assert _exit_and_report(["--cluster-tol", "0", *argv], capsys)[0] == EXIT_OK
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("command", ["analyze", "schmidt"])
+    def test_search_commands(self, name, command, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(serialize.dump_json(
+            serialize.state_to_document(build_scenario(SpinScenario(name)))))
+        code, report = _exit_and_report([command, str(path)], capsys)
+        code0, report0 = _exit_and_report(["--cluster-tol", "0", command, str(path)], capsys)
+        assert code0 == code
+        found, found0 = (r.get("complete_twins") for r in (report, report0))
+        assert (found == "not found") == (found0 == "not found")
+        assert report0.get("sigma_prime") == report.get("sigma_prime")

@@ -6,6 +6,10 @@ A state with a dropped tail of weight eps (eigenvalues below the rank
 cut) has outputs that are those of C C†, not of rho; each field then
 differs from the dense one by at most D * eps / prob."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,11 +23,14 @@ from twinobs import (
     simplified_matrix,
     solve_twin_space,
 )
-from twinobs import linops, measurement
-from twinobs.errors import DimensionMismatchError, NonHermitianError, NotProjectorError
-from twinobs.measurement import _check_projector, _check_projectors
+from twinobs import ObservablePair, linops
+from twinobs.errors import DimensionMismatchError
+from twinobs.measurement import _check_projector
+from twinobs.spectral import _pair_spectra
+from twinobs.spin import SCENARIO_NAMES
 from twinobs.states import restrict_to_relevant
 
+import reference
 from conftest import random_state
 from test_product_kernels import (
     diagonal_support_state,
@@ -190,30 +197,80 @@ def test_no_kron_from_construction_through_the_report(monkeypatch):
     assert distant_measurement_report(state, pair).passed
 
 
+def pipeline_states():
+    """The pipeline-lowrank inputs of perfbench/workloads.py, seeds 1-3."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [BipartiteState(d, d, rho) for seed in (1, 2, 3)
+            for (_, d), rho, *_ in workloads.pipeline_inputs(seed)]
+
+
+def user_pairs():
+    """(state, pair) of example2_ms0 with (S_z, -S_z), whose detectable
+    spectrum is nondegenerate, and with (S_z^2, S_z^2), whose value 1 is
+    twofold."""
+    state = build_scenario(SpinScenario("example2_ms0"))
+    Sz = np.diag([1.0, 0.0, -1.0])
+    return [(state, ObservablePair(Sz, -Sz)), (state, ObservablePair(Sz @ Sz, Sz @ Sz))]
+
+
+def spectra_cases():
+    """(state, SpectralData plus, SpectralData minus) from _pair_spectra on
+    the twin-space basis pairs and on user pairs, and from the search's
+    _block_data on the complete twins, over the four spin scenarios and
+    the pipeline inputs."""
+    states = [build_scenario(SpinScenario(name)) for name in SCENARIO_NAMES] + pipeline_states()
+    cases = []
+    for state in states:
+        space = solve_twin_space(state)
+        cases += [(state, *_pair_spectra(pair, state)) for pair in space.basis]
+        found = find_complete_twins(space, state)
+        if found is not None:  # the search leaves its _block_data spectra with the state
+            cases.append((state, *_pair_spectra(found[0], state)))
+    return cases + [(state, *_pair_spectra(pair, state)) for state, pair in user_pairs()]
+
+
+class TestRangeProjectors:
+    """The report applies the range-coordinate projectors of the detectable
+    spectra without checking them: they are V V† of orthonormal
+    eigenvectors, so they are Hermitian idempotents that sum to the
+    identity on the range."""
+
+    def test_range_projectors_are_a_resolution_of_the_identity(self):
+        cases = spectra_cases()
+        assert len(cases) > 100
+        for state, *sides in cases:
+            for data in sides:
+                P = np.array(data.projectors)
+                r = len(data.vectors)
+                assert P.shape == (len(data.values), r, r)
+                assert linops.max_norm(P - np.swapaxes(P, 1, 2).conj()) <= 1e-12
+                assert linops.max_norm(P @ P - P) <= 1e-12
+                assert linops.max_norm(P.sum(axis=0) - np.eye(r)) <= 1e-12
+
+    def test_report_matches_the_lifted_projector_formula(self):
+        states = [build_scenario(SpinScenario(name)) for name in SCENARIO_NAMES
+                  if name != "example1_range10_1m1"] + pipeline_states()
+        cases = [(state, complete(state)[0]) for state in states] + user_pairs()
+        for state, pair in cases:
+            rep = distant_measurement_report(state, pair)
+            values, prob_plus, prob_minus, Y_plus, Y_minus = \
+                reference.lifted_projector_outcomes(state, *_pair_spectra(pair, state))
+            assert [o.value for o in rep.outcomes] == values.tolist()
+            for o, pp, pm, yp, ym in zip(rep.outcomes, prob_plus, prob_minus, Y_plus, Y_minus):
+                assert abs(o.probability_plus - pp) <= 1e-13
+                assert abs(o.probability_minus - pm) <= 1e-13
+                assert linops.max_norm(o.factor_plus - yp) <= 1e-13
+                assert linops.max_norm(o.factor_minus - ym) <= 1e-13
+
 class TestProjectorCheck:
-    def test_non_idempotent_lifted_projector_raises(self, monkeypatch):
-        state = diagonal_support_state(np.random.default_rng(3), 3, 3, 3, 2)
-        pair, _ = complete(state)
-        lift = measurement._lift
-        monkeypatch.setattr(measurement, "_lift", lambda B, P: 1.5 * lift(B, P))
-        with pytest.raises(NotProjectorError):
-            distant_measurement_report(state, pair)
-
-    def test_stack_is_checked_member_by_member(self):
-        P = np.zeros((3, 2, 2), dtype=complex)
-        P[0, 0, 0] = P[1, 1, 1] = 1.0
-        np.testing.assert_array_equal(_check_projectors(P), P)
-        P[2] = [[0.5, 0.5], [0.5, 0.5]]
-        np.testing.assert_allclose(_check_projectors(P)[2], P[2], rtol=0, atol=1e-16)
-        P[2, 0, 0] = 0.75
-        with pytest.raises(NotProjectorError):
-            _check_projectors(P)
-        P[2] = [[0.0, 1.0], [0.0, 0.0]]
-        with pytest.raises(NonHermitianError):
-            _check_projectors(P)
-
     def test_single_projector_check_rejects_a_stack(self):
-        """Only the report's stacks go through _check_projectors; a stack
-        given as one event is still a dimension error."""
+        """A stack given as one event is a dimension error."""
         with pytest.raises(DimensionMismatchError):
             _check_projector(np.zeros((2, 3, 3)))

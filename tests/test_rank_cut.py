@@ -187,3 +187,44 @@ def test_group_starts_of_hostile_arrays(values, gap, starts):
     if values.size:
         assert np.array_equal(np.cumsum(new) - 1, reference.eigenspace_labels(values, gap))
         assert np.array_equal(np.flatnonzero(new), reference.cluster_starts(values, gap))
+
+
+def _detectable_values(state, monkeypatch):
+    """(space, the range-row singular values that _detectable_rank cut)
+    of the twin solve of state."""
+    seen = []
+
+    def recording(values, tol, floor=0.0):
+        if sys._getframe(1).f_code.co_name == "_detectable_rank":
+            seen.append(np.array(values))
+        return rank_cut(values, tol, floor)
+
+    monkeypatch.setattr(linops, "rank_cut", recording)
+    space = solve_twin_space(state)
+    monkeypatch.undo()
+    (values,) = seen
+    return space, values
+
+
+@pytest.mark.parametrize("dims, m, gap, detectable, kept, dropped", [
+    # range rows 6.0e-8 and 1.05e-8: both kept, within 10x above the cut
+    ((4, 2), 2, 1e-9, 4, 2, 0),
+    # a range row 3.1e-9: dropped, within 10x below the cut
+    ((3, 4), 3, 1e-8, 3, 0, 1),
+])
+def test_detectable_count_on_range_rows_near_its_cut(dims, m, gap, detectable, kept, dropped,
+                                                     monkeypatch):
+    """dim_detectable of Schmidt states whose near-degenerate weights
+    leave near-twin noise in the range rows of the kernel, as
+    test_schmidt_weight_gaps builds them: the count keeps the values above
+    1e-8 and drops those below it.  Cut at 1e-7 the first state counts 2,
+    cut at rank_tol the second counts 4.
+
+    The kept values are not twins: on the first state dim_detectable
+    + n_plus^2 + n_minus^2 = 8 exceeds dim_total = 6.  The test pins the
+    position of the cut, not a correct count."""
+    state = schmidt_state(np.random.default_rng(41), *dims, weights_with_gap(min(dims), m, gap))
+    space, values = _detectable_values(state, monkeypatch)
+    near = values[(values > 1e-9) & (values < 1e-7)]
+    assert (np.sum(near > 1e-8), np.sum(near < 1e-8)) == (kept, dropped)
+    assert space.dim_detectable == detectable

@@ -3,6 +3,7 @@
 and against closed forms at degrees the enumeration cannot reach."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -157,3 +158,42 @@ def test_single_precision_coefficient_scales_in_double_precision():
     poly = {(2, 1): np.float32(1.0), (1, 2): np.float32(1.0)}
     out = symmetric_polynomial([pair, pair], poly, state)
     np.testing.assert_allclose(out.a_plus, np.diag([2.0, 16.0]), rtol=1e-15, atol=0)
+
+
+def test_non_transitive_closeness_within_an_orbit():
+    # 1 and 1 + 1.8e-9 are not isclose, though each is isclose to
+    # 1 + 0.9e-9: the verdict compares every two coefficients of an orbit,
+    # a rearrangement left out (fewer than six values) as 0.0
+    state = from_pure(np.eye(2).ravel() / np.sqrt(2), 2, 2)
+    pair = ObservablePair(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
+    orbit = sorted(itertools.permutations((0, 1, 2)))
+    cases = [([1.0, 1.0 + 0.9e-9] + [1.0 + 1.8e-9] * 4, False),
+             ([1.0, 1.0 + 0.45e-9] + [1.0 + 0.9e-9] * 4, True),
+             ([0.9e-12] * 5, True),
+             ([-0.6e-12] + [0.6e-12] * 4, False),
+             ([1.0] * 5, False)]
+    for values, symmetric in cases:
+        poly = dict(zip(orbit, values))
+        assert enumerated_verdict(poly, 3) is symmetric
+        if symmetric:
+            symmetric_polynomial([pair] * 3, poly, state)
+        else:
+            with pytest.raises(NotSymmetricError):
+                symmetric_polynomial([pair] * 3, poly, state)
+
+
+def test_symmetry_check_walks_each_orbit_once():
+    # every rearrangement of (0, 1, ..., 6), with the last coefficient off
+    # by 1e-6, or followed by an orbit of which only one tuple is listed:
+    # comparing each tuple with each rearrangement of the listing took
+    # 103.5 s before the second
+    state = from_pure(np.eye(2).ravel() / np.sqrt(2), 2, 2)
+    pair = ObservablePair(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
+    listing = dict.fromkeys(itertools.permutations(range(7)), 1.0)
+    off = dict(listing)
+    off[tuple(range(6, -1, -1))] += 1e-6
+    for poly in (off, {**listing, (7, 0, 0, 0, 0, 0, 0): 1.0}):
+        start = time.perf_counter()
+        with pytest.raises(NotSymmetricError):
+            symmetric_polynomial([pair] * 7, poly, state)
+        assert time.perf_counter() - start < 10.0
