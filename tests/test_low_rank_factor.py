@@ -269,6 +269,7 @@ class TestRangeProjectors:
                 assert linops.max_norm(o.factor_plus - yp) <= 1e-13
                 assert linops.max_norm(o.factor_minus - ym) <= 1e-13
 
+
 class TestProjectorCheck:
     def test_single_projector_check_rejects_a_stack(self):
         """A stack given as one event is a dimension error."""
