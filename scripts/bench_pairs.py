@@ -2,7 +2,7 @@
 """Paired benchmark runs of two checkouts, aggregated into BENCH_<pr>.json.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --pr <n> \\
-        --seed0 9601 --pairs 10 --trace 0
+        --seed0 9601 --pairs 10 --trace 0 [--anchor ../anchor]
 
 For every workload and every pair i, perfbench/run.py runs once in each
 checkout on seed seed0 + i, for the run_seconds of the change's
@@ -11,6 +11,15 @@ alternates from pair to pair, so a slow spell of the machine hits both
 sides alike.  Each run's last stdout line is its result record, and
 each side is named by a sha256 of its src/ tree.  The result goes to
 BENCH_<pr>.json in the change checkout.
+
+With --anchor <checkout>, scripts/class_ab.py also times a fixed anchor
+tree (the parent side) against the change on solve-highrank and
+pipeline-lowrank, interleaved in one process, on seed seed0; the
+weighted p50 and p90 and the throughput of each, with their ratios
+change/anchor, go under the file's "anchor" key.  A ratio compares the
+change with the same old tree in every PR, so losses too small for one
+parent/change gate add up where the files show them.  --pairs 0 runs
+the anchor alone, and --tiny takes the tiny input classes throughout.
 
 The output file keeps one section per --trace value, so a trace-0 and a
 trace-1 invocation can write to the same file.  Per workload it holds
@@ -31,6 +40,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+ANCHOR_WORKLOADS = ("solve-highrank", "pipeline-lowrank")
+SCRIPTS = Path(__file__).resolve().parent
 
 
 def directions(benchmark: dict) -> dict:
@@ -91,14 +102,49 @@ def source_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+def run_checked(cmd: list, cwd: Path) -> str:
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        raise RuntimeError(f"{' '.join(cmd)} in {cwd} exited {proc.returncode}:\n"
+                           f"{proc.stdout[-1000:]}{proc.stderr[-2000:]}")
+    return proc.stdout
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
+             tiny: bool = False) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)] + ["--tiny"] * tiny
+    return json.loads(run_checked(cmd, checkout).strip().splitlines()[-1])
+
+
+def class_ab_summary(out: str) -> dict:
+    """The cycle summary of a class_ab.py table: per quantity, the anchor
+    (parent) and change values and their ratio change/anchor."""
+    rows = {"weighted p50": "p50_ms", "weighted p90": "p90_ms",
+            "throughput ops/s": "throughput_ops_per_s"}
+    summary = {}
+    for line in out.splitlines():
+        for prefix, name in rows.items():
+            if line.startswith(prefix):
+                anchor, change, ratio = (float(x) for x in line.split()[-3:])
+                summary[name] = {"anchor": anchor, "change": change, "ratio": ratio}
+    if len(summary) != len(rows):
+        raise RuntimeError(f"no cycle summary in the class_ab.py output:\n{out[-2000:]}")
+    return summary
+
+
+def anchor_ratios(anchor: Path, change: Path, seed: int, repeats: int, tiny: bool) -> dict:
+    """class_ab.py of the anchor tree against the change on each of
+    ANCHOR_WORKLOADS: {workload: class_ab_summary}."""
+    out = {}
+    for workload in ANCHOR_WORKLOADS:
+        cmd = [sys.executable, str(SCRIPTS / "class_ab.py"), "--parent", str(anchor),
+               "--change", str(change), "--workload", workload, "--seed", str(seed),
+               "--repeats", str(repeats)] + ["--tiny"] * tiny
+        out[workload] = class_ab_summary(run_checked(cmd, change))
+        print(f"# anchor {workload} seed {seed}: "
+              f"{ {k: v['ratio'] for k, v in out[workload].items()} }", flush=True)
+    return out
 
 
 def main(argv=None) -> int:
@@ -110,7 +156,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--workloads", nargs="+", help="default: all of BENCHMARK.json")
+    parser.add_argument("--anchor", type=Path,
+                        help="checkout of the anchor tree, timed against the change by class_ab.py")
+    parser.add_argument("--anchor-repeats", type=int, default=40,
+                        help="class_ab.py passes over each anchor workload's cycle")
+    parser.add_argument("--tiny", action="store_true", help="the tiny input classes (smoke run)")
     args = parser.parse_args(argv)
+    if args.pairs < 0 or args.anchor_repeats < 1:
+        parser.error("--pairs must be >= 0 and --anchor-repeats >= 1")
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     better = directions(benchmark)
@@ -119,22 +172,31 @@ def main(argv=None) -> int:
     out = args.change / f"BENCH_{args.pr}.json"
     doc = json.loads(out.read_text()) if out.is_file() else {"pr": args.pr}
     sources = {s: source_digest(getattr(args, s)) for s in SIDES}
-    section = doc.setdefault(f"trace{args.trace}", {})
 
-    for workload in names:
+    if args.anchor is not None:
+        doc["anchor"] = {
+            "sources": {"anchor": source_digest(args.anchor), "change": sources["change"]},
+            "seed": args.seed0, "repeats": args.anchor_repeats, "tiny": args.tiny,
+            **anchor_ratios(args.anchor.resolve(), args.change.resolve(), args.seed0,
+                            args.anchor_repeats, args.tiny),
+        }
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    for workload in names if args.pairs else ():
         pairs = []
         for i in range(args.pairs):
             seed = args.seed0 + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed}
             for side in order:
-                pair[side] = run_once(getattr(args, side), workload, seed, seconds, args.trace)
+                pair[side] = run_once(getattr(args, side), workload, seed, seconds, args.trace,
+                                      args.tiny)
             pairs.append(pair)
             p50 = {s: pair[s]["metrics"].get("latency_p50_s", {}).get("value") for s in SIDES}
             print(f"# {workload} seed {seed} first {order[0]} p50 {p50}", flush=True)
-        section[workload] = {
+        doc.setdefault(f"trace{args.trace}", {})[workload] = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed <seed> "
-                       f"--seconds {seconds:g} --trace {args.trace}",
+                       f"--seconds {seconds:g} --trace {args.trace}" + " --tiny" * args.tiny,
             "sources": sources,
             "seeds": [p["seed"] for p in pairs],
             **aggregate(pairs, better),

@@ -84,6 +84,13 @@ class TwinSpace(Record):
     dim_total = dim_detectable + n_plus^2 + n_minus^2 where n_s is the
     null-space dimension of rho_s: observables supported on a subsystem
     null space are twins regardless of the other side.
+
+    For reductions with simple spectra whose solve the certificate of
+    ``solve_twin_space`` covers, the basis is fixed: one pair per
+    connected component of the support graph, the sums of the
+    component's eigenvector projectors over sqrt(size), components in
+    the order of their first eigenvector.  Otherwise it is whatever
+    orthonormal basis the SVD of the twin system returns.
     """
 
     FIELDS = ("basis", "dim_total", "dim_detectable", "dim_undetectable_plus",
@@ -232,7 +239,9 @@ def _block_constraints(state: BipartiteState, P: np.ndarray, layout: tuple) -> n
     _constraint_matrix, and the rows that are zero by construction
     (columns beyond k_b, imaginary parts of one-dimensional pairs) are
     dropped: at most 2 m_b k_b rows per pair, and d_plus d_minus rows in
-    all for nondegenerate reductions."""
+    all for nondegenerate reductions.  The solve builds this system for
+    such reductions only where _component_kernel's certificate fails;
+    it then runs unchanged."""
     dp, dm, r = P.shape
     units_plus, units_minus, m_b, slots, pair, row = layout
     if slots is None:
@@ -246,6 +255,79 @@ def _block_constraints(state: BipartiteState, P: np.ndarray, layout: tuple) -> n
     kept = np.arange(k) < np.minimum(m_b, r)[:, None]
     M = _constraint_matrix(state, F, units_plus, units_minus)
     return M[np.concatenate([kept.ravel(), (kept & (m_b > 1)[:, None]).ravel()])]
+
+
+def _component_kernel(P: np.ndarray, rank_tol: float, n_plus: int, n_minus: int):
+    """(K, dim_detectable) of the twin system of a layout of one-dimensional
+    eigenspaces in closed form, or None where the certificate below fails.
+
+    That system is the weighted incidence matrix M of a bipartite graph on
+    the d_plus + d_minus eigenvectors of W = [null, range] of each side,
+    one row w_ac (e_a - f_c) per pair, w_ac = ||P[a, c, :]|| (as in
+    _block_constraints), so ||M||_F = sqrt(2 r) and its largest singular
+    value is at least sqrt(2) w_max.  ``rank_cut`` at rank_tol splits the
+    edges into strong and weak ones; the kernel of the strong graph is
+    spanned by the indicators of its connected components (Fiedler, Czech.
+    Math. J. 23 (1973)), and K holds one column per component, its
+    indicator over the units divided by sqrt(size), ordered by the
+    component's first vertex, plus side first.  dim_detectable is the
+    number of components that hold a range eigenvector.
+
+    The certificate proves that kernel_basis and _detectable_rank on M
+    would give the same dimensions, with delta = d_plus d_minus eps
+    ||M||_F of rounding in the SVD and omega the l2 norm of the weak
+    weights:
+    - the component directions have singular values of at most
+      sqrt(2) omega (Weyl, on the weak rows), at or below the cut
+      rank_tol sigma_max;
+    - every other direction has one of at least 2 w_min / n, w_min the
+      smallest strong weight and n the largest component (lambda_2 >=
+      4 / (n diam), Mohar, Graphs Combin. 7 (1991); rows only raise it),
+      above the cut, which is at most rank_tol ||M||_F;
+    - the SVD kernel lies within the angle sqrt(2) omega / (2 w_min / n -
+      sqrt(2) omega) of K (Wedin), a tenth of _DETECTABLE_CUT at most, so
+      the range rows of its basis have the rank that K's have."""
+    dp, dm, _ = P.shape
+    w = np.linalg.norm(P, axis=2).ravel()
+    order = np.argsort(w)
+    strong = np.zeros(w.size, dtype=bool)
+    strong[order[w.size - linops.rank_cut(w[order], rank_tol):]] = True
+    labels = _component_labels(strong.reshape(dp, dm))
+    # the vertices that are their own label start the components, in order
+    component = (np.cumsum(labels == np.arange(dp + dm)) - 1)[labels]
+    size = np.bincount(component)
+    fro = np.sqrt(2) * np.linalg.norm(w)
+    delta = w.size * np.finfo(float).eps * fro
+    # bounds on the singular values of the component directions and of
+    # every other direction, each with the SVD's rounding
+    dropped = np.sqrt(2) * np.linalg.norm(w[~strong]) + delta
+    gap = 2 * w[strong].min(initial=np.inf) / size.max()
+    if (dropped > rank_tol * (np.sqrt(2) * w[order[-1]] - delta)
+            or gap - delta <= rank_tol * (fro + delta)
+            or dropped > _DETECTABLE_CUT / 10 * (gap - dropped)):
+        return None
+    K = np.zeros((dp + dm, len(size)))
+    K[np.arange(dp + dm), component] = 1 / np.sqrt(size[component])
+    in_range = np.concatenate([np.arange(dp) >= n_plus, np.arange(dm) >= n_minus])
+    return K, int(np.count_nonzero(np.bincount(component[in_range], minlength=len(size))))
+
+
+def _component_labels(adjacent: np.ndarray) -> np.ndarray:
+    """The first vertex of the connected component of each vertex of the
+    bipartite graph with d_plus x d_minus adjacency matrix adjacent, the
+    d_plus vertices of the plus side numbered first: each vertex takes
+    the smallest label of its neighbours and itself until none changes."""
+    dp, dm = adjacent.shape
+    n = dp + dm
+    neighbours = np.eye(n, dtype=bool)
+    neighbours[:dp, dp:] = adjacent
+    neighbours[dp:, :dp] = adjacent.T
+    labels = np.arange(n)
+    while True:
+        new = np.where(neighbours, labels, n).min(axis=1)
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def solve_twin_space(state: BipartiteState) -> TwinSpace:
@@ -279,6 +361,19 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     The units and the block layout depend on the eigenspace labels
     alone; they are built once per layout and kept, read-only, by
     _layout, which the solve looks up once.
+
+    When every eigenspace is one-dimensional, the system is the weighted
+    incidence matrix of the bipartite graph of the pairs |a, c> that
+    range(rho) reaches, and the twins are constant on its connected
+    components: _component_kernel returns one pair per component, the
+    sum of its eigenvectors' projectors on each side over sqrt(size), in
+    the order of the components' first vertices (plus side first, in W
+    order), and dim_detectable is the number of components that hold a
+    range eigenvector.  It does so only under a certificate, built from
+    rank_tol, the rank of rho and _DETECTABLE_CUT, that kernel_basis and
+    _detectable_rank would give the same dimensions; where it fails the
+    solve takes the SVD path above, unchanged.  Either way the pairs span
+    the same space up to rounding.
     """
     sub = state.subsystems
     dp, dm = state.d_plus, state.d_minus
@@ -287,14 +382,18 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     # the eigenspace labels of each side key the layout cache
     layout = _layout(tuple(sub.labels_plus.tolist()), tuple(sub.labels_minus.tolist()))
     units_plus, units_minus = layout[:2]
-    M = _block_constraints(state, linops.local_compress(state.range_basis(), Wp, Wm), layout)
-    K = linops.kernel_basis(M, state.tol.rank_tol)
+    np_, nm = sub.null_plus.shape[1], sub.null_minus.shape[1]
+    P = linops.local_compress(state.range_basis(), Wp, Wm)
+    closed = None if layout[3] is not None else _component_kernel(P, state.tol.rank_tol, np_, nm)
+    if closed is not None:
+        K, detectable = closed
+    else:
+        K = linops.kernel_basis(_block_constraints(state, P, layout), state.tol.rank_tol)
+        detectable = _detectable_rank(K, units_plus, units_minus, np_, nm)
     n_plus = len(units_plus)
     # one real-by-complex product a side: pair k is sum_g K[g, k] units[g]
     a_plus = (K[:n_plus].T @ units_plus.reshape(n_plus, -1)).reshape(-1, dp, dp)
     a_minus = (K[n_plus:].T @ units_minus.reshape(len(units_minus), -1)).reshape(-1, dm, dm)
-    np_, nm = sub.null_plus.shape[1], sub.null_minus.shape[1]
-    detectable = _detectable_rank(K, units_plus, units_minus, np_, nm)
     pairs = ObservablePair._stacked(Wp @ a_plus @ Wp.conj().T, Wm @ a_minus @ Wm.conj().T)
 
     return TwinSpace(

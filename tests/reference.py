@@ -140,7 +140,8 @@ def stacked_detectable_rank(space, state) -> int:
 # The six rank-cut and grouping comparisons of the package before
 # linops.rank_cut and linops.group_starts took them over, copied verbatim
 # into functions of the values they compared, so that each site's call
-# can be held to the rule it replaced.
+# can be held to the rule it replaced; and the comparison that the edge
+# split of twins._component_kernel, a later site, stands for.
 
 def kernel_basis_rank(s, tol):
     """Rank of linops.kernel_basis: s the singular values, descending."""
@@ -165,6 +166,12 @@ def low_rank_keep(theta, tol):
 def detectable_rank(s):
     """Count of twins._detectable_rank: s descending."""
     return int(np.sum(s > 1e-8 * max(s[0], 1.0))) if s.size else 0
+
+
+def strong_edge_keep(w, tol):
+    """Strong edges of twins._component_kernel: w the edge weights ascending."""
+    keep = w > tol * w[-1]
+    return keep
 
 
 def eigenspace_labels(values, gap):

@@ -4,9 +4,10 @@ imposed on every range vector over the same commutant.
 solve_twin_space rotates the range basis V of rho to the product
 eigenbasis of rho_plus ⊗ rho_minus and replaces each block pair's slice
 of it by a factor with the same Gram matrix.  The compressed matrix,
-recorded as the input of kernel_basis, is held here to
-_constraint_matrix(state, V, B_plus, B_minus), B_s the commutant basis
-W_s units_s W_s† in the same coordinates:
+_block_constraints on the P and eigenspace layout that the solve built
+(the input of kernel_basis wherever the solve is not in closed form),
+is held here to _constraint_matrix(state, V, B_plus, B_minus), B_s the
+commutant basis W_s units_s W_s† in the same coordinates:
 - equal singular values within 100 eps sigma_max;
 - the kernel of the dense system, cut at rank_tol, spans the solved
   twin space within 1e-8 (the dense system is the one the solver used
@@ -19,7 +20,8 @@ W_s units_s W_s† in the same coordinates:
 import numpy as np
 import pytest
 
-from twinobs import BipartiteState, SpinScenario, build_scenario, from_pure, linops, solve_twin_space
+from twinobs import (BipartiteState, SpinScenario, build_scenario, from_pure, linops,
+                     solve_twin_space, twins)
 from twinobs.linops import DEFAULT_TOL
 from twinobs.spin import SCENARIO_NAMES
 from twinobs.twins import _constraint_matrix, subspace_distance
@@ -118,15 +120,32 @@ STATES = {
 
 
 def solve_recorded(state, monkeypatch):
-    """solve_twin_space(state) and the matrix it handed to kernel_basis."""
-    seen = []
-    kernel_basis = linops.kernel_basis
-    monkeypatch.setattr(linops, "kernel_basis",
-                        lambda M, tol: seen.append(np.array(M)) or kernel_basis(M, tol))
+    """solve_twin_space(state) and its compressed system: _block_constraints
+    on the P and the layout that the solve built.  A layout of
+    one-dimensional eigenspaces whose certificate holds is solved in
+    closed form (twins._component_kernel) and makes no kernel_basis call;
+    any other solve hands that very matrix to kernel_basis, once."""
+    seen = {"local_compress": [], "_layout": [], "kernel_basis": []}
+
+    def recording(module, name):
+        fn = getattr(module, name)
+        if name == "kernel_basis":
+            return lambda M, tol: seen[name].append(np.array(M)) or fn(M, tol)
+        return lambda *args: seen[name].append(fn(*args)) or seen[name][-1]
+
+    for module, name in ((linops, "local_compress"), (twins, "_layout"), (linops, "kernel_basis")):
+        monkeypatch.setattr(module, name, recording(module, name))
     space = solve_twin_space(state)
     monkeypatch.undo()
-    assert len(seen) == 1
-    return space, seen[0]
+    (P,), (layout,) = seen["local_compress"], seen["_layout"]
+    M = twins._block_constraints(state, P, layout)
+    sub = state.subsystems
+    closed = layout[3] is None and twins._component_kernel(
+        P, state.tol.rank_tol, sub.null_plus.shape[1], sub.null_minus.shape[1]) is not None
+    assert len(seen["kernel_basis"]) == (0 if closed else 1)
+    for recorded in seen["kernel_basis"]:
+        assert np.array_equal(recorded, M)
+    return space, M
 
 
 def commutant_bases(state):

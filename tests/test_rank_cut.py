@@ -2,14 +2,16 @@
 package goes through, held to the comparisons they replaced.
 
 ``linops.rank_cut`` counts the values above tol * max(largest, floor)
-for kernel_basis, range_null_bases, low_rank_cut and
-twins._detectable_rank; ``linops.group_starts`` marks the first value of
+for kernel_basis, range_null_bases, low_rank_cut,
+twins._detectable_rank and the edge split of twins._component_kernel;
+``linops.group_starts`` marks the first value of
 each group for the eigenspace labels of ``state.subsystems`` (its inner
 function ``labels``) and spectral._clustered.  Every call the package
 makes on the spin scenarios and on random, Schmidt, block, embedded and
 noisy near-cut states is recorded with its caller and checked against
 that caller's old comparison, a verbatim copy of which is in
-reference.py.  Hostile arrays are checked against the rules
+reference.py (for the edge split, which came after the rule, the plain
+comparison it stands for).  Hostile arrays are checked against the rules
 as stated and against the old comparisons where those are defined.
 """
 
@@ -95,6 +97,9 @@ def _old_rule(caller, args, kwargs, result):
         old = (reference.range_null_keep if caller == "range_null_bases"
                else reference.low_rank_keep)(values, second)
         return np.arange(values.size) >= values.size - result, old
+    if caller == "_component_kernel":
+        return (np.arange(values.size) >= values.size - result,
+                reference.strong_edge_keep(values, second))
     if caller == "_detectable_rank":
         assert (second, kwargs) == (1e-8, {"floor": 1.0})
         return np.array(result), np.array(reference.detectable_rank(values))
@@ -109,6 +114,7 @@ def test_every_site_calls_its_rule(calls):
     sites = {(rule, caller) for rule, caller, _, _ in calls}
     assert sites == {("rank_cut", "kernel_basis"), ("rank_cut", "range_null_bases"),
                      ("rank_cut", "low_rank_cut"), ("rank_cut", "_detectable_rank"),
+                     ("rank_cut", "_component_kernel"),
                      ("group_starts", "labels"), ("group_starts", "_clustered")}
 
 

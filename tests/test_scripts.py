@@ -2,7 +2,8 @@
 and exits 0, the survey prints the rows the theory fixes, and the
 per-class timing prints a row per input class, with its minor page
 faults per op.  The aggregation of bench_pairs.py is tested on
-synthetic run records, without running the benchmark."""
+synthetic run records, without running the benchmark, and its anchor
+run on the tiny classes of one tree against itself."""
 
 import importlib.util
 import json
@@ -154,6 +155,30 @@ class TestBenchPairsAggregation:
         summary = load_bench_pairs().aggregate(self.pairs()[:1], self.BETTER)
         assert summary["metrics"]["latency_p50_s"]["change"] == {"median": 4.0, "q1": 4.0,
                                                                   "q3": 4.0}
+
+
+def test_bench_pairs_anchor_of_one_tree_against_itself(tmp_path):
+    """--anchor with no pairs: class_ab.py times the tree against itself on
+    the tiny classes of both anchor workloads, and the ratios land under
+    the anchor key of BENCH_<pr>.json in the change checkout, a stand-in
+    that links this tree's sources and benchmark."""
+    for name in ("src", "perfbench"):
+        (tmp_path / name).symlink_to(ROOT / name)
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    run_script("bench_pairs.py", "--parent", str(tmp_path), "--change", str(tmp_path),
+               "--anchor", str(tmp_path), "--pr", "smoke", "--seed0", "5", "--pairs", "0",
+               "--tiny", "--anchor-repeats", "3")
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    anchor = doc["anchor"]
+    assert (anchor["seed"], anchor["repeats"], anchor["tiny"]) == (5, 3, True)
+    assert anchor["sources"]["anchor"] == anchor["sources"]["change"]
+    for workload in ("solve-highrank", "pipeline-lowrank"):
+        summary = anchor[workload]
+        assert set(summary) == {"p50_ms", "p90_ms", "throughput_ops_per_s"}
+        for row in summary.values():
+            assert row["anchor"] > 0 and row["change"] > 0
+            assert 0.5 < row["ratio"] < 2.0
+    assert set(doc) == {"pr", "anchor"}
 
 
 def test_cli_diff_of_one_checkout_against_itself():

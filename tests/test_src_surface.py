@@ -269,6 +269,10 @@ CUT_FORMS_ALLOWED = {
         "certificate: zero, and so every dropped eigenvalue, clears the cut by the residual",
     ("states.BipartiteState.__init__", "vals[0] < -tol.rank_tol * max(vals[-1], 1.0)"):
         "positivity rule: rejects rho whose smallest eigenvalue is below -rank_tol * max(lambda_max, 1)",
+    ("twins._component_kernel", "dropped > rank_tol * (np.sqrt(2) * w[order[-1]] - delta)"):
+        "certificate: chooses the closed form or the SVD path; the weak edges stay under the kernel cut",
+    ("twins._component_kernel", "dropped > _DETECTABLE_CUT / 10 * (gap - dropped)"):
+        "certificate: chooses the closed form or the SVD path; the kernels' angle stays under the count's cut",
     ("linops._fix_phases", "modulus >= _PIVOT_FLOOR * top"):
         "phase convention: picks the pivot entry of each eigenvector column; it counts nothing",
 }
@@ -324,6 +328,7 @@ def test_scan_finds_each_replaced_comparison():
     # reference.py keeps them
     replaced = {reference.kernel_basis_rank: "cut", reference.range_null_keep: "cut",
                 reference.low_rank_keep: "cut", reference.detectable_rank: "cut",
+                reference.strong_edge_keep: "cut",
                 reference.eigenspace_labels: "grouping", reference.cluster_starts: "grouping"}
     for fn, form in replaced.items():
         found = _cut_forms(ast.parse(inspect.getsource(fn)))

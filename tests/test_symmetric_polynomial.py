@@ -46,6 +46,34 @@ def perturbed(rng, poly):
     return poly
 
 
+def scale(poly, ops) -> float:
+    """The sum over the terms of |coefficient| times the product of the
+    operators' spectral norms to their exponents: the size of the
+    largest value an evaluation can reach, and the scale of its
+    rounding, since its products and sums each err by a few eps of it."""
+    norms = np.array([np.linalg.norm(A, 2) for A in ops])
+    return sum(abs(c) * np.prod(norms ** np.array(e)) for e, c in poly.items())
+
+
+def bound(want, poly, ops) -> float:
+    """The distance an evaluation may have from want: 1e-12 relative, or
+    100 eps times the scale where want itself is near zero, as a product
+    of twins with disjoint supports is."""
+    return max(1e-12 * max_norm(want), 100 * np.finfo(float).eps * scale(poly, ops))
+
+
+def one_word(poly, ops, dim):
+    """The share of one word in the evaluation: the coefficient of the
+    first nonconstant monomial times the product of its first ordering,
+    over its number of distinct orderings."""
+    e, c = next((e, c) for e, c in poly.items() if c != 0.0 and sum(e))
+    orderings = sorted(set(itertools.permutations([v for v, x in enumerate(e) for _ in range(x)])))
+    product = np.eye(dim, dtype=complex)
+    for var in orderings[0]:
+        product = product @ ops[var]
+    return c * product / len(orderings)
+
+
 def enumerated_verdict(poly, k) -> bool:
     try:
         reference.enumerated_symmetry_check(poly, k)
@@ -59,7 +87,7 @@ def test_values_and_verdicts_match_the_enumeration(seed):
     rng = np.random.default_rng(28000 + seed)
     states = [random_state(rng, 2, 3, rank=r) for r in (1, 2, 3)]
     spaces = [solve_twin_space(st) for st in states]
-    verdicts = []
+    verdicts, caught = [], 0
     for n in range(60):
         st, space = states[n % 3], spaces[n % 3]
         k = int(rng.integers(1, 5))
@@ -75,9 +103,16 @@ def test_values_and_verdicts_match_the_enumeration(seed):
         for got, ops, dim in ((out.a_plus, [p.a_plus for p in pairs], st.d_plus),
                               (out.a_minus, [p.a_minus for p in pairs], st.d_minus)):
             want = reference.enumerated_eval_side(poly, ops, dim)
-            assert max_norm(got - want) <= 1e-12 * max_norm(want), (poly, max_norm(got - want))
-    # the draws reach both verdicts
-    assert any(verdicts) and not all(verdicts)
+            assert max_norm(got - want) <= bound(want, poly, ops), (poly, max_norm(got - want))
+            if any(c != 0.0 and sum(e) for e, c in poly.items()):
+                # an evaluation with one word dropped fails the same check
+                # wherever that word does not vanish up to rounding
+                word = one_word(poly, ops, dim)
+                if max_norm(word) > 1e-9 * scale(poly, ops):
+                    assert max_norm(got - word - want) > bound(want, poly, ops), poly
+                    caught += 1
+    # the draws reach both verdicts, and dropped words that matter
+    assert any(verdicts) and not all(verdicts) and caught
 
 
 def test_coefficients_inside_and_outside_the_tolerance_band():
