@@ -14,12 +14,16 @@ BENCH_<pr>.json in the change checkout.
 
 With --anchor <checkout>, scripts/class_ab.py also times a fixed anchor
 tree (the parent side) against the change on solve-highrank and
-pipeline-lowrank, interleaved in one process, on seed seed0; the
-weighted p50 and p90 and the throughput of each, with their ratios
-change/anchor, go under the file's "anchor" key.  A ratio compares the
-change with the same old tree in every PR, so losses too small for one
+pipeline-lowrank, interleaved in one process, on seed seed0 and at
+class_ab.py's own number of repeats; the weighted p50 and p90 and the
+throughput of each, with their ratios change/anchor, and the number of
+ops that failed their check on each side go under the file's "anchor"
+key.  A run in which some op fails still counts, as in the pairs, and
+its failures stand beside its ratios.  A ratio compares the change
+with the same old tree in every PR, so losses too small for one
 parent/change gate add up where the files show them.  --pairs 0 runs
-the anchor alone, and --tiny takes the tiny input classes throughout.
+the anchor alone, and --tiny takes the anchor's tiny input classes (a
+smoke run).
 
 The output file keeps one section per --trace value, so a trace-0 and a
 trace-1 invocation can write to the same file.  Per workload it holds
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -41,6 +46,13 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 ANCHOR_WORKLOADS = ("solve-highrank", "pipeline-lowrank")
+# class_ab.py's header line and its exit status when some op failed its check
+CLASS_AB_HEADER = re.compile(
+    r"^# \S+ seed \d+, (\d+) repeats, raw ms, failed ops parent (\d+) change (\d+)$", re.M)
+CLASS_AB_FAILED_OPS = 1
+# the cycle-summary rows of a class_ab.py table, by the anchor key's names
+CLASS_AB_ROWS = {"weighted p50": "p50_ms", "weighted p90": "p90_ms",
+                 "throughput ops/s": "throughput_ops_per_s"}
 SCRIPTS = Path(__file__).resolve().parent
 
 
@@ -102,48 +114,54 @@ def source_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
-def run_checked(cmd: list, cwd: Path) -> str:
+def run_checked(cmd: list, cwd: Path, allowed: tuple = (0,)) -> str:
     proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
-    if proc.returncode != 0:
+    if proc.returncode not in allowed:
         raise RuntimeError(f"{' '.join(cmd)} in {cwd} exited {proc.returncode}:\n"
                            f"{proc.stdout[-1000:]}{proc.stderr[-2000:]}")
     return proc.stdout
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
-             tiny: bool = False) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)] + ["--tiny"] * tiny
+           "--seconds", str(seconds), "--trace", str(trace)]
     return json.loads(run_checked(cmd, checkout).strip().splitlines()[-1])
 
 
 def class_ab_summary(out: str) -> dict:
-    """The cycle summary of a class_ab.py table: per quantity, the anchor
-    (parent) and change values and their ratio change/anchor."""
-    rows = {"weighted p50": "p50_ms", "weighted p90": "p90_ms",
-            "throughput ops/s": "throughput_ops_per_s"}
-    summary = {}
+    """The header and cycle summary of a class_ab.py table: its repeats, the
+    number of ops that failed their check on each side and, per quantity,
+    the anchor (parent) and change values and their ratio change/anchor."""
+    header = CLASS_AB_HEADER.search(out)
+    if header is None:
+        raise RuntimeError(f"no header in the class_ab.py output:\n{out[-2000:]}")
+    repeats, failed_anchor, failed_change = (int(x) for x in header.groups())
+    summary = {"repeats": repeats, "failed_ops": {"anchor": failed_anchor,
+                                                  "change": failed_change}}
     for line in out.splitlines():
-        for prefix, name in rows.items():
+        for prefix, name in CLASS_AB_ROWS.items():
             if line.startswith(prefix):
                 anchor, change, ratio = (float(x) for x in line.split()[-3:])
                 summary[name] = {"anchor": anchor, "change": change, "ratio": ratio}
-    if len(summary) != len(rows):
+    if not set(CLASS_AB_ROWS.values()) <= set(summary):
         raise RuntimeError(f"no cycle summary in the class_ab.py output:\n{out[-2000:]}")
     return summary
 
 
-def anchor_ratios(anchor: Path, change: Path, seed: int, repeats: int, tiny: bool) -> dict:
+def anchor_ratios(anchor: Path, change: Path, seed: int, tiny: bool) -> dict:
     """class_ab.py of the anchor tree against the change on each of
-    ANCHOR_WORKLOADS: {workload: class_ab_summary}."""
+    ANCHOR_WORKLOADS: {workload: class_ab_summary}.  A run that exits
+    because some op failed its check is kept, with its failed-op counts."""
     out = {}
     for workload in ANCHOR_WORKLOADS:
         cmd = [sys.executable, str(SCRIPTS / "class_ab.py"), "--parent", str(anchor),
-               "--change", str(change), "--workload", workload, "--seed", str(seed),
-               "--repeats", str(repeats)] + ["--tiny"] * tiny
-        out[workload] = class_ab_summary(run_checked(cmd, change))
-        print(f"# anchor {workload} seed {seed}: "
-              f"{ {k: v['ratio'] for k, v in out[workload].items()} }", flush=True)
+               "--change", str(change), "--workload", workload, "--seed", str(seed)]
+        cmd += ["--tiny"] * tiny
+        summary = out[workload] = class_ab_summary(
+            run_checked(cmd, change, (0, CLASS_AB_FAILED_OPS)))
+        ratios = {name: summary[name]["ratio"] for name in CLASS_AB_ROWS.values()}
+        print(f"# anchor {workload} seed {seed}: {ratios} failed ops {summary['failed_ops']}",
+              flush=True)
     return out
 
 
@@ -158,12 +176,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", help="default: all of BENCHMARK.json")
     parser.add_argument("--anchor", type=Path,
                         help="checkout of the anchor tree, timed against the change by class_ab.py")
-    parser.add_argument("--anchor-repeats", type=int, default=40,
-                        help="class_ab.py passes over each anchor workload's cycle")
-    parser.add_argument("--tiny", action="store_true", help="the tiny input classes (smoke run)")
+    parser.add_argument("--tiny", action="store_true",
+                        help="the anchor run on the tiny input classes (smoke run)")
     args = parser.parse_args(argv)
-    if args.pairs < 0 or args.anchor_repeats < 1:
-        parser.error("--pairs must be >= 0 and --anchor-repeats >= 1")
+    if args.pairs < 0:
+        parser.error("--pairs must be >= 0")
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     better = directions(benchmark)
@@ -176,9 +193,9 @@ def main(argv=None) -> int:
     if args.anchor is not None:
         doc["anchor"] = {
             "sources": {"anchor": source_digest(args.anchor), "change": sources["change"]},
-            "seed": args.seed0, "repeats": args.anchor_repeats, "tiny": args.tiny,
+            "seed": args.seed0, "tiny": args.tiny,
             **anchor_ratios(args.anchor.resolve(), args.change.resolve(), args.seed0,
-                            args.anchor_repeats, args.tiny),
+                            args.tiny),
         }
         out.write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -189,14 +206,13 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed}
             for side in order:
-                pair[side] = run_once(getattr(args, side), workload, seed, seconds, args.trace,
-                                      args.tiny)
+                pair[side] = run_once(getattr(args, side), workload, seed, seconds, args.trace)
             pairs.append(pair)
             p50 = {s: pair[s]["metrics"].get("latency_p50_s", {}).get("value") for s in SIDES}
             print(f"# {workload} seed {seed} first {order[0]} p50 {p50}", flush=True)
         doc.setdefault(f"trace{args.trace}", {})[workload] = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed <seed> "
-                       f"--seconds {seconds:g} --trace {args.trace}" + " --tiny" * args.tiny,
+                       f"--seconds {seconds:g} --trace {args.trace}",
             "sources": sources,
             "seeds": [p["seed"] for p in pairs],
             **aggregate(pairs, better),

@@ -85,12 +85,10 @@ class TwinSpace(Record):
     null-space dimension of rho_s: observables supported on a subsystem
     null space are twins regardless of the other side.
 
-    For reductions with simple spectra whose solve the certificate of
-    ``solve_twin_space`` covers, the basis is fixed: one pair per
-    connected component of the support graph, the sums of the
-    component's eigenvector projectors over sqrt(size), components in
-    the order of their first eigenvector.  Otherwise it is whatever
-    orthonormal basis the SVD of the twin system returns.
+    Where solve_twin_space takes its closed form (reductions with simple
+    spectra), the basis is fixed, one pair per connected component of the
+    support graph; otherwise it is the orthonormal basis that the SVD of
+    the twin system returns.
     """
 
     FIELDS = ("basis", "dim_total", "dim_detectable", "dim_undetectable_plus",
@@ -239,9 +237,7 @@ def _block_constraints(state: BipartiteState, P: np.ndarray, layout: tuple) -> n
     _constraint_matrix, and the rows that are zero by construction
     (columns beyond k_b, imaginary parts of one-dimensional pairs) are
     dropped: at most 2 m_b k_b rows per pair, and d_plus d_minus rows in
-    all for nondegenerate reductions.  The solve builds this system for
-    such reductions only where _component_kernel's certificate fails;
-    it then runs unchanged."""
+    all for nondegenerate reductions."""
     dp, dm, r = P.shape
     units_plus, units_minus, m_b, slots, pair, row = layout
     if slots is None:
@@ -369,11 +365,9 @@ def solve_twin_space(state: BipartiteState) -> TwinSpace:
     sum of its eigenvectors' projectors on each side over sqrt(size), in
     the order of the components' first vertices (plus side first, in W
     order), and dim_detectable is the number of components that hold a
-    range eigenvector.  It does so only under a certificate, built from
-    rank_tol, the rank of rho and _DETECTABLE_CUT, that kernel_basis and
-    _detectable_rank would give the same dimensions; where it fails the
-    solve takes the SVD path above, unchanged.  Either way the pairs span
-    the same space up to rounding.
+    range eigenvector.  It does so only where its certificate holds (see
+    _component_kernel); elsewhere the solve takes the SVD path above,
+    unchanged.  Either way the pairs span the same space up to rounding.
     """
     sub = state.subsystems
     dp, dm = state.d_plus, state.d_minus

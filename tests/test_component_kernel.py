@@ -189,7 +189,11 @@ def test_each_condition_of_the_certificate_can_fail_alone():
       of _DETECTABLE_CUT;
     - at rank_tol 1e-3, one strong edge of twice the cut, whose
       component's nonzero singular value may fall under the cut, while
-      the weak rows are empty and the angle stays tiny."""
+      the weak rows are empty and the angle stays tiny;
+    - one strong edge of 1e-3, joining a component of 4 (Mohar bound
+      5e-4, far above the cut), and one weak edge of 4e-11 (Weyl bound
+      5.7e-11, under half the cut): each alone is certified, but together
+      the Wedin angle 5.7e-11 / 5e-4 = 1.1e-7 exceeds _DETECTABLE_CUT / 10."""
     rt = DEFAULT_TOL.rank_tol
     diagonal = np.eye(12)
     K, detectable = twins._component_kernel(diagonal[:, :, None], rt, 0, 0)
@@ -199,6 +203,17 @@ def test_each_condition_of_the_certificate_can_fail_alone():
     near = diagonal.copy()
     near[0, 1] = 2e-3
     assert twins._component_kernel(near[:, :, None], 1e-3, 0, 0) is None
+    joined, loose = diagonal.copy(), diagonal.copy()
+    joined[0, 1] = 1e-3
+    loose[2, 3] = 4e-11
+    assert twins._component_kernel(joined[:, :, None], rt, 0, 0)[0].shape == (24, 11)
+    assert twins._component_kernel(loose[:, :, None], rt, 0, 0)[0].shape == (24, 12)
+    weyl, mohar = np.sqrt(2) * 4e-11, 2 * 1e-3 / 4
+    assert weyl < rt * np.sqrt(2) / 2 and mohar > 1e5 * rt * np.sqrt(2 * 12)
+    assert weyl / (mohar - weyl) > 100 * twins._DETECTABLE_CUT / 10
+    both = joined.copy()
+    both[2, 3] = 4e-11
+    assert twins._component_kernel(both[:, :, None], rt, 0, 0) is None
 
 
 def test_component_labels_follow_a_path():

@@ -3,7 +3,8 @@ and exits 0, the survey prints the rows the theory fixes, and the
 per-class timing prints a row per input class, with its minor page
 faults per op.  The aggregation of bench_pairs.py is tested on
 synthetic run records, without running the benchmark, and its anchor
-run on the tiny classes of one tree against itself."""
+run on the tiny classes of one tree against itself and on a class_ab.py
+output that reports a failed op."""
 
 import importlib.util
 import json
@@ -167,18 +168,55 @@ def test_bench_pairs_anchor_of_one_tree_against_itself(tmp_path):
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     run_script("bench_pairs.py", "--parent", str(tmp_path), "--change", str(tmp_path),
                "--anchor", str(tmp_path), "--pr", "smoke", "--seed0", "5", "--pairs", "0",
-               "--tiny", "--anchor-repeats", "3")
+               "--tiny")
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     anchor = doc["anchor"]
-    assert (anchor["seed"], anchor["repeats"], anchor["tiny"]) == (5, 3, True)
+    assert (anchor["seed"], anchor["tiny"]) == (5, True)
     assert anchor["sources"]["anchor"] == anchor["sources"]["change"]
     for workload in ("solve-highrank", "pipeline-lowrank"):
         summary = anchor[workload]
-        assert set(summary) == {"p50_ms", "p90_ms", "throughput_ops_per_s"}
-        for row in summary.values():
+        assert set(summary) == {"repeats", "failed_ops", "p50_ms", "p90_ms",
+                                "throughput_ops_per_s"}
+        assert summary["repeats"] >= 1
+        assert summary["failed_ops"] == {"anchor": 0, "change": 0}
+        for name in ("p50_ms", "p90_ms", "throughput_ops_per_s"):
+            row = summary[name]
             assert row["anchor"] > 0 and row["change"] > 0
             assert 0.5 < row["ratio"] < 2.0
     assert set(doc) == {"pr", "anchor"}
+
+
+CLASS_AB_WITH_A_FAILED_OP = """\
+# solve-highrank seed 31208, 30 repeats, raw ms, failed ops parent 1 change 2
+# FAILED parent embedded d=6 r=16: dims (1, 1, 4, 4) != (9, 1, 4, 4)
+# FAILED change embedded d=6 r=16: dims (1, 1, 4, 4) != (9, 1, 4, 4)
+class                    n   parent   change   ratio      q1      q3  flt par  flt chg
+embedded d=6 r=16        2    1.500    1.200   0.800   0.790   0.810      0.0      0.0
+weighted p50                  1.500    1.200   0.800
+weighted p90                  2.000    1.800   0.900
+throughput ops/s            650.0    700.0   1.077
+minor faults/op               0.0      0.0
+"""
+
+
+def test_anchor_run_keeps_a_class_ab_run_with_failed_ops(monkeypatch):
+    """class_ab.py exits 1 when some op fails its check but still prints
+    its table: the anchor run keeps the ratios and records the failed-op
+    counts of its header; an exit 1 with no table still raises."""
+    bench_pairs = load_bench_pairs()
+    status = [1, 1, 1]
+    outputs = [CLASS_AB_WITH_A_FAILED_OP] * 2 + ["Traceback (most recent call last): ...\n"]
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kw: subprocess.CompletedProcess(
+        cmd, status.pop(0), outputs.pop(0), ""))
+    out = bench_pairs.anchor_ratios(Path("anchor"), Path("change"), 31208, tiny=False)
+    assert set(out) == {"solve-highrank", "pipeline-lowrank"}
+    summary = out["pipeline-lowrank"]
+    assert summary["repeats"] == 30
+    assert summary["failed_ops"] == {"anchor": 1, "change": 2}
+    assert summary["p90_ms"] == {"anchor": 2.0, "change": 1.8, "ratio": 0.9}
+    assert summary["throughput_ops_per_s"]["ratio"] == 1.077
+    with pytest.raises(RuntimeError, match="no header"):
+        bench_pairs.anchor_ratios(Path("anchor"), Path("change"), 31208, tiny=False)
 
 
 def test_cli_diff_of_one_checkout_against_itself():
